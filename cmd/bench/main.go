@@ -8,7 +8,13 @@
 //	cold_fit_parallel     the same fit on a GOMAXPROCS pool, plus the
 //	                      speedup vs sequential and a coefficient-identity
 //	                      check (the parallel fit must be bit-identical)
-//	warm_extrapolate      Fitted.Extrapolate on the cached model
+//	warm_extrapolate      Fitted.Extrapolate on the cached model at a worker
+//	                      count the graph has already been asked about
+//	                      (steady state: the critical share is a memo hit)
+//	warm_extrapolate_first_touch
+//	                      the same call at worker counts the graph has
+//	                      never seen: each pays the O(n) critical-share
+//	                      walk once
 //	engine_superstep      steady-state cost of one BSP superstep (setup
 //	                      subtracted by differencing run lengths)
 //	sampling_brj          one BRJ sample draw (walk + subgraph induction),
@@ -385,11 +391,12 @@ func run(out, dataset string, flagScale float64, runs int, g8 gates) error {
 	parScn.CoefficientsMatch = &match
 	res.add(*parScn)
 
-	warmScn, err := warmExtrapolate(seqFit, g)
+	firstScn, warmScn, err := warmExtrapolate(seqFit, g)
 	if err != nil {
 		return fmt.Errorf("warm_extrapolate: %w", err)
 	}
 	res.add(*warmScn)
+	res.add(*firstScn)
 
 	ssScn, err := engineSuperstep(g, runs)
 	if err != nil {
@@ -630,13 +637,30 @@ func measureLoop(name string, ops int, op func() error) (*Scenario, error) {
 	}, nil
 }
 
-// warmExtrapolate measures the cached-model path: Extrapolate on the full
-// graph, the operation every cache hit pays.
-func warmExtrapolate(f *core.Fitted, g *graph.Graph) (*Scenario, error) {
-	return measureLoop("warm_extrapolate", 2000, func() error {
-		_, err := f.Extrapolate(g, 0)
+// warmExtrapolate measures the cached-model path — Extrapolate on the
+// full graph, the operation a warm prediction pays when no answer
+// template holds — in its two states, reported separately. The graph
+// remembers its critical share per worker count (bsp.CriticalShareOf), so
+// the first extrapolation at a worker count walks the graph and every
+// later one looks the share up; averaging the two would describe neither.
+func warmExtrapolate(f *core.Fitted, g *graph.Graph) (firstTouch, steady *Scenario, err error) {
+	// First touches: a fresh worker count per op, starting above anything
+	// the fits asked about and staying within what one graph remembers.
+	const firstTouches = 32
+	workers := 100
+	firstTouch, err = measureLoop("warm_extrapolate_first_touch", firstTouches, func() error {
+		workers++
+		_, err := f.Extrapolate(g, workers)
 		return err
 	})
+	if err != nil {
+		return nil, nil, err
+	}
+	steady, err = measureLoop("warm_extrapolate", 2000, func() error {
+		_, err := f.Extrapolate(g, workers)
+		return err
+	})
+	return firstTouch, steady, err
 }
 
 // ssProgram is the engine_superstep scenario's vertex program: the

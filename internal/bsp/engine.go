@@ -207,7 +207,8 @@ func (e *Engine[V, M]) Run() (*Result[V], error) {
 			}
 		}
 	} else {
-		part, workerVertCounts, workerOutEdges = assignHash(e.g, W)
+		part = make([]int32, n)
+		workerVertCounts, workerOutEdges = assignHash(e.g, W, part)
 		workerVerts = make([][]VertexID, W)
 		for w := range workerVerts {
 			workerVerts[w] = make([]VertexID, 0, workerVertCounts[w])

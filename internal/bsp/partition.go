@@ -2,29 +2,43 @@ package bsp
 
 import "predict/internal/graph"
 
-// assignHash computes the engine's hash placement for g across workers:
-// part[v] is the worker owning vertex v, and vertices/outEdges are the
-// per-worker tallies. This is THE assignment the engine's setup phase
-// uses — PartitionStats and Engine.Run both call it, so the predicted
-// and executed placements cannot drift (pinned by the partition tests).
-func assignHash(g *graph.Graph, workers int) (part []int32, vertices, outEdges []int64) {
-	n := g.NumVertices()
+// clampWorkers bounds a requested worker count to [1, max(n, 1)]: never
+// more workers than vertices, never fewer than one. An empty graph gets
+// one (idle) worker rather than the requested count — the per-worker
+// tallies are sized by this value, so an unclamped what-if count on an
+// empty graph would size them by whatever the caller asked for.
+func clampWorkers(n, workers int) int {
+	if workers > n {
+		workers = n
+	}
 	if workers < 1 {
 		workers = 1
 	}
-	if workers > n && n > 0 {
-		workers = n
-	}
-	part = make([]int32, n)
+	return workers
+}
+
+// assignHash computes the engine's hash placement for g across workers:
+// vertices/outEdges are the per-worker tallies and, when part is non-nil
+// (length NumVertices), part[v] receives the worker owning vertex v. This
+// is THE assignment the engine's setup phase uses — PartitionStats and
+// Engine.Run both call it, so the predicted and executed placements
+// cannot drift (pinned by the partition tests). Only the engine needs
+// the per-vertex assignment; the diagnostics pass nil and allocate
+// nothing proportional to the graph.
+func assignHash(g *graph.Graph, workers int, part []int32) (vertices, outEdges []int64) {
+	n := g.NumVertices()
+	workers = clampWorkers(n, workers)
 	vertices = make([]int64, workers)
 	outEdges = make([]int64, workers)
 	for v := 0; v < n; v++ {
 		w := partitionWorker(VertexID(v), workers)
-		part[v] = int32(w)
+		if part != nil {
+			part[v] = int32(w)
+		}
 		vertices[w]++
 		outEdges[w] += int64(g.OutDegree(VertexID(v)))
 	}
-	return part, vertices, outEdges
+	return vertices, outEdges
 }
 
 // maxEdgeShare returns the largest worker's fraction of the summed
@@ -51,13 +65,22 @@ func maxEdgeShare(outEdges []int64) float64 {
 // this computation on the read phase to locate the critical-path worker
 // before the superstep phase starts (§3.4).
 func PartitionStats(g *graph.Graph, workers int) (vertices, outEdges []int64) {
-	_, vertices, outEdges = assignHash(g, workers)
-	return vertices, outEdges
+	return assignHash(g, workers, nil)
 }
 
 // CriticalShareOf returns the critical-path worker's fraction of all
 // outbound edges under the engine's hash partitioning of g across workers.
+// The paper locates the critical-path worker once, piggybacked on the
+// read phase (§3.4); likewise the O(n) walk runs once per (graph, clamped
+// worker count) and is remembered on the graph itself
+// (graph.MemoizedCriticalShare), so a what-if sweep over a cached graph
+// pays lookups, not graph scans.
 func CriticalShareOf(g *graph.Graph, workers int) float64 {
+	return g.MemoizedCriticalShare(clampWorkers(g.NumVertices(), workers), hashCriticalShare)
+}
+
+// hashCriticalShare is the uncached walk behind CriticalShareOf.
+func hashCriticalShare(g *graph.Graph, workers int) float64 {
 	_, outEdges := PartitionStats(g, workers)
 	return maxEdgeShare(outEdges)
 }

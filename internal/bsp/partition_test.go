@@ -79,6 +79,53 @@ func TestPartitionStatsClampsWorkers(t *testing.T) {
 	}
 }
 
+// TestPartitionStatsTalliesWithoutAssignment pins that the diagnostics
+// allocate the two per-worker tallies and nothing sized by the graph: the
+// per-vertex assignment is the engine's alone.
+func TestPartitionStatsTalliesWithoutAssignment(t *testing.T) {
+	g := starPlusRing(5000)
+	if allocs := testing.AllocsPerRun(20, func() { PartitionStats(g, 8) }); allocs > 2 {
+		t.Errorf("PartitionStats allocates %v times per call, want the 2 tallies", allocs)
+	}
+	CriticalShareOf(g, 8) // first touch walks the graph
+	if allocs := testing.AllocsPerRun(20, func() { CriticalShareOf(g, 8) }); allocs != 0 {
+		t.Errorf("memoized CriticalShareOf allocates %v times per call, want 0", allocs)
+	}
+}
+
+// TestPartitionStatsEmptyGraphClampsWorkers pins the n == 0 clamp: a
+// what-if count of 2^31 workers on an empty graph must size the tallies
+// for one idle worker, not for the count asked (two 16 GiB slices).
+func TestPartitionStatsEmptyGraphClampsWorkers(t *testing.T) {
+	empty, err := graph.NewBuilder(0).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	verts, edges := PartitionStats(empty, 1<<31)
+	if len(verts) != 1 || len(edges) != 1 {
+		t.Fatalf("empty graph at 2^31 workers: %d/%d tallies, want 1/1", len(verts), len(edges))
+	}
+	if s := CriticalShareOf(empty, 1<<31); s != 0 {
+		t.Errorf("empty graph critical share = %v, want 0", s)
+	}
+}
+
+// TestCriticalShareOfMemoMatchesWalk holds the memo to the walk it
+// replaces, on first touch and on every later one, for more distinct
+// worker counts than a graph remembers — and across the clamp, where
+// every count above n shares n's entry.
+func TestCriticalShareOfMemoMatchesWalk(t *testing.T) {
+	g := skewedGraph(400)
+	for pass := 0; pass < 2; pass++ {
+		for w := -1; w <= 450; w++ {
+			_, edges := PartitionStats(g, w)
+			if got, want := CriticalShareOf(g, w), maxEdgeShare(edges); got != want {
+				t.Fatalf("pass %d: CriticalShareOf(g, %d) = %v, walk gives %v", pass, w, got, want)
+			}
+		}
+	}
+}
+
 // skewedGraph concentrates a third of the edge mass on 5% of the
 // vertices — the degree skew that makes balance interesting.
 func skewedGraph(n int) *graph.Graph {

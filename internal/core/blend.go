@@ -142,12 +142,21 @@ func (f *Fitted) ExtrapolateBlended(g *graph.Graph, workers int, observed []floa
 	if threshold <= 0 {
 		threshold = DefaultObservationThreshold
 	}
-	pred, err := f.Extrapolate(g, workers)
+	// Only the interpolation regime needs the full-scale feature vectors —
+	// one per sample-run iteration, the x side of every observation-derived
+	// row — and it takes them from the same pass that prices the run, so
+	// the extrapolation scale (and the critical-share lookup behind it) is
+	// derived once per call in either regime.
+	var vectors []features.Vector
+	if len(observed) >= threshold {
+		vectors = make([]features.Vector, len(f.IterFeatures))
+	}
+	pred, err := f.price(g, workers, vectors)
 	if err != nil {
 		return nil, err
 	}
 	iters := float64(len(pred.PerIterationSeconds))
-	if len(observed) < threshold {
+	if vectors == nil {
 		pred.Runtime = newDistribution(pred.SuperstepSeconds,
 			iters*f.Model.ResidualVariance(),
 			RegimeExtrapolation, len(observed))
@@ -158,21 +167,8 @@ func (f *Fitted) ExtrapolateBlended(g *graph.Graph, workers int, observed []floa
 	// and refit the already-selected feature subset. Selection is not
 	// re-run — its greedy path is sensitive to single rows, and feedback
 	// must move predictions monotonically toward the observed mean, not
-	// jump between structural hypotheses.
-	if workers <= 0 {
-		workers = f.SampleWorkers
-	}
-	scale, shareFactor, _, err := f.extrapolationScale(g, workers)
-	if err != nil {
-		return nil, err
-	}
-	// Full-scale feature vectors, one per sample-run iteration — the x
-	// side of every observation-derived row.
-	vectors := make([]features.Vector, len(f.IterFeatures))
-	for i, it := range f.IterFeatures {
-		vectors[i] = scale.Apply(it.Vector).RescaleShare(shareFactor)
-	}
-	// The sample-fit per-iteration shape distributes each observed total.
+	// jump between structural hypotheses. The sample-fit per-iteration
+	// shape distributes each observed total.
 	var baseTotal float64
 	for _, s := range pred.PerIterationSeconds {
 		baseTotal += s
@@ -184,7 +180,10 @@ func (f *Fitted) ExtrapolateBlended(g *graph.Graph, workers int, observed []floa
 		Source: "sample", Iters: f.TrainingRows,
 	})
 	for _, total := range obs {
-		run := costmodel.TrainingRun{Source: "observed"}
+		run := costmodel.TrainingRun{
+			Source: "observed",
+			Iters:  make([]features.IterationFeatures, 0, len(vectors)),
+		}
 		for i := range vectors {
 			secs := total / iters
 			if baseTotal > 0 {

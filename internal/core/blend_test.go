@@ -1,12 +1,17 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
+	"sort"
 	"testing"
 
 	"predict/internal/algorithms"
 	"predict/internal/bsp"
 	"predict/internal/cluster"
+	"predict/internal/features"
 )
 
 // blendTestFitted builds the s5/w1 fit of the engine pins — the blend
@@ -152,5 +157,57 @@ func TestDistributionShape(t *testing.T) {
 	point := newDistribution(100, 0, RegimeExtrapolation, 0)
 	if point.ProbabilityWithin(99) != 0 || point.ProbabilityWithin(100) != 1 {
 		t.Error("zero-spread distribution is not a step at the mean")
+	}
+}
+
+// blendPins freeze the interpolation regime's whole answer — the refitted
+// coefficients, every per-iteration price and the runtime distribution —
+// at the sample cluster's size and at a what-if size, as FNV-1a digests
+// of the exact float64 bits. They were taken before the blend started
+// sharing one extrapolation-scale derivation (and one set of full-scale
+// vectors) between its two passes, so they hold that refactor, and any
+// later one, to bit-identical arithmetic.
+var blendPins = map[int]string{
+	0: "2aca94e144b3768b",
+	4: "24f6102d6b64f1d0",
+}
+
+func TestBlendInterpolationPinned(t *testing.T) {
+	fitted := blendTestFitted(t)
+	g := testGraphBA()
+	obs := []float64{40, 44, 38, 46, 42, 41, 43}
+	for _, workers := range []int{0, 4} {
+		pred, err := fitted.ExtrapolateBlended(g, workers, obs, 0)
+		if err != nil {
+			t.Fatalf("ExtrapolateBlended(workers=%d): %v", workers, err)
+		}
+		h := fnv.New64a()
+		var buf [8]byte
+		wf := func(v float64) {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+		coeffs, intercept := pred.Model.Coefficients()
+		names := make([]string, 0, len(coeffs))
+		for name := range coeffs {
+			names = append(names, string(name))
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			h.Write([]byte(name))
+			wf(coeffs[features.Name(name)])
+		}
+		wf(intercept)
+		for _, s := range pred.PerIterationSeconds {
+			wf(s)
+		}
+		wf(pred.SuperstepSeconds)
+		wf(pred.PredictedRemoteMessageBytes)
+		wf(pred.CriticalShareFull)
+		wf(pred.Runtime.StdDevSeconds)
+		wf(pred.Runtime.P95Seconds)
+		if got := fmt.Sprintf("%016x", h.Sum64()); got != blendPins[workers] {
+			t.Errorf("workers=%d: interpolation fingerprint %s, pinned %s", workers, got, blendPins[workers])
+		}
 	}
 }

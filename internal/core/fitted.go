@@ -230,6 +230,16 @@ func (p *Predictor) FitContext(ctx context.Context, alg algorithms.Algorithm, g 
 // critical-path share moves — at the cost of stepping outside the paper's
 // matched-environment assumption.
 func (f *Fitted) Extrapolate(g *graph.Graph, workers int) (*Prediction, error) {
+	return f.price(g, workers, nil)
+}
+
+// price is Extrapolate's body, shared with ExtrapolateBlended: it derives
+// the extrapolation scale once and prices every sample-run iteration
+// through the fitted model. When vectors is non-nil (one slot per
+// IterFeatures entry) it also receives the full-scale feature vector of
+// each iteration — the x side of the interpolation regime's
+// observation-derived rows, which must be exactly the vectors priced here.
+func (f *Fitted) price(g *graph.Graph, workers int, vectors []features.Vector) (*Prediction, error) {
 	if workers <= 0 {
 		workers = f.SampleWorkers
 	}
@@ -249,9 +259,13 @@ func (f *Fitted) Extrapolate(g *graph.Graph, workers int) (*Prediction, error) {
 		SampleRunSeconds:    f.SampleRunSeconds,
 		CriticalShareSample: f.ProfiledCriticalShare,
 		CriticalShareFull:   shareG,
+		PerIterationSeconds: make([]float64, 0, len(f.IterFeatures)),
 	}
 	for i, it := range f.IterFeatures {
 		x := scale.Apply(it.Vector).RescaleShare(shareFactor)
+		if vectors != nil {
+			vectors[i] = x
+		}
 		secs := f.Model.PredictIteration(x)
 		pred.PerIterationSeconds = append(pred.PerIterationSeconds, secs)
 		pred.SuperstepSeconds += secs
@@ -262,12 +276,9 @@ func (f *Fitted) Extrapolate(g *graph.Graph, workers int) (*Prediction, error) {
 	return pred, nil
 }
 
-// extrapolationScale computes the extrapolation inputs shared by
-// Extrapolate and ExtrapolateBlended: the eV/eE scale from sample to g,
-// the §3.4 critical-path share rescaling factor, and g's structural
-// critical share at the given worker count. Both callers must price
-// feature vectors through identical arithmetic, so the computation lives
-// in one place.
+// extrapolationScale computes price's extrapolation inputs: the eV/eE
+// scale from sample to g, the §3.4 critical-path share rescaling factor,
+// and g's structural critical share at the given worker count.
 func (f *Fitted) extrapolationScale(g *graph.Graph, workers int) (scale features.Scale, shareFactor, shareG float64, err error) {
 	// Extrapolation factors from full-graph and sample sizes.
 	scale, err = features.NewScale(g.NumVertices(), f.SampleVertices,

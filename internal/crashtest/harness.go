@@ -139,7 +139,9 @@ func Start(t *testing.T, args []string, env ...string) *Server {
 	})
 
 	addrc := make(chan string, 1)
+	scanned := make(chan struct{}) // closed once the scanner has read the pipe to EOF
 	go func() {
+		defer close(scanned)
 		defer pr.Close()
 		sc := bufio.NewScanner(pr)
 		sent := false
@@ -154,7 +156,14 @@ func Start(t *testing.T, args []string, env ...string) *Server {
 			}
 		}
 	}()
-	go func() { s.waitc <- s.cmd.Wait() }()
+	go func() {
+		// The exit is reported only after the scanner drained the pipe:
+		// otherwise Output() right after WaitExit races the child's last
+		// lines (the drain log's "persisted N model(s)").
+		err := s.cmd.Wait()
+		<-scanned
+		s.waitc <- err
+	}()
 
 	select {
 	case s.Addr = <-addrc:

@@ -47,6 +47,10 @@ type Graph struct {
 	inDegOnce   sync.Once
 	sortedInDeg []int
 
+	// shares memoizes the placement critical share per worker count; see
+	// MemoizedCriticalShare in artifacts.go.
+	shares shareMemo
+
 	// mapped is non-nil for graphs whose CSR slices alias an mmap'd
 	// snapshot (MmapSnapshot). The reference keeps the mapping alive for
 	// as long as the Graph is reachable, so the finalizer-driven munmap

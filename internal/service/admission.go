@@ -16,14 +16,21 @@
 // Coalescing: the model cache's single-flight already collapses
 // concurrent fits of one model key. The coalescer extends that to the
 // whole prediction — graph lookup, model lookup, extrapolation, response
-// assembly — keyed by (model key, what-if workers). Concurrent identical
-// predictions always share one computation; with a batch window
-// configured, the computed prediction additionally stays shareable for
-// the window after it completes, so a sustained stream of identical warm
-// requests pays one extrapolation per window instead of one per request.
-// Predictions are deterministic (same fitted model + same graph + same
-// workers => identical response), so sharing never changes response
-// bytes — only elapsed_ms, which is stamped per request.
+// assembly — keyed by (model key, what-if workers, observation epoch).
+// Concurrent identical predictions always share one computation; with a
+// batch window configured, the computed prediction additionally stays
+// shareable for the window after it completes. Predictions are
+// deterministic (same fitted model + same graph + same workers + same
+// observation window => identical response), so sharing never changes
+// response bytes — only elapsed_ms, which is stamped per request. The
+// epoch in the key is what keeps that true under feedback: a request that
+// arrives after an /observe was acknowledged carries the bumped epoch and
+// never joins a computation that read the window before it.
+//
+// What a computation costs once the model is cached is a separate
+// matter: the assembled answer is kept on the model-cache entry per
+// (workers, observation epoch) — see template.go — so a repeated query is
+// a lookup whether or not a window is configured.
 package service
 
 import (
@@ -98,9 +105,9 @@ type predFlight struct {
 }
 
 // coalescer shares prediction computations between requests for the same
-// (model key, workers). window > 0 keeps completed predictions shareable
-// for that long after they finish; window == 0 coalesces only requests
-// that overlap in flight.
+// (model key, workers, observation epoch). window > 0 keeps completed
+// predictions shareable for that long after they finish; window == 0
+// coalesces only requests that overlap in flight.
 type coalescer struct {
 	mu     sync.Mutex
 	window time.Duration

@@ -413,9 +413,11 @@ func TestStatsUnderConcurrentLoad(t *testing.T) {
 	})
 
 	warm := testRequest()
-	if status, raw := postJSON(t, server.URL+"/predict", warm); status != http.StatusOK {
+	status, raw := postJSON(t, server.URL+"/predict", warm)
+	if status != http.StatusOK {
 		t.Fatalf("warming: HTTP %d (%v)", status, raw)
 	}
+	warmed := decodePrediction(t, raw)
 
 	stop := make(chan struct{})
 	scrapeErr := make(chan error, 1)
@@ -465,6 +467,11 @@ func TestStatsUnderConcurrentLoad(t *testing.T) {
 				scrapeErr <- fmt.Errorf("checkpoint counters went backwards: %+v then %+v", prev, st)
 				return
 			}
+			if st.TemplateHits < prev.TemplateHits || st.TemplateMisses < prev.TemplateMisses ||
+				st.TemplateInvalidations < prev.TemplateInvalidations {
+				scrapeErr <- fmt.Errorf("template counters went backwards: %+v then %+v", prev, st)
+				return
+			}
 			if st.Draining {
 				scrapeErr <- fmt.Errorf("service reported draining with no drain begun")
 				return
@@ -487,6 +494,15 @@ func TestStatsUnderConcurrentLoad(t *testing.T) {
 				r := warm
 				if i%3 == 0 { // a third of the traffic is cold
 					r.SampleSeed = uint64(10000 + c*100 + i)
+				}
+				if i%5 == 4 { // feedback keeps the template counters moving
+					resp, _ := postRaw(t, server.URL+"/observe", ObserveRequest{
+						ModelKey: warmed.ModelKey, ActualSeconds: warmed.SuperstepSeconds,
+					})
+					if resp.StatusCode != http.StatusOK {
+						reqErrs <- fmt.Errorf("client %d observe %d: HTTP %d", c, i, resp.StatusCode)
+						return
+					}
 				}
 				resp, _ := postRaw(t, server.URL+"/predict", r)
 				switch resp.StatusCode {
@@ -514,6 +530,10 @@ func TestStatsUnderConcurrentLoad(t *testing.T) {
 	}
 	if st.FitQueueCap != 2 {
 		t.Fatalf("fit queue cap = %d, want 2", st.FitQueueCap)
+	}
+	if st.TemplateHits == 0 || st.TemplateInvalidations == 0 {
+		t.Fatalf("template hits = %d, invalidations = %d: warm traffic with feedback moved neither",
+			st.TemplateHits, st.TemplateInvalidations)
 	}
 	if st.FitQueueDepth != 0 {
 		t.Fatalf("fit queue depth = %d after traffic drained, want 0", st.FitQueueDepth)

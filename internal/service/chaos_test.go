@@ -185,7 +185,7 @@ func TestChaosTornHistoryWarmStart(t *testing.T) {
 			PartialBytes: 37,
 		}))
 		defer restore()
-		rec := svc1.models.snapshot()[0].val.Record("torn-key", "torn-dataset")
+		rec := svc1.models.snapshot()[0].val.fitted.Record("torn-key", "torn-dataset")
 		if err := history.AppendFile(path, rec); err == nil {
 			t.Fatal("torn append reported success")
 		}

@@ -107,14 +107,14 @@ type Config struct {
 	// shed with 429 + Retry-After. Zero or negative means unlimited.
 	MaxInFlight int
 	// BatchWindow coalesces identical predictions beyond the model
-	// cache's single-flight: requests for the same (model key, workers)
-	// that overlap in flight always share one computation, and a positive
-	// window additionally keeps each computed prediction shareable for
-	// that long after it completes — a sustained stream of identical warm
-	// requests then pays one extrapolation per window, not per request.
-	// Predictions are deterministic, so sharing never changes response
-	// bytes (only elapsed_ms, stamped per request). Zero coalesces
-	// overlapping requests only.
+	// cache's single-flight: requests for the same (model key, workers,
+	// observation epoch) that overlap in flight always share one
+	// computation, and a positive window additionally keeps each computed
+	// prediction shareable for that long after it completes — a sustained
+	// stream of identical warm requests then pays one model-cache lookup
+	// per window, not per request. Predictions are deterministic, so
+	// sharing never changes response bytes (only elapsed_ms, stamped per
+	// request). Zero coalesces overlapping requests only.
 	BatchWindow time.Duration
 	// ShedRetryAfter is the Retry-After hint attached to shed (429/503)
 	// responses; zero selects 1s.
@@ -244,7 +244,7 @@ func (c Config) withDefaults() Config {
 // All methods are safe for concurrent use.
 type Service struct {
 	cfg      Config
-	models   *cache[*core.Fitted]
+	models   *cache[*cachedModel]
 	graphs   *cache[*graph.Graph]
 	fitPool  *parallel.Pool
 	fitGate  *gate // bounds outstanding cold fits (admission control)
@@ -308,10 +308,28 @@ type Service struct {
 	// runtimes ever recorded; blendExtrapolation/blendInterpolation tally
 	// which regime answered each prediction (for /stats).
 	obsMu              sync.RWMutex
-	obs                map[string][]float64
+	obs                map[string]obsWindow
 	observations       atomic.Int64
 	blendExtrapolation atomic.Int64
 	blendInterpolation atomic.Int64
+
+	// templateHits/templateMisses count warm predictions answered from a
+	// cachedModel's template set versus assembled afresh;
+	// templateInvalidations counts templates dropped because an
+	// observation superseded the epoch they were computed at.
+	templateHits          atomic.Int64
+	templateMisses        atomic.Int64
+	templateInvalidations atomic.Int64
+}
+
+// obsWindow is one model key's observed runtimes plus the key's
+// observation epoch: a counter bumped by every recorded observation, live
+// or replayed, never reset while the process lives. The window's length
+// cannot stand in for it — at history.MaxObservationsPerKey the window
+// rolls over and changes content at constant length.
+type obsWindow struct {
+	epoch   uint64
+	seconds []float64
 }
 
 // New returns a Service with the given configuration.
@@ -322,7 +340,7 @@ func New(cfg Config) *Service {
 	lifeCtx, lifeCancel := context.WithCancel(context.Background())
 	return &Service{
 		cfg:        cfg,
-		models:     newCache[*core.Fitted](cfg.MaxModels),
+		models:     newCache[*cachedModel](cfg.MaxModels),
 		graphs:     newCache[*graph.Graph](cfg.MaxGraphs),
 		fitPool:    parallel.NewPool(cfg.FitParallelism),
 		fitGate:    newGate(cfg.FitQueueDepth),
@@ -335,7 +353,7 @@ func New(cfg Config) *Service {
 		lifeCancel: lifeCancel,
 		histPath:   cfg.HistoryPath,
 		ckptBase:   1,
-		obs:        make(map[string][]float64),
+		obs:        make(map[string]obsWindow),
 	}
 }
 
@@ -615,7 +633,9 @@ func algorithmFor(name string, eps float64, n int) (algorithms.Algorithm, error)
 // Predict answers one request, consulting and populating the model cache.
 // The fit of a cache miss is shared across concurrent identical requests
 // (single-flight) and keeps running to completion even if ctx expires, so
-// the cache still warms; only the response is abandoned.
+// the cache still warms; only the response is abandoned. The response's
+// slices are shared with the answer kept on the cached model (and with
+// coalesced sharers): read-only to the caller.
 func (s *Service) Predict(ctx context.Context, req PredictRequest) (*PredictResponse, error) {
 	var resp PredictResponse
 	if err := s.predictInto(ctx, req, &resp); err != nil {
@@ -647,12 +667,18 @@ func (s *Service) predictInto(ctx context.Context, req PredictRequest, out *Pred
 
 	// One buffer builds both keys; the model key is a prefix slice of the
 	// coalescer key, so the whole request path pays a single string
-	// allocation for its keys.
+	// allocation for its keys. The coalescer key ends in the model key's
+	// observation epoch: a request that arrives after an /observe was
+	// acknowledged must not join a computation — in flight, or held for
+	// the batch window — that read the window before it.
 	kb := make([]byte, 0, 192)
 	kb = s.appendModelKey(kb, req, registryKey)
 	modelKeyLen := len(kb)
+	epoch := s.observationEpoch(kb)
 	kb = append(kb, "|w="...)
 	kb = strconv.AppendInt(kb, int64(req.Workers), 10)
+	kb = append(kb, "|e="...)
+	kb = strconv.AppendUint(kb, epoch, 10)
 	ckey := string(kb)
 	key := ckey[:modelKeyLen]
 
@@ -663,7 +689,7 @@ func (s *Service) predictInto(ctx context.Context, req PredictRequest, out *Pred
 	// detached from ctx (like the cache fills inside it), so a canceled
 	// request abandons only its response.
 	tmpl, joinedDone, err := s.coalesce.do(ctx, ckey, func() (*PredictResponse, error) {
-		return s.computePrediction(req, path, registryKey, key)
+		return s.computePrediction(req, path, registryKey, key, epoch)
 	})
 	if err != nil {
 		if ctx.Err() != nil {
@@ -702,7 +728,7 @@ func (s *Service) predictInto(ctx context.Context, req PredictRequest, out *Pred
 // validation and key construction. It runs detached from any request
 // context; its response template is immutable once returned (sharers
 // copy it), with ElapsedMillis left zero for the per-request stamp.
-func (s *Service) computePrediction(req PredictRequest, path, registryKey, key string) (*PredictResponse, error) {
+func (s *Service) computePrediction(req PredictRequest, path, registryKey, key string, epoch uint64) (*PredictResponse, error) {
 	g, err := s.graphFor(context.Background(), req, path, registryKey)
 	if err != nil {
 		var se *Error
@@ -712,7 +738,7 @@ func (s *Service) computePrediction(req PredictRequest, path, registryKey, key s
 		return nil, &Error{Status: 400, Msg: err.Error()}
 	}
 
-	fitted, hit, err := s.models.get(context.Background(), key, func() (*core.Fitted, error) {
+	model, hit, err := s.models.get(context.Background(), key, func() (*cachedModel, error) {
 		// The breaker runs before the fit gate: while it is open, requests
 		// for this key must not consume fit-queue slots that working keys
 		// could use.
@@ -736,7 +762,7 @@ func (s *Service) computePrediction(req PredictRequest, path, registryKey, key s
 		}
 		s.breakers.success(key)
 		s.checkpoint(key, fitted)
-		return fitted, nil
+		return &cachedModel{fitted: fitted}, nil
 	})
 	if err != nil {
 		var se *Error
@@ -746,20 +772,35 @@ func (s *Service) computePrediction(req PredictRequest, path, registryKey, key s
 		return nil, &Error{Status: 500, Msg: err.Error()}
 	}
 
+	// A repeated what-if query is a lookup: the answer assembled for these
+	// workers stands for as long as the key's observation epoch does (epoch
+	// is the one the request read on arrival; if observations have moved
+	// past it since, the lookup misses and the answer is assembled from the
+	// window as it is now). The graph and model lookups above still ran, so
+	// LRU order, hit_ratio and every error path are what they were without
+	// the template.
+	if hit {
+		tmpl, dropped := model.template(req.Workers, epoch)
+		s.templateInvalidations.Add(int64(dropped))
+		if tmpl != nil {
+			s.templateHits.Add(1)
+			s.countRegime(tmpl.BlendRegime)
+			return tmpl, nil
+		}
+		s.templateMisses.Add(1)
+	}
+
 	// Closed-loop blending: the key's observed actual runtimes (if any)
 	// select the regime and widen or tighten the interval. A key that has
 	// never been observed takes the plain extrapolation path, bit-identical
 	// to Extrapolate.
-	pred, err := fitted.ExtrapolateBlended(g, req.Workers, s.observationsFor(key), s.cfg.BlendThreshold)
+	fitted := model.fitted
+	observed, epoch := s.observationsFor(key)
+	pred, err := fitted.ExtrapolateBlended(g, req.Workers, observed, s.cfg.BlendThreshold)
 	if err != nil {
 		return nil, &Error{Status: 500, Msg: err.Error()}
 	}
-	switch pred.Runtime.Regime {
-	case core.RegimeInterpolation:
-		s.blendInterpolation.Add(1)
-	default:
-		s.blendExtrapolation.Add(1)
-	}
+	s.countRegime(pred.Runtime.Regime)
 	workers := req.Workers
 	if workers == 0 {
 		workers = fitted.SampleWorkers
@@ -785,7 +826,26 @@ func (s *Service) computePrediction(req PredictRequest, path, registryKey, key s
 	for _, f := range pred.Model.SelectedFeatures() {
 		resp.ModelFeatures = append(resp.ModelFeatures, string(f))
 	}
+	// Whoever finds the template finds the model cached, so the copy kept
+	// says cache_hit even when this — the fitting — request's answer must
+	// not.
+	tmpl := resp
+	if !hit {
+		warm := *resp
+		warm.CacheHit = true
+		tmpl = &warm
+	}
+	s.templateInvalidations.Add(int64(model.keep(req.Workers, epoch, tmpl)))
 	return resp, nil
+}
+
+// countRegime tallies one answered prediction under its blend regime.
+func (s *Service) countRegime(regime string) {
+	if regime == core.RegimeInterpolation {
+		s.blendInterpolation.Add(1)
+	} else {
+		s.blendExtrapolation.Add(1)
+	}
 }
 
 // ceilSeconds converts a wait into a whole-second Retry-After hint, at
@@ -981,26 +1041,42 @@ func (s *Service) Observe(ctx context.Context, req ObserveRequest) (*ObserveResp
 func (s *Service) recordObservation(key string, seconds float64) int {
 	s.obsMu.Lock()
 	defer s.obsMu.Unlock()
-	o := append(s.obs[key], seconds)
-	if len(o) > history.MaxObservationsPerKey {
-		o = o[len(o)-history.MaxObservationsPerKey:]
+	w := s.obs[key]
+	w.seconds = append(w.seconds, seconds)
+	if len(w.seconds) > history.MaxObservationsPerKey {
+		w.seconds = w.seconds[len(w.seconds)-history.MaxObservationsPerKey:]
 	}
-	s.obs[key] = o
+	// The bump is what invalidates the key's answer templates: it happens
+	// under the same lock as the append, before the observation is
+	// acknowledged, so no prediction that starts after the acknowledgement
+	// can find a template from before it.
+	w.epoch++
+	s.obs[key] = w
 	s.observations.Add(1)
-	return len(o)
+	return len(w.seconds)
 }
 
 // observationsFor returns a copy of the key's observation window (nil
 // when the key has never been observed — the common warm-path case,
-// which must not allocate).
-func (s *Service) observationsFor(key string) []float64 {
+// which must not allocate) and the epoch that window belongs to.
+func (s *Service) observationsFor(key string) ([]float64, uint64) {
 	s.obsMu.RLock()
 	defer s.obsMu.RUnlock()
-	o := s.obs[key]
-	if len(o) == 0 {
-		return nil
+	w := s.obs[key]
+	if len(w.seconds) == 0 {
+		return nil, w.epoch
 	}
-	return append([]float64(nil), o...)
+	return append([]float64(nil), w.seconds...), w.epoch
+}
+
+// observationEpoch returns the model key's current observation epoch
+// (zero for a key never observed) without copying its window. The key
+// arrives as the request path's key buffer; the map lookup converts it
+// without allocating.
+func (s *Service) observationEpoch(key []byte) uint64 {
+	s.obsMu.RLock()
+	defer s.obsMu.RUnlock()
+	return s.obs[string(key)].epoch
 }
 
 // ActiveWork reports how many admitted prediction-work requests are
@@ -1059,13 +1135,13 @@ func (s *Service) Models() []ModelInfo {
 	for _, e := range entries {
 		info := ModelInfo{
 			Key:        e.key,
-			Algorithm:  e.val.Algorithm,
-			Iterations: e.val.Iterations,
-			R2:         e.val.Model.R2(),
+			Algorithm:  e.val.fitted.Algorithm,
+			Iterations: e.val.fitted.Iterations,
+			R2:         e.val.fitted.Model.R2(),
 			Hits:       e.hits,
 			AgeSeconds: time.Since(e.added).Seconds(),
 		}
-		for _, f := range e.val.Model.SelectedFeatures() {
+		for _, f := range e.val.fitted.Model.SelectedFeatures() {
 			info.Features = append(info.Features, string(f))
 		}
 		out = append(out, info)
@@ -1140,10 +1216,20 @@ type Stats struct {
 	Observations int64 `json:"observations"`
 	ObservedKeys int   `json:"observed_keys"`
 	// BlendExtrapolation/BlendInterpolation tally predictions answered by
-	// each closed-loop regime (coalesced sharers count once, with the
-	// computing request).
+	// each closed-loop regime, template hit or not (coalesced sharers count
+	// once, with the computing request).
 	BlendExtrapolation int64 `json:"blend_extrapolation"`
 	BlendInterpolation int64 `json:"blend_interpolation"`
+	// TemplateHits counts warm predictions answered from the answer
+	// template kept on the cached model for (workers, observation epoch);
+	// TemplateMisses the warm predictions that had to assemble one (first
+	// query at a worker count, first after an /observe, or past the
+	// per-model bound); TemplateInvalidations the templates dropped because
+	// an observation superseded their epoch. Cold fits count as neither hit
+	// nor miss.
+	TemplateHits          int64 `json:"template_hits"`
+	TemplateMisses        int64 `json:"template_misses"`
+	TemplateInvalidations int64 `json:"template_invalidations"`
 	// Goroutines and OpenFDs are process-level leak canaries the soak
 	// harness watches; OpenFDs is 0 where /proc is unavailable.
 	Goroutines int `json:"goroutines"`
@@ -1186,8 +1272,13 @@ func (s *Service) Stats() Stats {
 		Observations:       s.observations.Load(),
 		BlendExtrapolation: s.blendExtrapolation.Load(),
 		BlendInterpolation: s.blendInterpolation.Load(),
-		Goroutines:         runtime.NumGoroutine(),
-		OpenFDs:            openFDs(),
+
+		TemplateHits:          s.templateHits.Load(),
+		TemplateMisses:        s.templateMisses.Load(),
+		TemplateInvalidations: s.templateInvalidations.Load(),
+
+		Goroutines: runtime.NumGoroutine(),
+		OpenFDs:    openFDs(),
 	}
 	s.obsMu.RLock()
 	st.ObservedKeys = len(s.obs)
@@ -1229,7 +1320,7 @@ func (s *Service) SaveHistory(path string) (int, error) {
 	sort.Slice(entries, func(i, j int) bool { return entries[i].added.Before(entries[j].added) })
 	records := make([]history.Record, 0, len(entries))
 	for _, e := range entries {
-		records = append(records, e.val.Record(e.key, e.key))
+		records = append(records, e.val.fitted.Record(e.key, e.key))
 	}
 	// Observation windows follow the models (deterministic key order):
 	// the snapshot replaces the whole file, so leaving them out would
@@ -1241,7 +1332,7 @@ func (s *Service) SaveHistory(path string) (int, error) {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		for _, secs := range s.obs[k] {
+		for _, secs := range s.obs[k].seconds {
 			records = append(records, history.NewObservation(k, secs, 0))
 		}
 	}
@@ -1314,7 +1405,7 @@ func (s *Service) WarmFromHistory(path string) (warmed, skipped int, err error) 
 			skipped++
 			continue
 		}
-		s.models.put(rec.Model.Key, fitted)
+		s.models.put(rec.Model.Key, &cachedModel{fitted: fitted})
 		warmed++
 	}
 	s.histMu.Lock()

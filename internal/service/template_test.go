@@ -1,0 +1,572 @@
+package service
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand/v2"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"predict/internal/core"
+	"predict/internal/graph"
+	"predict/internal/history"
+)
+
+// templateHitAllocs is the pinned allocation count of a template-hit
+// Service.Predict (measured: 16). What is left is the request path around
+// the lookup — the key string, the coalescer's flight (struct, channel,
+// goroutine, closures) and the returned response — none of it sized by
+// the graph, the training rows or the iteration count.
+const templateHitAllocs = 16
+
+// TestTemplateHitAllocs pins the allocation cost of a template-hit
+// Service.Predict at predictd's default BatchWindow of zero — the path
+// every repeated what-if query takes in production, where no batch window
+// hides the per-request work.
+func TestTemplateHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	svc := New(Config{})
+	ctx := context.Background()
+	req := testRequest()
+	req.Workers = 16
+	if _, err := svc.Predict(ctx, req); err != nil { // cold: fits
+		t.Fatal(err)
+	}
+	const runs = 200
+	before := svc.Stats()
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := svc.Predict(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	after := svc.Stats()
+	// AllocsPerRun calls the function once more to warm up.
+	if hits := after.TemplateHits - before.TemplateHits; hits != runs+1 {
+		t.Fatalf("%d of %d measured predictions were template hits", hits, runs+1)
+	}
+	if allocs > templateHitAllocs {
+		t.Errorf("template-hit Service.Predict allocates %v times, pinned at %d", allocs, templateHitAllocs)
+	}
+}
+
+// TestTemplateStats pins the /stats bookkeeping around the templates:
+// hits, misses and invalidations count what they say; the blend regime
+// tallies keep counting one per answered prediction, hit or miss; and a
+// template hit is still a model-cache hit that refreshes the model's LRU
+// position, so hit_ratio and eviction order are what they were without
+// templates.
+func TestTemplateStats(t *testing.T) {
+	svc := New(Config{MaxModels: 2})
+	ctx := context.Background()
+	a, b, c := testRequest(), testRequest(), testRequest()
+	b.SampleSeed, c.SampleSeed = 2, 3
+
+	first, err := svc.Predict(ctx, a) // cold: fits, and keeps the answer
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := svc.Predict(ctx, a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a16 := a
+	a16.Workers = 16
+	if _, err := svc.Predict(ctx, a16); err != nil { // warm, but a new worker count
+		t.Fatal(err)
+	}
+	st := svc.Stats()
+	if st.TemplateHits != 3 || st.TemplateMisses != 1 || st.TemplateInvalidations != 0 {
+		t.Errorf("templates hits/misses/invalidations = %d/%d/%d, want 3/1/0",
+			st.TemplateHits, st.TemplateMisses, st.TemplateInvalidations)
+	}
+	if st.BlendExtrapolation != 5 || st.BlendInterpolation != 0 {
+		t.Errorf("blend tallies = %d/%d, want one per answered prediction (5/0)",
+			st.BlendExtrapolation, st.BlendInterpolation)
+	}
+	if st.Hits != 4 || st.Misses != 1 || st.HitRatio != 0.8 {
+		t.Errorf("model cache hits/misses/ratio = %d/%d/%v, want 4/1/0.8", st.Hits, st.Misses, st.HitRatio)
+	}
+
+	// One observation supersedes both held answers; the next prediction
+	// drops them, misses, and reports the observation.
+	if _, err := svc.Observe(ctx, ObserveRequest{ModelKey: first.ModelKey, ActualSeconds: first.SuperstepSeconds}); err != nil {
+		t.Fatal(err)
+	}
+	after, err := svc.Predict(ctx, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Observations != 1 {
+		t.Errorf("prediction after an observation reports %d observations, want 1", after.Observations)
+	}
+	st = svc.Stats()
+	if st.TemplateHits != 3 || st.TemplateMisses != 2 || st.TemplateInvalidations != 2 {
+		t.Errorf("after an observation: hits/misses/invalidations = %d/%d/%d, want 3/2/2",
+			st.TemplateHits, st.TemplateMisses, st.TemplateInvalidations)
+	}
+
+	// LRU touch: with a and b cached, a template hit on a makes b the
+	// eviction victim when c arrives.
+	if _, err := svc.Predict(ctx, b); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Predict(ctx, a); err != nil {
+		t.Fatal(err)
+	}
+	if got := svc.Stats().TemplateHits; got != 4 {
+		t.Fatalf("template hits = %d, want 4", got)
+	}
+	if _, err := svc.Predict(ctx, c); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := svc.models.peek(first.ModelKey); !ok {
+		t.Error("a template hit did not refresh the model's LRU position: the model was evicted")
+	}
+	if _, ok := svc.models.peek(svc.modelKey(b.withDefaults(), "")); ok {
+		t.Error("the least recently used model survived the eviction")
+	}
+}
+
+// TestTemplatesBoundedPerModel pins the constant bound on distinct worker
+// counts per model: past it predictions are still right, just assembled
+// per request, and the counts already held keep hitting.
+func TestTemplatesBoundedPerModel(t *testing.T) {
+	svc := New(Config{})
+	ctx := context.Background()
+	req := testRequest()
+	answers := map[int]float64{}
+	for pass := 0; pass < 2; pass++ {
+		for w := 1; w <= maxTemplatesPerModel+8; w++ {
+			req.Workers = w
+			resp, err := svc.Predict(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pass == 0 {
+				answers[w] = resp.SuperstepSeconds
+			} else if resp.SuperstepSeconds != answers[w] {
+				t.Fatalf("workers=%d: second answer %v differs from the first %v", w, resp.SuperstepSeconds, answers[w])
+			}
+		}
+	}
+	m, ok := svc.models.peek(svc.modelKey(req.withDefaults(), ""))
+	if !ok {
+		t.Fatal("model not cached")
+	}
+	if n := len(m.templates); n != maxTemplatesPerModel {
+		t.Errorf("model holds %d templates, want the bound %d", n, maxTemplatesPerModel)
+	}
+	if st := svc.Stats(); st.TemplateHits != maxTemplatesPerModel {
+		t.Errorf("template hits = %d, want %d (the held counts on the second pass)", st.TemplateHits, maxTemplatesPerModel)
+	}
+}
+
+// modelOracle is the trivial in-memory model the sequence test holds the
+// service to: which keys the one-shard model LRU caches (most recently
+// used first), when each was inserted (a restart re-inserts in that
+// order), and every key's observation window.
+type modelOracle struct {
+	capacity int
+	lru      []int       // cached keys, most recently used first
+	added    map[int]int // cached key -> insertion sequence number
+	seq      int
+	windows  map[int][]float64
+}
+
+// touch records a prediction on key k and reports whether it was cached.
+func (o *modelOracle) touch(k int) (cached bool) {
+	for i, c := range o.lru {
+		if c == k {
+			copy(o.lru[1:i+1], o.lru[:i])
+			o.lru[0] = k
+			return true
+		}
+	}
+	o.seq++
+	o.added[k] = o.seq
+	o.lru = append([]int{k}, o.lru...)
+	if len(o.lru) > o.capacity {
+		delete(o.added, o.lru[o.capacity])
+		o.lru = o.lru[:o.capacity]
+	}
+	return false
+}
+
+func (o *modelOracle) cached(k int) bool {
+	_, ok := o.added[k]
+	return ok
+}
+
+func (o *modelOracle) observe(k int, seconds float64) {
+	w := append(o.windows[k], seconds)
+	if len(w) > history.MaxObservationsPerKey {
+		w = w[len(w)-history.MaxObservationsPerKey:]
+	}
+	o.windows[k] = w
+}
+
+// restart reorders the LRU the way SaveHistory + WarmFromHistory rebuild
+// it: oldest insertion first, so the newest insertion ends up in front.
+func (o *modelOracle) restart() {
+	for i := 1; i < len(o.lru); i++ {
+		for j := i; j > 0 && o.added[o.lru[j]] > o.added[o.lru[j-1]]; j-- {
+			o.lru[j], o.lru[j-1] = o.lru[j-1], o.lru[j]
+		}
+	}
+}
+
+// TestTemplateInvalidationSequences is the model-based test of the answer
+// templates: seeded random sequences of predict, observe, LRU eviction
+// with refit, and SaveHistory + WarmFromHistory restarts over 3 keys x 4
+// worker counts. Every response must equal — apart from elapsed_ms — the
+// answer composed directly from Fitted.ExtrapolateBlended on the key's
+// current observation window, through the threshold crossing at 5 and
+// the window rolling over at 64. A template served one observation late,
+// or surviving an eviction or a restart it should not, shows up as a
+// field mismatch.
+func TestTemplateInvalidationSequences(t *testing.T) {
+	seed := chaosSeed(t)
+	rng := rand.New(rand.NewPCG(seed, 0x7e3a))
+	ctx := context.Background()
+	histPath := filepath.Join(t.TempDir(), "history.jsonl")
+	cfg := Config{MaxModels: 2, HistoryPath: histPath}
+
+	workerCounts := []int{0, 4, 8, 16}
+	reqs := make([]PredictRequest, 3)
+	for k := range reqs {
+		reqs[k] = testRequest()
+		reqs[k].SampleSeed = uint64(k + 1)
+	}
+
+	// The reference: each key's model fitted once on a service of its own,
+	// and the graph all three share. Fits are seeded, so the refit after an
+	// eviction and the record rebuilt at a restart must both price exactly
+	// like it.
+	refSvc := New(Config{})
+	ref := make([]*core.Fitted, len(reqs))
+	keys := make([]string, len(reqs))
+	var g *graph.Graph
+	for k, req := range reqs {
+		resp, err := refSvc.Predict(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[k] = resp.ModelKey
+		m, ok := refSvc.models.peek(resp.ModelKey)
+		if !ok {
+			t.Fatalf("reference model %d not cached", k)
+		}
+		ref[k] = m.fitted
+	}
+	g, err := refSvc.graphFor(ctx, reqs[0].withDefaults(), "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	svc := New(cfg)
+	oracle := &modelOracle{capacity: cfg.MaxModels, added: map[int]int{}, windows: map[int][]float64{}}
+	compose := func(k, workers int, cached bool) *PredictResponse {
+		pred, err := ref[k].ExtrapolateBlended(g, workers, oracle.windows[k], svc.cfg.BlendThreshold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := &PredictResponse{
+			Algorithm:           pred.Algorithm,
+			Dataset:             reqs[k].Dataset,
+			Iterations:          pred.Iterations,
+			SuperstepSeconds:    pred.SuperstepSeconds,
+			PerIterationSeconds: pred.PerIterationSeconds,
+			RemoteMessageBytes:  pred.PredictedRemoteMessageBytes,
+			ModelR2:             pred.Model.R2(),
+			ModelKey:            keys[k],
+			CacheHit:            cached,
+			Workers:             workers,
+			SampleRunSeconds:    pred.SampleRunSeconds,
+			P50Seconds:          pred.Runtime.P50Seconds,
+			P95Seconds:          pred.Runtime.P95Seconds,
+			StdDevSeconds:       pred.Runtime.StdDevSeconds,
+			BlendRegime:         pred.Runtime.Regime,
+			Observations:        len(oracle.windows[k]),
+		}
+		if workers == 0 {
+			want.Workers = ref[k].SampleWorkers
+		}
+		for _, f := range pred.Model.SelectedFeatures() {
+			want.ModelFeatures = append(want.ModelFeatures, string(f))
+		}
+		return want
+	}
+
+	// Key 0 takes half the traffic, so its window crosses the threshold
+	// early and rolls over well within the sequence.
+	pickKey := func() int {
+		switch r := rng.IntN(10); {
+		case r < 5:
+			return 0
+		case r < 8:
+			return 1
+		}
+		return 2
+	}
+	var restarts, observed404 int
+	var carried Stats // counters of the services already restarted away
+	const steps = 1500
+	for step := 0; step < steps; step++ {
+		switch r := rng.IntN(100); {
+		case r < 55: // predict
+			k, workers := pickKey(), workerCounts[rng.IntN(len(workerCounts))]
+			req := reqs[k]
+			req.Workers = workers
+			got, err := svc.Predict(ctx, req)
+			if err != nil {
+				t.Fatalf("step %d: predict key %d workers %d: %v", step, k, workers, err)
+			}
+			want := compose(k, workers, oracle.touch(k))
+			got.ElapsedMillis = 0
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d (seed %d): key %d workers %d with %d observations:\n got %+v\nwant %+v",
+					step, seed, k, workers, len(oracle.windows[k]), *got, *want)
+			}
+		case r < 98: // observe
+			k := pickKey()
+			secs := ref[k].SampleRunSeconds * (0.5 + rng.Float64())
+			ack, err := svc.Observe(ctx, ObserveRequest{ModelKey: keys[k], ActualSeconds: secs})
+			if !oracle.cached(k) {
+				var se *Error
+				if !errors.As(err, &se) || se.Status != 404 {
+					t.Fatalf("step %d: observe on evicted key %d: %v, want a 404", step, k, err)
+				}
+				observed404++
+				continue
+			}
+			if err != nil {
+				t.Fatalf("step %d: observe key %d: %v", step, k, err)
+			}
+			oracle.observe(k, secs)
+			if ack.Observations != len(oracle.windows[k]) {
+				t.Fatalf("step %d: observe key %d acknowledged %d observations, want %d",
+					step, k, ack.Observations, len(oracle.windows[k]))
+			}
+		default: // restart
+			if _, err := svc.SaveHistory(histPath); err != nil {
+				t.Fatalf("step %d: SaveHistory: %v", step, err)
+			}
+			st := svc.Stats()
+			carried.TemplateHits += st.TemplateHits
+			carried.TemplateMisses += st.TemplateMisses
+			carried.TemplateInvalidations += st.TemplateInvalidations
+			carried.Evictions += st.Evictions
+			svc = New(cfg)
+			if _, skipped, err := svc.WarmFromHistory(histPath); err != nil || skipped != 0 {
+				t.Fatalf("step %d: WarmFromHistory: %d skipped, %v", step, skipped, err)
+			}
+			oracle.restart()
+			restarts++
+		}
+	}
+
+	// The sequence must have reached the states it exists to test.
+	st := svc.Stats()
+	hits := carried.TemplateHits + st.TemplateHits
+	misses := carried.TemplateMisses + st.TemplateMisses
+	invalidations := carried.TemplateInvalidations + st.TemplateInvalidations
+	evictions := carried.Evictions + st.Evictions
+	if hits == 0 || misses == 0 || invalidations == 0 || evictions == 0 || restarts == 0 || observed404 == 0 {
+		t.Errorf("seed %d left a state unvisited: %d template hits, %d misses, %d invalidations, %d evictions, %d restarts, %d observes on evicted keys",
+			seed, hits, misses, invalidations, evictions, restarts, observed404)
+	}
+	if n := len(oracle.windows[0]); n != history.MaxObservationsPerKey {
+		t.Errorf("seed %d: key 0's window holds %d observations, want it rolled over at %d",
+			seed, n, history.MaxObservationsPerKey)
+	}
+}
+
+// TestObserveVisibleToNextPredict is the -race test of the invalidation
+// ordering: with observers and predictors hammering one key, a predict
+// sent after an /observe was acknowledged never reports fewer
+// observations than that acknowledgement — no template from before the
+// acknowledgement may answer it.
+func TestObserveVisibleToNextPredict(t *testing.T) {
+	svc := New(Config{})
+	ctx := context.Background()
+	base, err := svc.Predict(ctx, testRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The window's length stops counting at its cap, so the observers stop
+	// short of it.
+	const observers, perObserver, predictors = 2, 30, 4
+	if observers*perObserver >= history.MaxObservationsPerKey {
+		t.Fatal("observers would roll the window over")
+	}
+	var acked atomic.Int64 // the largest acknowledged observation count
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for p := 0; p < predictors; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			req := testRequest()
+			req.Workers = []int{0, 8}[p%2]
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				floor := acked.Load()
+				resp, err := svc.Predict(ctx, req)
+				if err != nil {
+					t.Errorf("predict: %v", err)
+					return
+				}
+				if int64(resp.Observations) < floor {
+					t.Errorf("predict sent after %d observations were acknowledged reports %d", floor, resp.Observations)
+					return
+				}
+			}
+		}(p)
+	}
+	var obsWG sync.WaitGroup
+	for o := 0; o < observers; o++ {
+		obsWG.Add(1)
+		go func() {
+			defer obsWG.Done()
+			for i := 0; i < perObserver; i++ {
+				ack, err := svc.Observe(ctx, ObserveRequest{ModelKey: base.ModelKey, ActualSeconds: base.SuperstepSeconds})
+				if err != nil {
+					t.Errorf("observe: %v", err)
+					return
+				}
+				for {
+					cur := acked.Load()
+					if int64(ack.Observations) <= cur || acked.CompareAndSwap(cur, int64(ack.Observations)) {
+						break
+					}
+				}
+			}
+		}()
+	}
+	obsWG.Wait()
+	close(done)
+	wg.Wait()
+
+	final, err := svc.Predict(ctx, testRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.Observations != observers*perObserver {
+		t.Errorf("final prediction reports %d observations, want %d", final.Observations, observers*perObserver)
+	}
+}
+
+// TestBatchWindowSeesObservation pins the same ordering against the batch
+// window: a completed prediction held shareable for the window must not
+// answer a request that arrives after a later /observe was acknowledged.
+func TestBatchWindowSeesObservation(t *testing.T) {
+	svc := New(Config{BatchWindow: time.Minute})
+	ctx := context.Background()
+	base, err := svc.Predict(ctx, testRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Observe(ctx, ObserveRequest{ModelKey: base.ModelKey, ActualSeconds: base.SuperstepSeconds}); err != nil {
+		t.Fatal(err)
+	}
+	after, err := svc.Predict(ctx, testRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Observations != 1 {
+		t.Errorf("prediction inside the batch window reports %d observations after one was acknowledged, want 1", after.Observations)
+	}
+}
+
+// collected reports whether the finalizer behind done runs within a few
+// forced collections.
+func collected(done <-chan struct{}) bool {
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-done:
+			return true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	return false
+}
+
+// TestTemplatesDieWithTheirOwners pins who owns what. The templates live
+// on the model-cache entry, so a model the LRU evicts is collectable with
+// every answer assembled from it — nothing at service level references
+// either. And a template holds numbers and strings only: a graph the
+// graph LRU evicts is collectable while the answers computed on it are
+// still being served.
+func TestTemplatesDieWithTheirOwners(t *testing.T) {
+	svc := New(Config{MaxModels: 1, MaxGraphs: 1})
+	ctx := context.Background()
+	wiki := testRequest()
+	for _, workers := range []int{0, 4, 8} {
+		wiki.Workers = workers
+		for i := 0; i < 2; i++ { // the second is served from the template
+			if _, err := svc.Predict(ctx, wiki); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if hits := svc.Stats().TemplateHits; hits != 3 {
+		t.Fatalf("%d template hits, want 3", hits)
+	}
+
+	key := svc.modelKey(wiki.withDefaults(), "")
+	modelGone, graphGone := make(chan struct{}), make(chan struct{})
+	func() {
+		m, ok := svc.models.peek(key)
+		if !ok {
+			t.Fatal("wiki model not cached")
+		}
+		runtime.SetFinalizer(m.fitted, func(any) { close(modelGone) })
+		r := wiki.withDefaults()
+		g, ok := svc.graphs.peek(fmt.Sprintf("%s|%g|%d", r.Dataset, r.Scale, r.GraphSeed))
+		if !ok {
+			t.Fatal("wiki graph not cached")
+		}
+		runtime.SetFinalizer(g, func(any) { close(graphGone) })
+	}()
+
+	// A request on another dataset evicts the graph; the wiki model and
+	// its templates stay, and keep answering without it.
+	lj := testRequest()
+	lj.Dataset = "LJ"
+	other := New(Config{}) // fits LJ elsewhere, so this service's model LRU is untouched
+	if _, err := other.Predict(ctx, lj); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.graphFor(ctx, lj.withDefaults(), "", ""); err != nil {
+		t.Fatal(err)
+	}
+	if !collected(graphGone) {
+		t.Error("the evicted graph is still reachable while its model's templates are cached")
+	}
+
+	// Fitting LJ here evicts the wiki model.
+	if _, err := svc.Predict(ctx, lj); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := svc.models.peek(key); ok {
+		t.Fatal("wiki model survived a MaxModels=1 eviction")
+	}
+	if !collected(modelGone) {
+		t.Error("the evicted model is still reachable: something outside the model cache references it or its templates")
+	}
+}
