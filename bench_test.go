@@ -197,6 +197,56 @@ func BenchmarkBSPPageRankSuperstep(b *testing.B) {
 	b.ReportMetric(edgesPerOp*float64(b.N)/b.Elapsed().Seconds(), "edge-msgs/s")
 }
 
+// benchSampleRun measures one cold-fit sample run: alg, transformed for the
+// sample, on a 0.10 Biased Random Jump sample of the Wiki stand-in under
+// the service's cluster (8 workers, default oracle). allocs/op over the
+// reported msgs/op is the allocations-per-message figure DESIGN.md §7
+// tracks for the variable-size-message programs.
+func benchSampleRun(b *testing.B, configure func(n int) algorithms.Algorithm) {
+	b.Helper()
+	ds, err := gen.ByPrefix("Wiki")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := ds.Generate(benchScale(b), 1)
+	s, err := sampling.Sample(g, sampling.BiasedRandomJump, sampling.Options{Ratio: 0.10, Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	alg := configure(g.NumVertices()).Transformed(s.VertexRatio)
+	o := cluster.DefaultOracle()
+	cfg := bsp.Config{Workers: bsp.DefaultWorkers, Oracle: &o}
+	var msgs int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		info, err := alg.Run(s.Graph, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		msgs = 0
+		for _, sp := range info.Profile.Supersteps {
+			msgs += sp.Total().Messages()
+		}
+	}
+	b.ReportMetric(float64(msgs), "msgs/op")
+}
+
+// BenchmarkSampleRunSC measures a semi-clustering sample run.
+func BenchmarkSampleRunSC(b *testing.B) {
+	benchSampleRun(b, func(int) algorithms.Algorithm { return algorithms.NewSemiClustering() })
+}
+
+// BenchmarkSampleRunTopK measures a top-k ranking sample run (PageRank
+// pre-run included, as in a fit).
+func BenchmarkSampleRunTopK(b *testing.B) {
+	benchSampleRun(b, func(n int) algorithms.Algorithm {
+		tk := algorithms.NewTopKRanking()
+		tk.PageRank.Tau = algorithms.TauForTolerance(0.001, n)
+		return tk
+	})
+}
+
 // ri reports whether err is a real failure (ErrNoConvergence is expected
 // when running a fixed number of supersteps).
 func ri(err error) bool {

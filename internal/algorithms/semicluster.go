@@ -1,7 +1,9 @@
 package algorithms
 
 import (
-	"sort"
+	"cmp"
+	"fmt"
+	"slices"
 
 	"predict/internal/bsp"
 	"predict/internal/graph"
@@ -65,13 +67,30 @@ type Cluster struct {
 // RunClusters executes semi-clustering and returns each vertex's best
 // clusters.
 func (s SemiClustering) RunClusters(g *graph.Graph, cfg bsp.Config) (*RunInfo, [][]Cluster, error) {
+	if s.CMax < 1 {
+		return nil, nil, fmt.Errorf("algorithms: semi-clustering CMax = %d, want >= 1", s.CMax)
+	}
+	res, err := s.engine(g.Undirected(), &scProgram{p: s}, cfg).Run()
+	if err != nil {
+		return nil, nil, err
+	}
+	out := make([][]Cluster, len(res.Values))
+	for v := range res.Values {
+		for _, c := range res.Values[v].best {
+			out[v] = append(out[v], Cluster{Members: c.members, Score: c.score})
+		}
+	}
+	return info(s.Name(), res), out, nil
+}
+
+// engine returns an engine running prog over the symmetrized graph ug
+// under s's iteration cap and convergence condition.
+func (s SemiClustering) engine(ug *graph.Graph, prog bsp.Program[scValue, scCluster], cfg bsp.Config) *bsp.Engine[scValue, scCluster] {
 	if s.MaxIterations > 0 {
 		cfg.MaxSupersteps = s.MaxIterations
 	} else if cfg.MaxSupersteps == 0 {
 		cfg.MaxSupersteps = 150
 	}
-	ug := g.Undirected()
-	prog := &scProgram{p: s}
 	eng := bsp.NewEngine[scValue, scCluster](ug, prog, cfg)
 	tau := s.Tau
 	eng.SetHalt(func(si bsp.SuperstepInfo) bool {
@@ -84,17 +103,7 @@ func (s SemiClustering) RunClusters(g *graph.Graph, cfg bsp.Config) (*RunInfo, [
 		}
 		return si.Aggregates[aggSCUpdated]/total < tau
 	})
-	res, err := eng.Run()
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([][]Cluster, len(res.Values))
-	for v := range res.Values {
-		for _, c := range res.Values[v].best {
-			out[v] = append(out[v], Cluster{Members: c.members, Score: c.score})
-		}
-	}
-	return info(s.Name(), res), out, nil
+	return eng
 }
 
 const (
@@ -110,29 +119,113 @@ type scCluster struct {
 	score   float64
 }
 
-func (c scCluster) contains(v graph.VertexID) bool {
-	lo, hi := 0, len(c.members)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if c.members[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(c.members) && c.members[lo] == v
+// search returns the index of v in the member list and true, or the index
+// v would be inserted at and false.
+func (c scCluster) search(v graph.VertexID) (int, bool) {
+	return slices.BinarySearch(c.members, v)
 }
 
-func (c scCluster) equal(o scCluster) bool {
-	if len(c.members) != len(o.members) {
-		return false
+// scCandidate is a cluster under consideration during one Compute call of
+// vertex id. With add < 0 it is the embedded cluster as is. With add >= 0
+// it is that cluster extended by id — ic, bc and score are the
+// extension's, members still the received list, and id belongs at index
+// add — so an extension's member list is only built if it wins a place.
+type scCandidate struct {
+	scCluster
+	add int
+}
+
+func (c *scCandidate) size() int {
+	if c.add >= 0 {
+		return len(c.members) + 1
 	}
-	for i := range c.members {
-		if c.members[i] != o.members[i] {
-			return false
+	return len(c.members)
+}
+
+// member returns the i-th member of the candidate's sorted member list.
+func (c *scCandidate) member(i int, id graph.VertexID) graph.VertexID {
+	switch {
+	case c.add < 0 || i < c.add:
+		return c.members[i]
+	case i == c.add:
+		return id
+	}
+	return c.members[i-1]
+}
+
+// cluster returns the candidate as a cluster, building an extension's
+// member list on first use so that every holder shares the one list.
+func (c *scCandidate) cluster(id graph.VertexID) scCluster {
+	if c.add >= 0 {
+		members := make([]graph.VertexID, len(c.members)+1)
+		copy(members, c.members[:c.add])
+		members[c.add] = id
+		copy(members[c.add+1:], c.members[c.add:])
+		c.members, c.add = members, -1
+	}
+	return c.scCluster
+}
+
+// compareMembers orders member lists by size, then lexicographically; zero
+// means the same member set.
+func compareMembers(a, b *scCandidate, id graph.VertexID) int {
+	n := a.size()
+	if d := cmp.Compare(n, b.size()); d != 0 {
+		return d
+	}
+	for i := 0; i < n; i++ {
+		if d := cmp.Compare(a.member(i, id), b.member(i, id)); d != 0 {
+			return d
 		}
 	}
-	return true
+	return 0
+}
+
+// candidateBefore is the cluster order: score descending, then smaller
+// first, then lexicographic members. Candidates it does not separate have
+// the same score and members; wherever two of them compete the one met
+// first stands: the vertex's current clusters before this superstep's
+// messages, and messages in inbox order.
+func candidateBefore(a, b *scCandidate, id graph.VertexID) bool {
+	if a.score != b.score {
+		return a.score > b.score
+	}
+	return compareMembers(a, b, id) < 0
+}
+
+// place offers the newest candidate, cands[len(cands)-1], to sel: indexes
+// into cands of the best limit candidates so far, best first. With
+// distinct set, a member set is held once, by its best candidate. Offering
+// every candidate gives what sorting them all (stably), dropping repeated
+// member sets and truncating to limit gives: a candidate is only ever
+// displaced by limit better ones.
+func place(sel []int32, cands []scCandidate, limit int, distinct bool, id graph.VertexID) []int32 {
+	k := len(cands) - 1
+	c := &cands[k]
+	if len(sel) >= limit && (limit < 1 || !candidateBefore(c, &cands[sel[limit-1]], id)) {
+		return sel
+	}
+	if distinct {
+		for i, o := range sel {
+			if compareMembers(c, &cands[o], id) == 0 {
+				if c.score <= cands[o].score {
+					return sel
+				}
+				sel = append(sel[:i], sel[i+1:]...)
+				break
+			}
+		}
+	}
+	j := len(sel)
+	for j > 0 && candidateBefore(c, &cands[sel[j-1]], id) {
+		j--
+	}
+	if len(sel) < limit {
+		sel = append(sel, 0)
+	}
+	copy(sel[j+1:], sel[j:])
+	sel[j] = int32(k)
+	return sel
 }
 
 // scValue is the per-vertex semi-clustering state.
@@ -141,9 +234,23 @@ type scValue struct {
 	strength float64     // total weight of incident edges (cached)
 }
 
-type scProgram struct {
-	p SemiClustering
+// scScratch is one worker's reusable Compute state. cands holds the
+// vertex's current clusters, then each received cluster followed by its
+// extension; send and best index into it.
+type scScratch struct {
+	cands []scCandidate
+	send  []int32
+	best  []int32
+	_     [64]byte // keeps neighbouring workers' slice headers off one cache line
 }
+
+type scProgram struct {
+	p       SemiClustering
+	scratch []scScratch
+}
+
+// SetWorkers implements bsp.WorkerScratcher.
+func (sp *scProgram) SetWorkers(workers int) { sp.scratch = make([]scScratch, workers) }
 
 func (sp *scProgram) Init(g *graph.Graph, id bsp.VertexID) scValue {
 	var strength float64
@@ -189,29 +296,22 @@ func edgeWeight(g *graph.Graph, id, m graph.VertexID) float64 {
 	return 0
 }
 
-// extend returns cluster c with vertex id added, maintaining Ic and Bc
-// incrementally: edges from id to members become internal (and stop being
-// boundary); all other incident edges of id become boundary.
-func (sp *scProgram) extend(g *graph.Graph, c scCluster, id graph.VertexID, strength float64) scCluster {
+// extension returns cluster c with vertex id (which belongs at member
+// index at) added, maintaining Ic and Bc incrementally: edges from id to
+// members become internal (and stop being boundary); all other incident
+// edges of id become boundary.
+func (sp *scProgram) extension(g *graph.Graph, c scCluster, id graph.VertexID, at int, strength float64) scCandidate {
 	var wToMembers float64
 	for _, m := range c.members {
 		wToMembers += edgeWeight(g, id, m)
 	}
-	members := make([]graph.VertexID, len(c.members)+1)
-	copy(members, c.members)
-	members[len(c.members)] = id
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-	ic := c.ic + wToMembers
-	bc := c.bc + strength - 2*wToMembers
-	if bc < 0 {
-		bc = 0
+	c.ic += wToMembers
+	c.bc += strength - 2*wToMembers
+	if c.bc < 0 {
+		c.bc = 0
 	}
-	return scCluster{
-		members: members,
-		ic:      ic,
-		bc:      bc,
-		score:   sp.score(ic, bc, len(members)),
-	}
+	c.score = sp.score(c.ic, c.bc, len(c.members)+1)
+	return scCandidate{c, at}
 }
 
 func (sp *scProgram) Compute(ctx *bsp.Context[scCluster], id bsp.VertexID, v *scValue, msgs []scCluster) {
@@ -224,52 +324,53 @@ func (sp *scProgram) Compute(ctx *bsp.Context[scCluster], id bsp.VertexID, v *sc
 			bc:      v.strength,
 		}
 		c.score = sp.score(c.ic, c.bc, 1)
-		v.best = []scCluster{c}
+		v.best = append(make([]scCluster, 0, sp.p.CMax), c)
 		ctx.SendToNeighbors(id, c)
 		ctx.AddToAggregate(aggSCUpdated, 1)
 		ctx.AddToAggregate(aggSCTotal, 1)
 		return
 	}
 
-	// Form candidates: received clusters plus extensions including self.
-	candidates := make([]scCluster, 0, 2*len(msgs))
+	// Form candidates — received clusters plus extensions including self —
+	// keeping the best SMax to send onwards and, with the current clusters,
+	// the best CMax distinct ones containing id.
+	s := &sp.scratch[ctx.Worker()]
+	cands, send, best := s.cands[:0], s.send[:0], s.best[:0]
+	for _, c := range v.best {
+		cands = append(cands, scCandidate{c, -1})
+		best = place(best, cands, sp.p.CMax, true, id)
+	}
 	for _, sc := range msgs {
-		candidates = append(candidates, sc)
-		if len(sc.members) < sp.p.VMax && !sc.contains(id) {
-			candidates = append(candidates, sp.extend(g, sc, id, v.strength))
+		at, found := sc.search(id)
+		cands = append(cands, scCandidate{sc, -1})
+		send = place(send, cands, sp.p.SMax, false, id)
+		if found {
+			best = place(best, cands, sp.p.CMax, true, id)
+		} else if len(sc.members) < sp.p.VMax {
+			cands = append(cands, sp.extension(g, sc, id, at, v.strength))
+			send = place(send, cands, sp.p.SMax, false, id)
+			best = place(best, cands, sp.p.CMax, true, id)
 		}
 	}
-	sortClusters(candidates)
 
-	// Send the best SMax onwards.
-	limit := sp.p.SMax
-	if limit > len(candidates) {
-		limit = len(candidates)
-	}
-	for i := 0; i < limit; i++ {
-		ctx.SendToNeighbors(id, candidates[i])
+	for _, k := range send {
+		ctx.SendToNeighbors(id, cands[k].cluster(id))
 	}
 
-	// Update the local best-cluster list with candidates containing id.
-	merged := make([]scCluster, 0, len(v.best)+4)
-	merged = append(merged, v.best...)
-	for _, c := range candidates {
-		if c.contains(id) {
-			merged = append(merged, c)
-		}
-	}
-	sortClusters(merged)
-	newBest := dedupClusters(merged, sp.p.CMax)
-
+	// cands[i] is still the i-th current cluster.
 	updated := 0
-	for i := range newBest {
-		if i >= len(v.best) || !newBest[i].equal(v.best[i]) {
+	for i, k := range best {
+		if i >= len(v.best) || compareMembers(&cands[k], &cands[i], id) != 0 {
 			updated++
 		}
 	}
-	v.best = newBest
+	v.best = v.best[:0]
+	for _, k := range best {
+		v.best = append(v.best, cands[k].cluster(id))
+	}
 	ctx.AddToAggregate(aggSCUpdated, float64(updated))
 	ctx.AddToAggregate(aggSCTotal, float64(len(v.best)))
+	s.cands, s.send, s.best = cands, send, best
 }
 
 func (sp *scProgram) MessageBytes(m scCluster) int {
@@ -284,45 +385,4 @@ func (sp *scProgram) ValueBytes(v scValue) int {
 		b += 4*len(c.members) + 24
 	}
 	return b
-}
-
-// sortClusters orders clusters by score descending, with deterministic
-// tie-breaking by size then lexicographic members.
-func sortClusters(cs []scCluster) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].score != cs[j].score {
-			return cs[i].score > cs[j].score
-		}
-		if len(cs[i].members) != len(cs[j].members) {
-			return len(cs[i].members) < len(cs[j].members)
-		}
-		for k := range cs[i].members {
-			if cs[i].members[k] != cs[j].members[k] {
-				return cs[i].members[k] < cs[j].members[k]
-			}
-		}
-		return false
-	})
-}
-
-// dedupClusters removes duplicate member sets (keeping sorted order) and
-// truncates to limit.
-func dedupClusters(cs []scCluster, limit int) []scCluster {
-	out := make([]scCluster, 0, limit)
-	for _, c := range cs {
-		dup := false
-		for _, kept := range out {
-			if c.equal(kept) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, c)
-			if len(out) == limit {
-				break
-			}
-		}
-	}
-	return out
 }

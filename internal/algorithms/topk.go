@@ -1,7 +1,8 @@
 package algorithms
 
 import (
-	"sort"
+	"fmt"
+	"slices"
 
 	"predict/internal/bsp"
 	"predict/internal/graph"
@@ -71,10 +72,26 @@ func (t TopKRanking) RunLists(g *graph.Graph, cfg bsp.Config) (*RunInfo, [][]Ran
 
 // RunOnRanks executes only the top-k phase on precomputed ranks.
 func (t TopKRanking) RunOnRanks(g *graph.Graph, ranks []float64, cfg bsp.Config) (*RunInfo, [][]RankEntry, error) {
+	if t.K < 1 {
+		return nil, nil, fmt.Errorf("algorithms: top-k list size K = %d, want >= 1", t.K)
+	}
+	res, err := t.engine(g, &topkProgram{k: t.K, ranks: ranks}, cfg).Run()
+	if err != nil {
+		return nil, nil, err
+	}
+	out := make([][]RankEntry, len(res.Values))
+	for v := range res.Values {
+		out[v] = res.Values[v].list
+	}
+	return info(t.Name(), res), out, nil
+}
+
+// engine returns an engine running prog over g under t's iteration cap
+// and convergence condition.
+func (t TopKRanking) engine(g *graph.Graph, prog bsp.Program[topkValue, topkMsg], cfg bsp.Config) *bsp.Engine[topkValue, topkMsg] {
 	if t.MaxIterations > 0 {
 		cfg.MaxSupersteps = t.MaxIterations
 	}
-	prog := &topkProgram{k: t.K, ranks: ranks}
 	eng := bsp.NewEngine[topkValue, topkMsg](g, prog, cfg)
 	n := float64(g.NumVertices())
 	tau := t.Tau
@@ -84,15 +101,7 @@ func (t TopKRanking) RunOnRanks(g *graph.Graph, ranks []float64, cfg bsp.Config)
 		}
 		return si.Aggregates[aggTopKUpdated]/n < tau
 	})
-	res, err := eng.Run()
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([][]RankEntry, len(res.Values))
-	for v := range res.Values {
-		out[v] = res.Values[v].list
-	}
-	return info(t.Name(), res), out, nil
+	return eng
 }
 
 const aggTopKUpdated = "topk.updated"
@@ -108,6 +117,19 @@ type topkValue struct {
 type topkProgram struct {
 	k     int
 	ranks []float64
+	// fold[w] is worker w's merge buffer (length 0, capacity k), so a
+	// Compute that leaves its list unchanged allocates nothing.
+	fold [][]RankEntry
+}
+
+// SetWorkers implements bsp.WorkerScratcher.
+func (tp *topkProgram) SetWorkers(workers int) {
+	stride := tp.k + 4 // 4 spare entries: a 64-byte line between workers' buffers
+	buf := make([]RankEntry, workers*stride)
+	tp.fold = make([][]RankEntry, workers)
+	for w := range tp.fold {
+		tp.fold[w] = buf[w*stride : w*stride : w*stride+tp.k]
+	}
 }
 
 func (tp *topkProgram) Init(_ *graph.Graph, id bsp.VertexID) topkValue {
@@ -122,15 +144,16 @@ func (tp *topkProgram) Compute(ctx *bsp.Context[topkMsg], id bsp.VertexID, v *to
 		return
 	}
 
-	merged := make([]RankEntry, 0, len(v.list)+8)
-	merged = append(merged, v.list...)
+	list := append(tp.fold[ctx.Worker()], v.list...)
 	for _, m := range msgs {
-		merged = append(merged, m...)
+		for _, e := range m {
+			list = insertRank(list, e, tp.k)
+		}
 	}
-	newList := topK(merged, tp.k)
-	if !rankListsEqual(newList, v.list) {
-		v.list = newList
-		ctx.SendToNeighbors(id, topkMsg(newList))
+	if !rankListsEqual(list, v.list) {
+		// A fresh slice: neighbors still hold the old one as a message.
+		v.list = slices.Clone(list)
+		ctx.SendToNeighbors(id, topkMsg(v.list))
 		ctx.AddToAggregate(aggTopKUpdated, 1)
 	}
 	ctx.VoteToHalt()
@@ -140,29 +163,40 @@ func (tp *topkProgram) MessageBytes(m topkMsg) int {
 	return 12*len(m) + 4
 }
 
-// topK deduplicates by vertex ID (keeping the best rank) and returns the k
-// highest-ranked entries, ordered by rank descending with ID ascending as
-// the deterministic tie-break.
-func topK(entries []RankEntry, k int) []RankEntry {
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Rank != entries[j].Rank {
-			return entries[i].Rank > entries[j].Rank
-		}
-		return entries[i].ID < entries[j].ID
-	})
-	out := make([]RankEntry, 0, k)
-	seen := make(map[graph.VertexID]bool, k*2)
-	for _, e := range entries {
-		if seen[e.ID] {
-			continue
-		}
-		seen[e.ID] = true
-		out = append(out, e)
-		if len(out) == k {
+// rankBefore is the list order: rank descending, ID ascending as the
+// deterministic tie-break.
+func rankBefore(a, b RankEntry) bool {
+	return a.Rank > b.Rank || (a.Rank == b.Rank && a.ID < b.ID)
+}
+
+// insertRank folds e into list, which holds at most k entries with
+// distinct IDs in rankBefore order, and returns the k best of list plus e,
+// a repeated ID keeping its better rank. Folding entries one by one gives
+// exactly what sorting them all, dropping repeated IDs and truncating to k
+// gives: an entry is only ever displaced by k better ones.
+func insertRank(list []RankEntry, e RankEntry, k int) []RankEntry {
+	if len(list) == k && !rankBefore(e, list[k-1]) {
+		return list
+	}
+	for i := range list {
+		if list[i].ID == e.ID {
+			if !rankBefore(e, list[i]) {
+				return list
+			}
+			list = append(list[:i], list[i+1:]...)
 			break
 		}
 	}
-	return out
+	j := len(list)
+	for j > 0 && rankBefore(e, list[j-1]) {
+		j--
+	}
+	if len(list) < k {
+		list = append(list, RankEntry{})
+	}
+	copy(list[j+1:], list[j:])
+	list[j] = e
+	return list
 }
 
 func rankListsEqual(a, b []RankEntry) bool {

@@ -106,6 +106,15 @@ type FixedSizeMessager interface {
 	FixedMessageBytes() int
 }
 
+// WorkerScratcher is an optional Program extension for programs that keep
+// per-worker scratch indexed by Context.Worker. Run calls SetWorkers once,
+// before Init, with the worker count it resolved; that is not
+// Config.Workers under SetPartitioned or on a graph with fewer vertices
+// than workers, so a program must size its scratch here and nowhere else.
+type WorkerScratcher interface {
+	SetWorkers(workers int)
+}
+
 // Combiner merges two messages destined for the same vertex (e.g. partial
 // sums for PageRank), reducing memory and delivery cost exactly like
 // Giraph combiners.

@@ -84,10 +84,19 @@ func (c *Context[M]) Worker() int { return c.worker }
 // always per message sent — combining collapses storage and delivery
 // work, never the counted load.
 func (c *Context[M]) Send(dst VertexID, m M) {
-	bytes := int64(c.fixedBytes)
-	if bytes < 0 {
-		bytes = int64(c.prog.MessageBytes(m))
+	c.send(dst, m, c.messageBytes(m))
+}
+
+// messageBytes returns the serialized payload size of m.
+func (c *Context[M]) messageBytes(m M) int64 {
+	if c.fixedBytes >= 0 {
+		return int64(c.fixedBytes)
 	}
+	return int64(c.prog.MessageBytes(m))
+}
+
+// send is Send for a message whose payload size is already known.
+func (c *Context[M]) send(dst VertexID, m M, bytes int64) {
 	if int(c.part[dst]) == c.worker {
 		c.load.LocalMessages++
 		c.load.LocalMessageBytes += bytes
@@ -121,10 +130,13 @@ func (c *Context[M]) Send(dst VertexID, m M) {
 	c.outbox[w] = append(c.outbox[w], envelope[M]{dst: dst, m: m})
 }
 
-// SendToNeighbors sends m to every out-neighbor of v.
+// SendToNeighbors sends m to every out-neighbor of v. The message is sized
+// once per broadcast: a variable-size program pays one MessageBytes call
+// per broadcast, not one per neighbor.
 func (c *Context[M]) SendToNeighbors(v VertexID, m M) {
+	bytes := c.messageBytes(m)
 	for _, dst := range c.g.OutNeighbors(v) {
-		c.Send(dst, m)
+		c.send(dst, m, bytes)
 	}
 }
 

@@ -257,6 +257,9 @@ func (e *Engine[V, M]) Run() (*Result[V], error) {
 	if fm, ok := any(e.prog).(FixedSizeMessager); ok {
 		fixedBytes = fm.FixedMessageBytes()
 	}
+	if ws, ok := any(e.prog).(WorkerScratcher); ok {
+		ws.SetWorkers(W)
+	}
 
 	values := make([]V, n)
 	halted := make([]bool, n)
