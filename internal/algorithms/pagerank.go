@@ -1,6 +1,8 @@
 package algorithms
 
 import (
+	"slices"
+
 	"predict/internal/bsp"
 	"predict/internal/graph"
 )
@@ -50,11 +52,67 @@ func (p PageRank) Run(g *graph.Graph, cfg bsp.Config) (*RunInfo, error) {
 }
 
 // RunRanks executes PageRank and additionally returns the final per-vertex
-// ranks (used as top-k ranking input).
+// ranks (used as top-k ranking input). It leaves a copy of the ranks on g
+// for a top-k run with the same PageRank parameters under the same cfg to
+// take instead of repeating this run (see ranksOn).
 func (p PageRank) RunRanks(g *graph.Graph, cfg bsp.Config) (*RunInfo, []float64, error) {
+	ri, ranks, err := p.runRanks(g, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Cannot fail: the deposit's compute only copies.
+	_, _, _ = g.Memo(ranksMemo{}).Do(p.ranksKey(cfg), nil, func() (any, error) {
+		return slices.Clone(ranks), nil
+	})
+	return ri, ranks, nil
+}
+
+// ranksMemo names the memo a graph keeps PageRank output in.
+type ranksMemo struct{}
+
+// ranksKey is everything that determines a PageRank run's ranks on a
+// given graph: the algorithm's parameters and the engine configuration as
+// bsp resolves it. The worker count is part of it because the rank-share
+// combiner adds floats in worker order, so ranks differ in the last bits
+// between cluster sizes; the oracle is part of it because its memory
+// budget can fail the run, and the seed rides along so that the key is
+// simply the whole resolved configuration.
+type ranksKey struct {
+	pr  PageRank
+	cfg bsp.ResolvedConfig
+}
+
+func (p PageRank) ranksKey(cfg bsp.Config) ranksKey {
+	return ranksKey{pr: p, cfg: p.engineConfig(cfg).Resolved()}
+}
+
+// ranksOn returns the ranks p computes on g under cfg: the ones an
+// earlier run (a PageRank fit on the same sample, typically) left on g,
+// or else those of a run made now. The memo's family is the whole key, so
+// a graph holds the ranks of the most recent configuration only. The
+// slice is shared: callers must not modify it.
+func (p PageRank) ranksOn(g *graph.Graph, cfg bsp.Config) ([]float64, error) {
+	v, _, err := g.Memo(ranksMemo{}).Do(p.ranksKey(cfg), nil, func() (any, error) {
+		_, ranks, err := p.runRanks(g, cfg)
+		return ranks, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.([]float64), nil
+}
+
+// engineConfig applies p's iteration cap to cfg.
+func (p PageRank) engineConfig(cfg bsp.Config) bsp.Config {
 	if p.MaxIterations > 0 {
 		cfg.MaxSupersteps = p.MaxIterations
 	}
+	return cfg
+}
+
+// runRanks is the run behind RunRanks and ranksOn.
+func (p PageRank) runRanks(g *graph.Graph, cfg bsp.Config) (*RunInfo, []float64, error) {
+	cfg = p.engineConfig(cfg)
 	prog := &pageRankProgram{damping: p.Damping, n: float64(g.NumVertices())}
 	eng := bsp.NewEngine[prValue, float64](g, prog, cfg)
 	// Floating-point addition is not associative at the bit level, so the

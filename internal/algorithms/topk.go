@@ -62,8 +62,11 @@ type RankEntry struct {
 }
 
 // RunLists executes the algorithm and returns each vertex's top-k list.
+// The input ranks are PageRank's output on g: taken from g when a run with
+// t.PageRank's parameters under cfg already left them there (the PageRank
+// fit on the same sample), computed by the pre-run otherwise.
 func (t TopKRanking) RunLists(g *graph.Graph, cfg bsp.Config) (*RunInfo, [][]RankEntry, error) {
-	_, ranks, err := t.PageRank.RunRanks(g, cfg)
+	ranks, err := t.PageRank.ranksOn(g, cfg)
 	if err != nil {
 		return nil, nil, err
 	}

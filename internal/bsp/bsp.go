@@ -64,6 +64,23 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// ResolvedConfig is a Config as an engine run reads it: every default
+// applied and the oracle by value. It is comparable, so two Configs that
+// resolve equal describe the same run of a given program on a given graph
+// — the form to key remembered run outputs by.
+type ResolvedConfig struct {
+	Workers       int
+	MaxSupersteps int
+	Seed          uint64
+	Oracle        cluster.CostOracle
+}
+
+// Resolved returns c as an engine run would read it.
+func (c Config) Resolved() ResolvedConfig {
+	c = c.withDefaults()
+	return ResolvedConfig{Workers: c.Workers, MaxSupersteps: c.MaxSupersteps, Seed: c.Seed, Oracle: *c.Oracle}
+}
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.Workers < 0 {

@@ -72,6 +72,13 @@ type Fitted struct {
 	// them.
 	Sample    *sampling.Result
 	SampleRun *algorithms.RunInfo
+	// SamplesDrawn/SamplesReused count this fit's sample pipelines by
+	// where their sample came from: drawn by this fit, or taken from the
+	// family the graph remembered (an earlier fit's draw, or a concurrent
+	// fit's draw this one waited for). Both are zero on a Fitted rebuilt
+	// from a record.
+	SamplesDrawn  int
+	SamplesReused int
 }
 
 // sampleTask describes one sample+profile pipeline of a fit: the main
@@ -86,7 +93,45 @@ type sampleTask struct {
 // sampleOutcome is a completed sampleTask's artifacts.
 type sampleOutcome struct {
 	sample *sampling.Result
+	reused bool
 	run    *algorithms.RunInfo
+}
+
+// sampleMemo names the memo a graph keeps the samples drawn from it in.
+type sampleMemo struct{}
+
+// sampleFamily is what the samples of one fit share, and what every fit
+// with the same method, options and base seed shares with it: the memo
+// holds the samples of one such family per graph. opts.Ratio is zero and
+// opts.Seed the base seed; a member's own ratio and derived seed are its
+// sampleTask, so family and task together are everything sampling.Sample
+// reads.
+type sampleFamily struct {
+	method sampling.Method
+	opts   sampling.Options
+}
+
+// sample returns task t's sample of g. A sample is a pure function of
+// (g, method, options) and immutable once drawn (it aliases no pooled
+// workspace buffer), so g remembers the most recent family's samples and
+// the second to fifth algorithm fitted on a (graph, seed) draw none: a
+// dataset's algorithms share one set of samples, as in the paper, where
+// the sample is an input of a sample run. Fits that interleave different
+// seeds on one graph replace each other's family and pay for every draw,
+// which is the cost of not remembering; see DESIGN.md §8.
+func (p *Predictor) sample(g *graph.Graph, t sampleTask) (s *sampling.Result, reused bool, err error) {
+	family := sampleFamily{method: p.opts.Method, opts: p.opts.Sampling}
+	family.opts.Ratio = 0
+	v, reused, err := g.Memo(sampleMemo{}).Do(family, t, func() (any, error) {
+		sOpts := p.opts.Sampling
+		sOpts.Ratio = t.ratio
+		sOpts.Seed = t.seed
+		return sampling.Sample(g, p.opts.Method, sOpts)
+	})
+	if err != nil {
+		return nil, false, err
+	}
+	return v.(*sampling.Result), reused, nil
 }
 
 // Fit runs the expensive half of the pipeline for alg on g: sample the
@@ -105,14 +150,27 @@ func (p *Predictor) Fit(alg algorithms.Algorithm, g *graph.Graph) (*Fitted, erro
 // bit-identical at every parallelism level. Cancellation is observed
 // between pipeline stages, not inside a profiled run.
 //
-// The sampling stages are allocation-light by construction: every pipeline
-// draws on pooled sampling workspaces (epoch-stamped membership tables,
-// reused visited buffers) and on g's shared degree artifacts (the BRJ seed
-// ordering is built once per graph, not once per ratio), so a fit's four
-// training-ratio samples — and every later fit on the same cached graph —
-// reuse the same steady-state memory whether they run sequentially or
-// fanned out on the pool. See DESIGN.md §8.
+// A pipeline's sample is drawn once per (graph, method, options, seed) and
+// remembered on g (see sample), so only the first algorithm fitted on a
+// dataset pays for sampling. The draws themselves are allocation-light by
+// construction: every pipeline draws on pooled sampling workspaces
+// (epoch-stamped membership tables, reused visited buffers) and on g's
+// shared degree artifacts (the BRJ seed ordering is built once per graph,
+// not once per ratio), so a fit's four training-ratio samples — and every
+// later fit on the same cached graph — reuse the same steady-state memory
+// whether they run sequentially or fanned out on the pool. See DESIGN.md
+// §8.
 func (p *Predictor) FitContext(ctx context.Context, alg algorithms.Algorithm, g *graph.Graph) (*Fitted, error) {
+	tasks, outcomes, err := p.runPipelines(ctx, alg, g)
+	if err != nil {
+		return nil, err
+	}
+	return p.train(alg, tasks, outcomes)
+}
+
+// runPipelines is FitContext's expensive half: one sample → transformed,
+// profiled run pipeline per task, on the pool.
+func (p *Predictor) runPipelines(ctx context.Context, alg algorithms.Algorithm, g *graph.Graph) ([]sampleTask, []sampleOutcome, error) {
 	// Task 0 is the main sample run; the rest are the additional
 	// training-ratio runs in declaration order, each seeded from its
 	// index in Options.TrainingRatios.
@@ -134,12 +192,8 @@ func (p *Predictor) FitContext(ctx context.Context, alg algorithms.Algorithm, g 
 	outcomes := make([]sampleOutcome, len(tasks))
 	err := pool.ForEach(ctx, len(tasks), func(taskCtx context.Context, i int) error {
 		t := tasks[i]
-		sOpts := p.opts.Sampling
-		sOpts.Ratio = t.ratio
-		sOpts.Seed = t.seed
-
 		// Sample run input: structure-preserving sample of g.
-		s, err := sampling.Sample(g, p.opts.Method, sOpts)
+		s, reused, err := p.sample(g, t)
 		if err != nil {
 			if i == 0 {
 				return fmt.Errorf("core: sampling: %w", err)
@@ -165,12 +219,18 @@ func (p *Predictor) FitContext(ctx context.Context, alg algorithms.Algorithm, g 
 			}
 			return fmt.Errorf("core: training sample run at ratio %v: %w", t.ratio, err)
 		}
-		outcomes[i] = sampleOutcome{sample: s, run: ri}
+		outcomes[i] = sampleOutcome{sample: s, reused: reused, run: ri}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	return tasks, outcomes, nil
+}
+
+// train is FitContext's second half: fit the cost model on the pipelines'
+// profiles and assemble the Fitted.
+func (p *Predictor) train(alg algorithms.Algorithm, tasks []sampleTask, outcomes []sampleOutcome) (*Fitted, error) {
 	sample, sampleRun := outcomes[0].sample, outcomes[0].run
 
 	// Cost model: train on the sample run, the additional-ratio sample
@@ -213,6 +273,13 @@ func (p *Predictor) FitContext(ctx context.Context, alg algorithms.Algorithm, g 
 	}
 	for _, tr := range training {
 		f.TrainingRows = append(f.TrainingRows, tr.Iters...)
+	}
+	for _, o := range outcomes {
+		if o.reused {
+			f.SamplesReused++
+		} else {
+			f.SamplesDrawn++
+		}
 	}
 	for i := range sampleRun.Profile.Supersteps {
 		f.RemoteBytesPerIter = append(f.RemoteBytesPerIter,

@@ -2,9 +2,7 @@ package core
 
 import (
 	"bytes"
-	"runtime"
 	"testing"
-	"time"
 
 	"predict/internal/algorithms"
 	"predict/internal/history"
@@ -132,44 +130,5 @@ func TestFittedRecordRoundTrip(t *testing.T) {
 func TestFittedFromRecordRejectsPlainRuns(t *testing.T) {
 	if _, err := FittedFromRecord(history.Record{Dataset: "x"}); err == nil {
 		t.Error("plain run record accepted as model record")
-	}
-}
-
-// collected reports whether the finalizer behind done runs within a few
-// forced collections.
-func collected(done <-chan struct{}) bool {
-	for i := 0; i < 20; i++ {
-		runtime.GC()
-		select {
-		case <-done:
-			return true
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
-	return false
-}
-
-// TestSampleGraphCollectableAfterFit pins the lifetime of the per-graph
-// critical-share memo: a fit asks for its sample graph's share
-// (SampleCriticalShare), and the remembered value lives on that graph —
-// so once the Fitted is dropped, nothing global keeps the sample graph
-// reachable. A memo keyed by *graph.Graph in a package-level map would
-// pin every sample graph every fit ever created.
-func TestSampleGraphCollectableAfterFit(t *testing.T) {
-	g := testGraphBA()
-	pr := algorithms.NewPageRank()
-	pr.Tau = algorithms.TauForTolerance(0.001, g.NumVertices())
-	fitted, err := New(testOptions(0.1)).Fit(pr, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fitted.Extrapolate(g, 8); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	runtime.SetFinalizer(fitted.Sample.Graph, func(any) { close(done) })
-	fitted = nil
-	if !collected(done) {
-		t.Fatal("the finished fit's sample graph is still reachable after its Fitted was dropped")
 	}
 }

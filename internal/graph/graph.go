@@ -51,6 +51,16 @@ type Graph struct {
 	// MemoizedCriticalShare in artifacts.go.
 	shares shareMemo
 
+	// Symmetric closure, built once by Undirected.
+	undOnce sync.Once
+	und     *Graph
+
+	// memos holds what other packages remember on this graph (samples
+	// drawn from it, ranks computed on it), one Memo per owner; see
+	// memo.go.
+	memoMu sync.Mutex
+	memos  map[any]*Memo
+
 	// mapped is non-nil for graphs whose CSR slices alias an mmap'd
 	// snapshot (MmapSnapshot). The reference keeps the mapping alive for
 	// as long as the Graph is reachable, so the finalizer-driven munmap
@@ -209,28 +219,113 @@ func (g *Graph) Reverse() *Graph {
 }
 
 // Undirected returns the symmetric closure of g: for every edge (u, v) the
-// result contains both (u, v) and (v, u), deduplicated. Unweighted inputs
-// produce a result with weight 1.0 on every edge, which is the form the
-// semi-clustering algorithm expects.
+// result contains both (u, v) and (v, u), deduplicated, self-loops
+// dropped. Unweighted inputs produce a result with weight 1.0 on every
+// edge, which is the form the semi-clustering algorithm expects. Where g
+// holds both (u, v) and (v, u) with different weights, both directions of
+// the result carry the weight of the edge leaving the smaller endpoint —
+// the one a Builder fed g's edges in order sees first.
+//
+// The closure is built once per graph and shared, like the reverse
+// adjacency: connected components and semi-clustering both run on the
+// closure of the same sample. It is safe for concurrent use.
 func (g *Graph) Undirected() *Graph {
+	g.undOnce.Do(func() { g.und = g.buildUndirected() })
+	return g.und
+}
+
+// buildUndirected builds the closure straight into CSR. A built graph's
+// rows are strictly ascending, and a reverse adjacency scattered by
+// ascending source has ascending rows too, so row r of the closure is the
+// merge of r's out-row and in-row: counted in one pass, filled in a
+// second, with no sort and no intermediate edge list.
+func (g *Graph) buildUndirected() *Graph {
 	n := g.NumVertices()
-	b := NewBuilder(n)
+	if len(g.edges) == 0 {
+		return &Graph{offsets: make([]int64, n+1)} // no edge, so no weight either
+	}
+	inOffsets := make([]int64, n+1)
+	for _, dst := range g.edges {
+		inOffsets[dst+1]++
+	}
+	for i := 1; i <= n; i++ {
+		inOffsets[i] += inOffsets[i-1]
+	}
+	inEdges := make([]VertexID, len(g.edges))
+	var inWeights []float32
+	if g.weights != nil {
+		inWeights = make([]float32, len(g.edges))
+	}
+	cursor := make([]int64, n)
+	copy(cursor, inOffsets[:n])
 	for src := 0; src < n; src++ {
 		ws := g.OutWeights(VertexID(src))
 		for i, dst := range g.OutNeighbors(VertexID(src)) {
-			w := float32(1.0)
+			inEdges[cursor[dst]] = VertexID(src)
 			if ws != nil {
-				w = ws[i]
+				inWeights[cursor[dst]] = ws[i]
 			}
-			b.AddWeightedEdge(VertexID(src), dst, w)
-			b.AddWeightedEdge(dst, VertexID(src), w)
+			cursor[dst]++
 		}
 	}
-	ug, err := b.Build()
-	if err != nil {
-		panic("graph: Undirected: " + err.Error())
+
+	// mergeRow merges row r's two directions into edges/weights (or only
+	// counts them when edges is nil) and returns the merged length.
+	mergeRow := func(r VertexID, edges []VertexID, weights []float32) int {
+		out, outW := g.OutNeighbors(r), g.OutWeights(r)
+		lo, hi := inOffsets[r], inOffsets[r+1]
+		in := inEdges[lo:hi]
+		var inW []float32
+		if inWeights != nil {
+			inW = inWeights[lo:hi]
+		}
+		k, i, j := 0, 0, 0
+		for i < len(out) || j < len(in) {
+			var (
+				x      VertexID
+				fromIn bool
+			)
+			switch {
+			case j == len(in) || (i < len(out) && out[i] < in[j]):
+				x = out[i]
+				i++
+			case i == len(out) || in[j] < out[i]:
+				x, fromIn = in[j], true
+				j++
+			default: // both directions exist; the smaller endpoint's edge was added first
+				x, fromIn = out[i], out[i] < r
+				i++
+				j++
+			}
+			if x == r {
+				continue
+			}
+			if edges != nil {
+				w := float32(1)
+				switch {
+				case inW == nil:
+				case fromIn:
+					w = inW[j-1]
+				default:
+					w = outW[i-1]
+				}
+				edges[k], weights[k] = x, w
+			}
+			k++
+		}
+		return k
 	}
-	return ug
+
+	offsets := make([]int64, n+1)
+	for r := 0; r < n; r++ {
+		offsets[r+1] = offsets[r] + int64(mergeRow(VertexID(r), nil, nil))
+	}
+	edges := make([]VertexID, offsets[n])
+	weights := make([]float32, offsets[n])
+	for r := 0; r < n; r++ {
+		mergeRow(VertexID(r), edges[offsets[r]:offsets[r+1]], weights[offsets[r]:offsets[r+1]])
+	}
+	return &Graph{offsets: offsets, edges: edges, weights: weights}
 }
 
 // OutDegrees returns a freshly allocated slice of out-degrees indexed by

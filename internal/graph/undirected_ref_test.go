@@ -1,0 +1,111 @@
+package graph
+
+import (
+	"fmt"
+	"math/rand/v2"
+	"sync"
+	"testing"
+)
+
+// referenceUndirected is the pre-rewrite Builder-based closure, kept
+// verbatim as the executable specification the direct-CSR build must
+// match bit for bit — including which weight survives where g holds both
+// directions of an edge with different weights (the Builder keeps the
+// first one added).
+func referenceUndirected(g *Graph) *Graph {
+	n := g.NumVertices()
+	b := NewBuilder(n)
+	for src := 0; src < n; src++ {
+		ws := g.OutWeights(VertexID(src))
+		for i, dst := range g.OutNeighbors(VertexID(src)) {
+			w := float32(1.0)
+			if ws != nil {
+				w = ws[i]
+			}
+			b.AddWeightedEdge(VertexID(src), dst, w)
+			b.AddWeightedEdge(dst, VertexID(src), w)
+		}
+	}
+	ug, err := b.Build()
+	if err != nil {
+		panic("graph: Undirected: " + err.Error())
+	}
+	return ug
+}
+
+// randomClosureInput builds a random directed graph whose input edge list
+// carries duplicates and self-loops; keepSelf retains the self-loops in
+// the built graph, and weighted edges get direction-dependent weights, so
+// a mutual pair disagrees on its weight.
+func randomClosureInput(rng *rand.Rand, weighted, keepSelf bool) *Graph {
+	n := 1 + rng.IntN(60)
+	b := NewBuilder(n)
+	if keepSelf {
+		b.KeepSelfLoops()
+	}
+	m := rng.IntN(6 * n)
+	for i := 0; i < m; i++ {
+		src, dst := VertexID(rng.IntN(n)), VertexID(rng.IntN(n))
+		if rng.IntN(4) == 0 {
+			dst = src
+		}
+		if weighted {
+			b.AddWeightedEdge(src, dst, float32(1+rng.IntN(97))/7)
+		} else {
+			b.AddEdge(src, dst)
+		}
+		if rng.IntN(3) == 0 { // the reverse edge too, with its own weight
+			if weighted {
+				b.AddWeightedEdge(dst, src, float32(1+rng.IntN(97))/7)
+			} else {
+				b.AddEdge(dst, src)
+			}
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// TestUndirectedMatchesBuilderReference drives the direct-CSR closure
+// against the Builder-based reference on random directed, weighted,
+// self-loop and duplicate-edge graphs, and on the closure of a closure.
+func TestUndirectedMatchesBuilderReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(14, 41))
+	for trial := 0; trial < 400; trial++ {
+		weighted, keepSelf := trial%2 == 1, trial%4 >= 2
+		g := randomClosureInput(rng, weighted, keepSelf)
+		label := fmt.Sprintf("trial %d (weighted=%v, self-loops=%v, %v)", trial, weighted, keepSelf, g)
+		u := g.Undirected()
+		requireSameGraph(t, u, referenceUndirected(g), label)
+		requireSameGraph(t, u.Undirected(), referenceUndirected(u), label+" twice")
+	}
+	for _, g := range []*Graph{{}, MustFromEdges(3, nil), MustFromEdges(1, [][2]VertexID{{0, 0}})} {
+		requireSameGraph(t, g.Undirected(), referenceUndirected(g), g.String())
+	}
+}
+
+// TestUndirectedBuiltOnce pins the sharing connected components and
+// semi-clustering rely on: every caller, concurrent ones included, gets
+// the one closure the graph remembers.
+func TestUndirectedBuiltOnce(t *testing.T) {
+	g := randomClosureInput(rand.New(rand.NewPCG(3, 5)), true, false)
+	got := make([]*Graph, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = g.Undirected()
+		}()
+	}
+	wg.Wait()
+	for i, u := range got {
+		if u != got[0] {
+			t.Fatalf("caller %d got its own closure", i)
+		}
+	}
+	requireSameGraph(t, got[0], referenceUndirected(g), "shared closure")
+}

@@ -263,6 +263,10 @@ type Service struct {
 	fitsInFlight atomic.Int64
 	fitTimeouts  atomic.Int64
 	requests     atomic.Int64
+	// samplesDrawn/samplesReused sum core.Fitted's counts over completed
+	// fits: samples a fit drew vs took from its dataset graph's memory.
+	samplesDrawn  atomic.Int64
+	samplesReused atomic.Int64
 
 	// breakers holds per-model-key circuit breakers; ioRetries counts
 	// dataset I/O retry attempts, tornRecovered torn history tails
@@ -909,6 +913,8 @@ func (s *Service) fit(req PredictRequest, g *graph.Graph) (*core.Fitted, error) 
 	fitted, err := p.FitContext(ctx, alg, g)
 	switch {
 	case err == nil:
+		s.samplesDrawn.Add(int64(fitted.SamplesDrawn))
+		s.samplesReused.Add(int64(fitted.SamplesReused))
 		return fitted, nil
 	case s.lifeCtx.Err() != nil:
 		// Lifecycle cancellation is shutdown, not a deadline: the client
@@ -1234,6 +1240,13 @@ type Stats struct {
 	// harness watches; OpenFDs is 0 where /proc is unavailable.
 	Goroutines int `json:"goroutines"`
 	OpenFDs    int `json:"open_fds"`
+	// SamplesDrawn counts the samples completed fits drew themselves;
+	// SamplesReused the ones they took from the sample family their
+	// dataset graph remembered (same method, options and sample seed as an
+	// earlier or concurrent fit). Reused staying at zero means the traffic
+	// shares no samples: every fit carries its own seed or options.
+	SamplesDrawn  int64 `json:"samples_drawn"`
+	SamplesReused int64 `json:"samples_reused"`
 }
 
 // Stats returns a snapshot of the cache, fit and pool counters.
@@ -1279,6 +1292,9 @@ func (s *Service) Stats() Stats {
 
 		Goroutines: runtime.NumGoroutine(),
 		OpenFDs:    openFDs(),
+
+		SamplesDrawn:  s.samplesDrawn.Load(),
+		SamplesReused: s.samplesReused.Load(),
 	}
 	s.obsMu.RLock()
 	st.ObservedKeys = len(s.obs)

@@ -3,7 +3,10 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 )
@@ -60,6 +63,65 @@ func TestStatsEndpoint(t *testing.T) {
 
 	if code := mustStatus(t, http.MethodPost, server.URL+"/stats"); code != http.StatusMethodNotAllowed {
 		t.Errorf("POST /stats = %d, want 405", code)
+	}
+}
+
+// TestStatsCountSharedSamples pins samples_drawn / samples_reused: the
+// second algorithm fitted on a (dataset, sample seed) reuses every sample
+// the first drew — and answers exactly what a service that never saw the
+// first would — while a fit with another seed draws its own.
+func TestStatsCountSharedSamples(t *testing.T) {
+	svc, server := newTestServer(t, Config{})
+	ctx := context.Background()
+	pipelines := int64(1 + len(testRequest().TrainingRatios))
+	expect := func(step string, drawn, reused int64) {
+		t.Helper()
+		if st := svc.Stats(); st.SamplesDrawn != drawn || st.SamplesReused != reused {
+			t.Fatalf("%s: samples drawn/reused = %d/%d, want %d/%d", step, st.SamplesDrawn, st.SamplesReused, drawn, reused)
+		}
+	}
+
+	if _, err := svc.Predict(ctx, testRequest()); err != nil {
+		t.Fatal(err)
+	}
+	expect("first algorithm", pipelines, 0)
+
+	cc := testRequest()
+	cc.Algorithm = "CC"
+	shared, err := svc.Predict(ctx, cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect("second algorithm, same seed", pipelines, pipelines)
+	alone, err := New(Config{}).Predict(ctx, cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shared.SuperstepSeconds != alone.SuperstepSeconds || shared.Iterations != alone.Iterations {
+		t.Fatalf("a fit on reused samples predicts %v s / %d iterations, on its own samples %v s / %d",
+			shared.SuperstepSeconds, shared.Iterations, alone.SuperstepSeconds, alone.Iterations)
+	}
+
+	reseeded := testRequest()
+	reseeded.SampleSeed = 99
+	if _, err := svc.Predict(ctx, reseeded); err != nil {
+		t.Fatal(err)
+	}
+	expect("another seed", 2*pipelines, pipelines)
+
+	// New keys go last, so the object an older client reads is a prefix.
+	resp, err := http.Get(server.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf(`,"samples_drawn":%d,"samples_reused":%d}`, 2*pipelines, pipelines)
+	if !strings.Contains(string(raw), want) {
+		t.Fatalf("/stats does not end its stats object with %s: %s", want, raw)
 	}
 }
 
