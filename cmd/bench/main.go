@@ -33,8 +33,8 @@
 //	                      snapshot load (skipped where mmap is unsupported)
 //	service_end_to_end    a mixed cold/warm workload over the HTTP service
 //	                      under the production serving config (pooled
-//	                      codecs, admission control, batch-window
-//	                      coalescing) — the allocs-per-request gate
+//	                      codecs, admission control) — the
+//	                      allocs-per-request gate
 //	service_sustained_rps warm-hit latency percentiles at a fixed offered
 //	                      load, uncontended vs under saturating cold
 //	                      traffic, plus the shed rate — the p99-ratio gate
@@ -913,15 +913,11 @@ func sameGraph(a, b *graph.Graph) bool {
 }
 
 // servingConfig is the production serving configuration the service
-// scenarios run under: a bounded fit queue (admission control), a short
-// batch window coalescing identical predictions, and otherwise defaults.
-// fitQueueDepth is per-scenario: end-to-end sizes it to admit its three
-// cold keys, sustained-RPS sizes it to saturate.
+// scenarios run under: predictd's defaults with a bounded fit queue
+// (admission control). fitQueueDepth is per-scenario: end-to-end sizes it
+// to admit its three cold keys, sustained-RPS sizes it to saturate.
 func servingConfig(fitQueueDepth int) service.Config {
-	return service.Config{
-		FitQueueDepth: fitQueueDepth,
-		BatchWindow:   20 * time.Millisecond,
-	}
+	return service.Config{FitQueueDepth: fitQueueDepth}
 }
 
 // benchClient is one load-generating client speaking HTTP/1.1 over a
@@ -1086,26 +1082,23 @@ func warmKeyRequests(dataset string, scale float64) []service.PredictRequest {
 // warm responses for byte-identity.
 var elapsedRE = regexp.MustCompile(`"elapsed_ms":[0-9.eE+-]+`)
 
-// checkWarmByteIdentity posts each warm key twice — once inside the
-// coalescer's batch window of earlier traffic, once after the window has
-// certainly expired (a fresh leader computation) — and requires the
+// checkWarmByteIdentity posts each warm key twice and requires the
 // responses byte-identical modulo elapsed_ms. This is the serving
-// invariant the pooling/coalescing rewrite must preserve: sharing a
-// computed prediction never changes a single response byte.
-func checkWarmByteIdentity(url string, payloads [][]byte, window time.Duration) error {
+// invariant pooled codecs and answer templates must preserve: a shared
+// template never changes a single response byte.
+func checkWarmByteIdentity(url string, payloads [][]byte) error {
 	client := &benchClient{}
 	for i, p := range payloads {
 		first, err := rawWarmBody(client, url, p)
 		if err != nil {
 			return err
 		}
-		time.Sleep(window + 10*time.Millisecond)
 		second, err := rawWarmBody(client, url, p)
 		if err != nil {
 			return err
 		}
 		if !bytes.Equal(first, second) {
-			return fmt.Errorf("warm response %d not byte-identical across the batch window:\n  %s\n  %s", i, first, second)
+			return fmt.Errorf("warm response %d not byte-identical on repeat:\n  %s\n  %s", i, first, second)
 		}
 	}
 	return nil
@@ -1127,12 +1120,11 @@ func rawWarmBody(c *benchClient, url string, payload []byte) ([]byte, error) {
 // model keys (cold fits, answered concurrently on the shared fit pool)
 // and warm repeats of each, measuring end-to-end request latency and
 // allocations per request across the whole serving stack — HTTP
-// handling, JSON codecs, cache lookups, coalescing and the shared-pool
-// cold fits, amortized over the warm traffic they serve. This is the
-// scenario the -max-e2e-allocs CI gate is defined on.
+// handling, JSON codecs, cache lookups and the shared-pool cold fits,
+// amortized over the warm traffic they serve. This is the scenario the
+// -max-e2e-allocs CI gate is defined on.
 func serviceEndToEnd(dataset string, scale float64) (*Scenario, error) {
-	cfg := servingConfig(4) // admits all three cold keys
-	svc := service.New(cfg)
+	svc := service.New(servingConfig(4)) // admits all three cold keys
 	server := httptest.NewServer(svc.Handler())
 	defer server.Close()
 
@@ -1181,7 +1173,7 @@ func serviceEndToEnd(dataset string, scale float64) (*Scenario, error) {
 		return nil, err
 	}
 
-	if err := checkWarmByteIdentity(server.URL, payloads[:len(keys)], cfg.BatchWindow); err != nil {
+	if err := checkWarmByteIdentity(server.URL, payloads[:len(keys)]); err != nil {
 		return nil, err
 	}
 

@@ -12,7 +12,7 @@
 //	predictd -max-models 128 -timeout 120s -workers 16
 //	predictd -fit-parallelism 8 -fit-timeout 2m     # cold-path budget
 //	predictd -fit-queue-depth 8 -max-inflight 256   # admission control (shed past the bound)
-//	predictd -batch-window 10ms -retry-after 2s     # coalescing + shed guidance
+//	predictd -retry-after 2s                        # Retry-After guidance on shed responses
 //	predictd -fit-breaker-threshold 5 -fit-breaker-cooldown 5s  # per-model circuit breaker
 //	predictd -retry-attempts 3 -retry-base-delay 50ms -retry-max-delay 1s  # transient dataset I/O
 //	predictd -pprof-addr 127.0.0.1:6060             # live profiling (off by default)
@@ -65,7 +65,6 @@ func main() {
 		fitTO     = flag.Duration("fit-timeout", 0, "per-fit deadline, detached from request timeouts (0 = default 5m)")
 		fitQueue  = flag.Int("fit-queue-depth", 0, "cold fits outstanding before shedding with 503 (0 = 4x fit parallelism, <0 = unlimited)")
 		maxInfl   = flag.Int("max-inflight", 0, "hard bound on in-flight requests before shedding with 429 (0 = unlimited)")
-		batchWin  = flag.Duration("batch-window", 0, "coalesce identical predictions arriving within this window (0 = only overlapping requests)")
 		retry     = flag.Duration("retry-after", 0, "Retry-After guidance on shed responses (0 = default 1s)")
 		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060); empty disables profiling")
 		brkThresh = flag.Int("fit-breaker-threshold", 0, "consecutive fit failures before a model key's circuit breaker opens (0 = default 5, <0 = disabled)")
@@ -101,7 +100,6 @@ func main() {
 		FitTimeout:     *fitTO,
 		FitQueueDepth:  *fitQueue,
 		MaxInFlight:    *maxInfl,
-		BatchWindow:    *batchWin,
 		ShedRetryAfter: *retry,
 		Cluster:        bsp.Config{Workers: *workers, Seed: *seed, Oracle: &oracle},
 		DatasetDir:     *dataDir,

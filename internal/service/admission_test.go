@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -13,6 +14,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"predict/internal/faultinject"
+	"predict/internal/graph"
 )
 
 // postRaw posts v and returns the full response (status, headers, body)
@@ -277,10 +281,11 @@ func TestAdmissionStressColdAndWarm(t *testing.T) {
 
 // TestPredictShedsWhenFitQueueFull drives the fit-queue 503 path
 // deterministically: with the single admission slot held, a cache miss
-// must shed immediately with 503 + Retry-After, and a warm hit must
-// still be served.
+// must shed immediately with 503 + Retry-After (the configured hint rounded
+// up to whole seconds, never down: a client must not be invited back
+// early), and a warm hit must still be served.
 func TestPredictShedsWhenFitQueueFull(t *testing.T) {
-	svc, server := newTestServer(t, Config{FitQueueDepth: 1, ShedRetryAfter: 3 * time.Second})
+	svc, server := newTestServer(t, Config{FitQueueDepth: 1, ShedRetryAfter: 2500 * time.Millisecond})
 
 	warm := testRequest()
 	if status, raw := postJSON(t, server.URL+"/predict", warm); status != http.StatusOK {
@@ -299,7 +304,7 @@ func TestPredictShedsWhenFitQueueFull(t *testing.T) {
 		t.Fatalf("cold miss with full fit queue: HTTP %d (%v), want 503", resp.StatusCode, raw)
 	}
 	if got := resp.Header.Get("Retry-After"); got != "3" {
-		t.Fatalf("Retry-After = %q, want %q", got, "3")
+		t.Fatalf("Retry-After = %q for a 2.5s hint, want %q", got, "3")
 	}
 
 	if status, _ := postJSON(t, server.URL+"/predict", warm); status != http.StatusOK {
@@ -312,9 +317,9 @@ func TestPredictShedsWhenFitQueueFull(t *testing.T) {
 
 // TestPredictShedsWhenInFlightFull drives the request-gate 429 path:
 // with every in-flight slot held, the handler sheds before reading the
-// body, with 429 + Retry-After.
+// body, with 429 + Retry-After (rounded up, like the fit-queue shed's).
 func TestPredictShedsWhenInFlightFull(t *testing.T) {
-	svc, server := newTestServer(t, Config{MaxInFlight: 1, ShedRetryAfter: 2 * time.Second})
+	svc, server := newTestServer(t, Config{MaxInFlight: 1, ShedRetryAfter: 1500 * time.Millisecond})
 
 	if !svc.reqGate.tryAcquire() {
 		t.Fatal("could not hold the only in-flight slot")
@@ -326,7 +331,7 @@ func TestPredictShedsWhenInFlightFull(t *testing.T) {
 		t.Fatalf("request with in-flight gate full: HTTP %d (%v), want 429", resp.StatusCode, raw)
 	}
 	if got := resp.Header.Get("Retry-After"); got != "2" {
-		t.Fatalf("Retry-After = %q, want %q", got, "2")
+		t.Fatalf("Retry-After = %q for a 1.5s hint, want %q", got, "2")
 	}
 	if svc.Stats().Shed != 1 {
 		t.Fatalf("shed counter = %d, want 1", svc.Stats().Shed)
@@ -365,35 +370,131 @@ func TestClientCancelMidFitDoesNotPoison(t *testing.T) {
 	}
 }
 
-// TestBatchWindowCoalescesWarmRequests pins the batch-window contract: a
-// request arriving within the window of an identical completed
-// prediction shares it (reported as a cache hit) without another model
-// cache lookup, and the coalesced counter records the share.
-func TestBatchWindowCoalescesWarmRequests(t *testing.T) {
-	svc, server := newTestServer(t, Config{BatchWindow: 30 * time.Second})
+// TestConcurrentColdPredictsShareOneFit pins the one single-flight on the
+// request path, the model cache's: N identical cold requests in flight
+// together run one fit, every one is answered 200 with the same bytes
+// (elapsed_ms apart), and coalesced counts the N-1 that waited on a fill
+// they did not start.
+func TestConcurrentColdPredictsShareOneFit(t *testing.T) {
+	svc, server := newTestServer(t, Config{FitParallelism: 1})
+	req := testRequest()
+	// The graph is cached up front, so the only fill to share is the fit.
+	if _, err := svc.graphFor(context.Background(), req.withDefaults(), "", ""); err != nil {
+		t.Fatal(err)
+	}
 
-	status, raw := postJSON(t, server.URL+"/predict", testRequest())
-	if status != http.StatusOK {
-		t.Fatalf("cold predict: HTTP %d (%v)", status, raw)
-	}
-	if pr := decodePrediction(t, raw); pr.CacheHit {
-		t.Fatal("cold predict reported a cache hit")
-	}
-	lookups := func() int64 { h, m, _ := svc.models.counters(); return h + m }
-	before := lookups()
+	// The fit's sample pipelines queue behind the one pool slot, held until
+	// every other request has joined the fill: the counts below are exact,
+	// not likely.
+	held, release := make(chan struct{}), make(chan struct{})
+	releasePool := sync.OnceFunc(func() { close(release) })
+	defer releasePool() // also on a failed wait below, so the requests can finish
+	poolDone := make(chan error, 1)
+	go func() {
+		poolDone <- svc.fitPool.ForEach(context.Background(), 1, func(context.Context, int) error {
+			close(held)
+			<-release
+			return nil
+		})
+	}()
+	<-held
 
-	status, raw = postJSON(t, server.URL+"/predict", testRequest())
+	const n = 6
+	payload := jsonEncode(t, req)
+	statuses := make([]int, n)
+	bodies := make([][]byte, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := http.Post(server.URL+"/predict", "application/json", bytes.NewReader(payload))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer resp.Body.Close()
+			statuses[i] = resp.StatusCode
+			bodies[i], errs[i] = io.ReadAll(resp.Body)
+		}(i)
+	}
+	waitFor(t, 30*time.Second, "every other request to join the fit", func() bool {
+		return svc.Stats().Coalesced >= n-1
+	})
+	releasePool()
+	wg.Wait()
+	if err := <-poolDone; err != nil {
+		t.Fatal(err)
+	}
+
+	for i := range bodies {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
+		}
+		if statuses[i] != http.StatusOK {
+			t.Fatalf("request %d: HTTP %d: %s", i, statuses[i], bodies[i])
+		}
+		bodies[i] = elapsedRE.ReplaceAll(bodies[i], []byte(`"elapsed_ms":0`))
+		if !bytes.Equal(bodies[i], bodies[0]) {
+			t.Errorf("request %d answered differently from request 0:\n  %s\n  %s", i, bodies[i], bodies[0])
+		}
+	}
+	// Every one of them waited out the fit, so none reports a cache hit.
+	if pr := new(PredictResponse); json.Unmarshal(bodies[0], pr) != nil || pr.CacheHit || pr.SuperstepSeconds <= 0 {
+		t.Errorf("cold herd answer: %s", bodies[0])
+	}
+	st := svc.Stats()
+	if st.Fits != 1 || st.Misses != 1 {
+		t.Errorf("%d identical cold requests ran %d fits over %d model-cache misses, want 1 and 1", n, st.Fits, st.Misses)
+	}
+	if st.Coalesced != n-1 {
+		t.Errorf("coalesced = %d, want %d (every request but the one that started the fit)", st.Coalesced, n-1)
+	}
+}
+
+// TestClientCancelMidLoadLeavesGraphCached is TestClientCancelMidFit one
+// cache earlier: a request whose context expires while its dataset is
+// still loading gets a 504 and goes no further — the detached load
+// finishes and caches the graph, no fit was started on the abandoned
+// request's behalf, and the retry finds the graph and fits once.
+func TestClientCancelMidLoadLeavesGraphCached(t *testing.T) {
+	dir := t.TempDir()
+	if err := graph.WriteSnapshotFile(filepath.Join(dir, "social.snap"), testWikiGraph(t)); err != nil {
+		t.Fatal(err)
+	}
+	restore := faultinject.Enable(faultinject.NewInjector(chaosSeed(t), faultinject.Rule{
+		Point: faultinject.PointGraphLoadFile,
+		From:  1, Count: 1,
+		Delay: 250 * time.Millisecond, // the slow disk; the request below gives up long before
+	}))
+	defer restore()
+	svc, server := newTestServer(t, Config{DatasetDir: dir})
+
+	req := PredictRequest{Dataset: "social", Algorithm: "CC", TrainingRatios: []float64{0.1, 0.2}, TimeoutMillis: 20}
+	status, raw := postJSON(t, server.URL+"/predict", req)
+	if status != http.StatusGatewayTimeout {
+		t.Fatalf("predict with a 20ms budget on a slow load: HTTP %d (%v), want 504", status, raw)
+	}
+
+	waitFor(t, 30*time.Second, "the abandoned request's dataset load to reach the graph cache", func() bool {
+		info, ok := svc.describeDataset("social")
+		return ok && info.Loaded
+	})
+	if st := svc.Stats(); st.Fits != 0 || st.Misses != 0 {
+		t.Fatalf("a request abandoned during its load went on to the model cache: %d fits, %d misses", st.Fits, st.Misses)
+	}
+
+	req.TimeoutMillis = 0
+	status, raw = postJSON(t, server.URL+"/predict", req)
 	if status != http.StatusOK {
-		t.Fatalf("coalesced predict: HTTP %d (%v)", status, raw)
+		t.Fatalf("retry after the canceled load: HTTP %d (%v)", status, raw)
 	}
-	if pr := decodePrediction(t, raw); !pr.CacheHit {
-		t.Fatal("request within the batch window did not report a cache hit")
+	if pr := decodePrediction(t, raw); pr.CacheHit || pr.SuperstepSeconds <= 0 {
+		t.Fatalf("retry should be the one cold fit: %+v", pr)
 	}
-	if after := lookups(); after != before {
-		t.Fatalf("coalesced request performed %d model-cache lookups, want 0", after-before)
-	}
-	if svc.Stats().Coalesced == 0 {
-		t.Fatal("coalesced counter did not record the shared prediction")
+	if st := svc.Stats(); st.Fits != 1 || st.Graphs != 1 {
+		t.Fatalf("after the retry: %d fits on %d cached graphs, want 1 and 1", st.Fits, st.Graphs)
 	}
 }
 

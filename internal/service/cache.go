@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -22,6 +23,10 @@ import (
 // which is also what keeps eviction tests deterministic.
 type cache[V any] struct {
 	shards []*cacheShard[V]
+
+	// joined counts get calls that waited on a fill another call had
+	// started: the sharing /stats reports as coalesced.
+	joined atomic.Int64
 }
 
 // cacheShards is the shard count for large caches: enough to spread the
@@ -110,7 +115,9 @@ func (c *cache[V]) get(ctx context.Context, key string, fill func() (V, error)) 
 		return e.val, true, nil
 	}
 	f, ok := s.inflight[key]
-	if !ok {
+	if ok {
+		c.joined.Add(1)
+	} else {
 		f = &flight[V]{done: make(chan struct{})}
 		s.inflight[key] = f
 		s.misses++

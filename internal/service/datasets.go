@@ -98,10 +98,6 @@ func (s *Service) resolveDataset(name string) (path string, fi os.FileInfo, snap
 	return "", nil, false, false
 }
 
-// describeDataset builds the DatasetInfo for one name: which forms exist
-// (snapshot first — the preference order resolveDataset loads by), the
-// size of the file a load would read, and the cached graph's shape when
-// it is loaded. ok is false when no recognized file exists for the name.
 // datasetFormats lists the on-disk forms for a resolved dataset,
 // preferred form first.
 func (s *Service) datasetFormats(name string, snapshot bool) []string {
@@ -117,6 +113,10 @@ func (s *Service) datasetFormats(name string, snapshot bool) []string {
 	return formats
 }
 
+// describeDataset builds the DatasetInfo for one name: which forms exist
+// (snapshot first — the preference order resolveDataset loads by), the
+// size of the file a load would read, and the cached graph's shape when
+// it is loaded. ok is false when no recognized file exists for the name.
 func (s *Service) describeDataset(name string) (DatasetInfo, bool) {
 	path, fi, snapshot, ok := s.resolveDataset(name)
 	if !ok {
@@ -183,7 +183,10 @@ func (s *Service) ioRetryPolicy() retry.Policy {
 // loadDataset loads (or returns the cached) registry graph for one file
 // version via the shared graph cache: concurrent loads of the same
 // dataset share one read, and the loaded graph is artifact-warmed like a
-// generated one. key is the datasetKey of the resolved file.
+// generated one. key is the datasetKey of the resolved file. ctx bounds
+// only the caller's wait: the load belongs to every request waiting on it,
+// so its retries run under the lifecycle context, not the context of
+// whichever request happened to start it.
 func (s *Service) loadDataset(ctx context.Context, name, path, key string) (*graph.Graph, bool, error) {
 	return s.graphs.get(ctx, key, func() (*graph.Graph, error) {
 		var g *graph.Graph
@@ -191,7 +194,7 @@ func (s *Service) loadDataset(ctx context.Context, name, path, key string) (*gra
 		// syscall) retry under jittered backoff instead of failing a load
 		// the next attempt would have served; permanent errors (corrupt
 		// snapshot, not-found) fail immediately — see retry.IsTransient.
-		err := s.ioRetryPolicy().Do(ctx, retry.IsTransient, func() error {
+		err := s.ioRetryPolicy().Do(s.lifeCtx, retry.IsTransient, func() error {
 			var loadErr error
 			if s.cfg.MmapDatasets && filepath.Ext(path) == snapshotExt {
 				// Zero-copy generation: the graph aliases the mmap'd file, the

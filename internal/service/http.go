@@ -78,7 +78,7 @@ func (s *Service) requestContext(r *http.Request, timeoutMillis int64) (context.
 func (s *Service) shedError() *Error {
 	return &Error{
 		Status:            http.StatusTooManyRequests,
-		RetryAfterSeconds: s.retryAfterSeconds(),
+		RetryAfterSeconds: ceilSeconds(s.cfg.ShedRetryAfter),
 		Msg: fmt.Sprintf("service: %d requests already in flight; retry later",
 			s.cfg.MaxInFlight),
 	}
@@ -98,7 +98,7 @@ func (s *Service) rejectIfDraining(w http.ResponseWriter) bool {
 	w.Header().Set("Connection", "close")
 	writeServiceError(w, &Error{
 		Status:            http.StatusServiceUnavailable,
-		RetryAfterSeconds: s.retryAfterSeconds(),
+		RetryAfterSeconds: ceilSeconds(s.cfg.ShedRetryAfter),
 		Msg:               "service: draining: shutting down, retry against another replica",
 	})
 	return true

@@ -106,16 +106,6 @@ type Config struct {
 	// (/predict and /predict/batch each count one); excess requests are
 	// shed with 429 + Retry-After. Zero or negative means unlimited.
 	MaxInFlight int
-	// BatchWindow coalesces identical predictions beyond the model
-	// cache's single-flight: requests for the same (model key, workers,
-	// observation epoch) that overlap in flight always share one
-	// computation, and a positive window additionally keeps each computed
-	// prediction shareable for that long after it completes — a sustained
-	// stream of identical warm requests then pays one model-cache lookup
-	// per window, not per request. Predictions are deterministic, so
-	// sharing never changes response bytes (only elapsed_ms, stamped per
-	// request). Zero coalesces overlapping requests only.
-	BatchWindow time.Duration
 	// ShedRetryAfter is the Retry-After hint attached to shed (429/503)
 	// responses; zero selects 1s.
 	ShedRetryAfter time.Duration
@@ -243,14 +233,13 @@ func (c Config) withDefaults() Config {
 // Service answers prediction requests from cached graphs and cost models.
 // All methods are safe for concurrent use.
 type Service struct {
-	cfg      Config
-	models   *cache[*cachedModel]
-	graphs   *cache[*graph.Graph]
-	fitPool  *parallel.Pool
-	fitGate  *gate // bounds outstanding cold fits (admission control)
-	reqGate  *gate // optional bound on in-flight requests
-	coalesce *coalescer
-	start    time.Time
+	cfg     Config
+	models  *cache[*cachedModel]
+	graphs  *cache[*graph.Graph]
+	fitPool *parallel.Pool
+	fitGate *gate // bounds outstanding cold fits (admission control)
+	reqGate *gate // optional bound on in-flight requests
+	start   time.Time
 	// oracleFP fingerprints the cost oracle once at construction — it
 	// never changes afterwards, so modelKey must not re-hash it per
 	// request (reflection-heavy and allocating).
@@ -349,7 +338,6 @@ func New(cfg Config) *Service {
 		fitPool:    parallel.NewPool(cfg.FitParallelism),
 		fitGate:    newGate(cfg.FitQueueDepth),
 		reqGate:    newGate(cfg.MaxInFlight),
-		coalesce:   newCoalescer(cfg.BatchWindow),
 		oracleFP:   h.Sum64(),
 		start:      time.Now(),
 		breakers:   newBreakerSet(cfg.FitBreakerThreshold, cfg.FitBreakerCooldown),
@@ -638,8 +626,8 @@ func algorithmFor(name string, eps float64, n int) (algorithms.Algorithm, error)
 // The fit of a cache miss is shared across concurrent identical requests
 // (single-flight) and keeps running to completion even if ctx expires, so
 // the cache still warms; only the response is abandoned. The response's
-// slices are shared with the answer kept on the cached model (and with
-// coalesced sharers): read-only to the caller.
+// slices are shared with the answer kept on the cached model: read-only to
+// the caller.
 func (s *Service) Predict(ctx context.Context, req PredictRequest) (*PredictResponse, error) {
 	var resp PredictResponse
 	if err := s.predictInto(ctx, req, &resp); err != nil {
@@ -669,53 +657,14 @@ func (s *Service) predictInto(ctx context.Context, req PredictRequest, out *Pred
 		registryKey = datasetKey(req.Dataset, fi)
 	}
 
-	// One buffer builds both keys; the model key is a prefix slice of the
-	// coalescer key, so the whole request path pays a single string
-	// allocation for its keys. The coalescer key ends in the model key's
-	// observation epoch: a request that arrives after an /observe was
-	// acknowledged must not join a computation — in flight, or held for
-	// the batch window — that read the window before it.
-	kb := make([]byte, 0, 192)
-	kb = s.appendModelKey(kb, req, registryKey)
-	modelKeyLen := len(kb)
-	epoch := s.observationEpoch(kb)
-	kb = append(kb, "|w="...)
-	kb = strconv.AppendInt(kb, int64(req.Workers), 10)
-	kb = append(kb, "|e="...)
-	kb = strconv.AppendUint(kb, epoch, 10)
-	ckey := string(kb)
-	key := ckey[:modelKeyLen]
-
-	// The whole prediction — graph lookup, model lookup, extrapolation,
-	// response assembly — runs coalesced: concurrent identical requests
-	// share one computation, and a configured batch window keeps the
-	// result shareable briefly after it completes. The computation is
-	// detached from ctx (like the cache fills inside it), so a canceled
-	// request abandons only its response.
-	tmpl, joinedDone, err := s.coalesce.do(ctx, ckey, func() (*PredictResponse, error) {
-		return s.computePrediction(req, path, registryKey, key, epoch)
-	})
+	key := string(s.appendModelKey(make([]byte, 0, 192), req, registryKey))
+	tmpl, err := s.computePrediction(ctx, req, path, registryKey, key)
 	if err != nil {
-		if ctx.Err() != nil {
-			return &Error{Status: 504, Msg: fmt.Sprintf(
-				"service: request timed out predicting %s on dataset %s", req.Algorithm, req.Dataset)}
-		}
-		var se *Error
-		if errors.As(err, &se) {
-			return se
-		}
-		return &Error{Status: 500, Msg: err.Error()}
+		return err
 	}
 	*out = *tmpl
-	if joinedDone {
-		// A sharer that arrived after the computation finished is a cache
-		// hit no matter what the computing request observed: the model was
-		// cached before this request began.
-		out.CacheHit = true
-	}
-	// The deadline probability is per-request (deadline_seconds is not in
-	// the coalescing key), derived from the shared template's distribution
-	// after the copy.
+	// The deadline probability is per-request (deadline_seconds is in no
+	// key), derived from the shared template's distribution after the copy.
 	if req.DeadlineSeconds > 0 {
 		d := core.Distribution{
 			MeanSeconds:   out.SuperstepSeconds,
@@ -728,21 +677,35 @@ func (s *Service) predictInto(ctx context.Context, req PredictRequest, out *Pred
 	return nil
 }
 
-// computePrediction is the coalesced unit of work: everything past
-// validation and key construction. It runs detached from any request
-// context; its response template is immutable once returned (sharers
-// copy it), with ElapsedMillis left zero for the per-request stamp.
-func (s *Service) computePrediction(req PredictRequest, path, registryKey, key string, epoch uint64) (*PredictResponse, error) {
-	g, err := s.graphFor(context.Background(), req, path, registryKey)
+// requestError is the *Error a failed cache lookup answers with: 504 when
+// the request's own context ended the wait (the fill it waited on goes
+// on), the fill's typed error when it has one, fallback otherwise.
+func requestError(ctx context.Context, req PredictRequest, err error, fallback int) *Error {
+	if ctx.Err() != nil {
+		return &Error{Status: 504, Msg: fmt.Sprintf(
+			"service: request timed out predicting %s on dataset %s", req.Algorithm, req.Dataset)}
+	}
+	var se *Error
+	if errors.As(err, &se) {
+		return se
+	}
+	return &Error{Status: fallback, Msg: err.Error()}
+}
+
+// computePrediction is everything past validation and key construction:
+// graph cache, model cache, answer template. It runs on the caller's
+// goroutine and waits under ctx; the two caches run their fills (dataset
+// load, fit) detached, so a request that gives up abandons only its
+// response. Every error it returns is an *Error. The response is immutable
+// (callers copy it), with ElapsedMillis left zero for the per-request
+// stamp.
+func (s *Service) computePrediction(ctx context.Context, req PredictRequest, path, registryKey, key string) (*PredictResponse, error) {
+	g, err := s.graphFor(ctx, req, path, registryKey)
 	if err != nil {
-		var se *Error
-		if errors.As(err, &se) {
-			return nil, se
-		}
-		return nil, &Error{Status: 400, Msg: err.Error()}
+		return nil, requestError(ctx, req, err, 400)
 	}
 
-	model, hit, err := s.models.get(context.Background(), key, func() (*cachedModel, error) {
+	model, hit, err := s.models.get(ctx, key, func() (*cachedModel, error) {
 		// The breaker runs before the fit gate: while it is open, requests
 		// for this key must not consume fit-queue slots that working keys
 		// could use.
@@ -755,7 +718,7 @@ func (s *Service) computePrediction(req PredictRequest, path, registryKey, key s
 			// A gate shed says nothing about whether this key's fits still
 			// fail — release any half-open probe admission unjudged.
 			s.breakers.skip(key)
-			return nil, &Error{Status: 503, RetryAfterSeconds: s.retryAfterSeconds(), Msg: fmt.Sprintf(
+			return nil, &Error{Status: 503, RetryAfterSeconds: ceilSeconds(s.cfg.ShedRetryAfter), Msg: fmt.Sprintf(
 				"service: fit queue full (%d cold fits outstanding); retry later", s.cfg.FitQueueDepth)}
 		}
 		defer s.fitGate.release()
@@ -769,22 +732,17 @@ func (s *Service) computePrediction(req PredictRequest, path, registryKey, key s
 		return &cachedModel{fitted: fitted}, nil
 	})
 	if err != nil {
-		var se *Error
-		if errors.As(err, &se) {
-			return nil, se
-		}
-		return nil, &Error{Status: 500, Msg: err.Error()}
+		return nil, requestError(ctx, req, err, 500)
 	}
 
 	// A repeated what-if query is a lookup: the answer assembled for these
-	// workers stands for as long as the key's observation epoch does (epoch
-	// is the one the request read on arrival; if observations have moved
-	// past it since, the lookup misses and the answer is assembled from the
-	// window as it is now). The graph and model lookups above still ran, so
-	// LRU order, hit_ratio and every error path are what they were without
-	// the template.
+	// workers stands for as long as the key's observation epoch does. The
+	// epoch is read here, at the lookup, so an /observe acknowledged before
+	// this request was sent is always visible to it. The graph and model
+	// lookups above still ran, so LRU order, hit_ratio and every error path
+	// are what they were without the template.
 	if hit {
-		tmpl, dropped := model.template(req.Workers, epoch)
+		tmpl, dropped := model.template(req.Workers, s.observationEpoch(key))
 		s.templateInvalidations.Add(int64(dropped))
 		if tmpl != nil {
 			s.templateHits.Add(1)
@@ -856,16 +814,6 @@ func (s *Service) countRegime(regime string) {
 // least 1 (zero would tell clients to hammer immediately).
 func ceilSeconds(d time.Duration) int {
 	sec := int((d + time.Second - 1) / time.Second)
-	if sec < 1 {
-		sec = 1
-	}
-	return sec
-}
-
-// retryAfterSeconds is the whole-second Retry-After hint on shed
-// responses (at least 1: zero would tell clients to hammer immediately).
-func (s *Service) retryAfterSeconds() int {
-	sec := int(s.cfg.ShedRetryAfter / time.Second)
 	if sec < 1 {
 		sec = 1
 	}
@@ -1076,13 +1024,11 @@ func (s *Service) observationsFor(key string) ([]float64, uint64) {
 }
 
 // observationEpoch returns the model key's current observation epoch
-// (zero for a key never observed) without copying its window. The key
-// arrives as the request path's key buffer; the map lookup converts it
-// without allocating.
-func (s *Service) observationEpoch(key []byte) uint64 {
+// (zero for a key never observed) without copying its window.
+func (s *Service) observationEpoch(key string) uint64 {
 	s.obsMu.RLock()
 	defer s.obsMu.RUnlock()
-	return s.obs[string(key)].epoch
+	return s.obs[key].epoch
 }
 
 // ActiveWork reports how many admitted prediction-work requests are
@@ -1178,8 +1124,8 @@ type Stats struct {
 	PoolInFlight int64 `json:"pool_in_flight"`
 	PoolDepth    int64 `json:"pool_depth"`
 	// Requests counts Predict calls ever served (batch items count
-	// individually); Coalesced counts responses answered by sharing
-	// another request's prediction computation.
+	// individually); Coalesced counts requests that waited on a dataset
+	// load or a fit another request had already started.
 	Requests  int64 `json:"requests"`
 	Coalesced int64 `json:"coalesced"`
 	// FitQueueCap is the admission bound on outstanding cold fits (0 =
@@ -1222,8 +1168,7 @@ type Stats struct {
 	Observations int64 `json:"observations"`
 	ObservedKeys int   `json:"observed_keys"`
 	// BlendExtrapolation/BlendInterpolation tally predictions answered by
-	// each closed-loop regime, template hit or not (coalesced sharers count
-	// once, with the computing request).
+	// each closed-loop regime, template hit or not.
 	BlendExtrapolation int64 `json:"blend_extrapolation"`
 	BlendInterpolation int64 `json:"blend_interpolation"`
 	// TemplateHits counts warm predictions answered from the answer
@@ -1265,7 +1210,7 @@ func (s *Service) Stats() Stats {
 		PoolInFlight:  s.fitPool.InFlight(),
 		PoolDepth:     s.fitPool.Waiting(),
 		Requests:      s.requests.Load(),
-		Coalesced:     s.coalesce.coalesced.Load(),
+		Coalesced:     s.models.joined.Load() + s.graphs.joined.Load(),
 		FitQueueCap:   s.fitGate.capacity(),
 		FitQueueDepth: s.fitGate.held(),
 		Shed:          s.fitGate.shed.Load() + s.reqGate.shed.Load(),
