@@ -9,11 +9,13 @@ package predict_test
 // reproduction report.
 
 import (
+	"fmt"
 	"math"
+	"os"
+	"strconv"
 	"testing"
 
 	"predict/internal/algorithms"
-	"predict/internal/benchenv"
 	"predict/internal/bsp"
 	"predict/internal/cluster"
 	"predict/internal/core"
@@ -25,17 +27,54 @@ import (
 
 // benchScale resolves the benchmark dataset scale from the
 // PREDICT_BENCH_SCALE environment variable (default 0.15, documented in
-// the README; validation shared with cmd/bench via internal/benchenv).
-// Malformed values fail the benchmark loudly: silently falling back to
-// the default would make a mistyped CI variable measure the wrong
-// workload without anyone noticing.
+// the README). Malformed values — anything that is not a positive finite
+// float — fail the benchmark loudly: silently falling back to the default
+// would make a mistyped variable measure the wrong workload without
+// anyone noticing.
 func benchScale(tb testing.TB) float64 {
 	tb.Helper()
-	v, err := benchenv.Scale(0.15)
+	v, err := parseBenchScale(os.Getenv("PREDICT_BENCH_SCALE"))
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return v
+}
+
+func parseBenchScale(s string) (float64, error) {
+	if s == "" {
+		return 0.15, nil
+	}
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil || v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("malformed PREDICT_BENCH_SCALE=%q: want a positive float", s)
+	}
+	return v, nil
+}
+
+func TestBenchScale(t *testing.T) {
+	for _, c := range []struct {
+		env     string
+		want    float64
+		wantErr bool
+	}{
+		{"", 0.15, false},
+		{"0.08", 0.08, false},
+		{"1", 1, false},
+		{"bogus", 0, true},
+		{"0", 0, true},
+		{"-0.1", 0, true},
+		{"NaN", 0, true},
+		{"+Inf", 0, true},
+	} {
+		got, err := parseBenchScale(c.env)
+		if (err != nil) != c.wantErr {
+			t.Errorf("PREDICT_BENCH_SCALE=%q: err = %v, wantErr %v", c.env, err, c.wantErr)
+			continue
+		}
+		if err == nil && got != c.want {
+			t.Errorf("PREDICT_BENCH_SCALE=%q = %v, want %v", c.env, got, c.want)
+		}
+	}
 }
 
 func benchLab(tb testing.TB) *experiments.Lab {

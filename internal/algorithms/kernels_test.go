@@ -274,71 +274,39 @@ func TestSemiClusterKernelMatchesReference(t *testing.T) {
 func isCap(err error) bool { return errors.Is(err, bsp.ErrNoConvergence) }
 
 // TestKernelScratchFollowsEngineWorkers: the kernels' per-worker scratch
-// must be sized by the worker count Engine.Run resolves. Under
-// SetPartitioned that is the partition count (here more than
-// Config.Workers, so scratch sized from the config is indexed out of
-// range), and on a graph with fewer vertices than workers it is the
-// vertex count. Run with -race: workers write their scratch concurrently.
+// must be sized by the worker count Engine.Run resolves, which on a graph
+// with fewer vertices than Config.Workers is the vertex count, not the
+// configured one. Run with -race: workers write their scratch concurrently.
 func TestKernelScratchFollowsEngineWorkers(t *testing.T) {
-	g := gen.BarabasiAlbert(300, 4, 0.5, 3).Undirected()
 	tiny := gen.Cycle(3).Undirected()
+	cfg := determinismConfig(8, 1)
 	sc := NewSemiClustering()
 	sc.CMax, sc.SMax = 2, 2
 	tk := NewTopKRanking()
 
-	type run func(ref bool, g *graph.Graph, parts int, cfg bsp.Config) (string, any)
-	runSC := func(ref bool, g *graph.Graph, parts int, cfg bsp.Config) (string, any) {
-		var prog bsp.Program[scValue, scCluster] = &scProgram{p: sc}
-		if ref {
-			prog = refSCProgram{&scProgram{p: sc}}
-		}
-		eng := sc.engine(g, prog, cfg)
-		if parts > 0 {
-			eng.SetPartitioned(bsp.Partition(g, parts))
-		}
-		res, err := eng.Run()
+	runSC := func(prog bsp.Program[scValue, scCluster]) (string, any) {
+		res, err := sc.engine(tiny, prog, cfg).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Profile.Fingerprint(), res.Values
 	}
-	runTopK := func(ref bool, g *graph.Graph, parts int, cfg bsp.Config) (string, any) {
-		ranks := make([]float64, g.NumVertices())
-		for v := range ranks {
-			ranks[v] = float64(v*7%5) / 4
-		}
-		var prog bsp.Program[topkValue, topkMsg] = &topkProgram{k: tk.K, ranks: ranks}
-		if ref {
-			prog = &refTopKProgram{k: tk.K, ranks: ranks}
-		}
-		eng := tk.engine(g, prog, cfg)
-		if parts > 0 {
-			eng.SetPartitioned(bsp.Partition(g, parts))
-		}
-		res, err := eng.Run()
+	wantFP, want := runSC(refSCProgram{&scProgram{p: sc}})
+	if gotFP, got := runSC(&scProgram{p: sc}); gotFP != wantFP || !reflect.DeepEqual(got, want) {
+		t.Error("SC on 3 vertices under Config.Workers 8 differs from the reference")
+	}
+
+	ranks := []float64{0, 0.5, 1}
+	runTopK := func(prog bsp.Program[topkValue, topkMsg]) (string, any) {
+		res, err := tk.engine(tiny, prog, cfg).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Profile.Fingerprint(), res.Values
 	}
-	for name, r := range map[string]run{"SC": runSC, "TOPK": runTopK} {
-		for _, c := range []struct {
-			label   string
-			g       *graph.Graph
-			parts   int
-			workers int
-		}{
-			{"5 partitions, Config.Workers 2", g, 5, 2},
-			{"1 partition, Config.Workers 4", g, 1, 4},
-			{"3 vertices, Config.Workers 8", tiny, 0, 8},
-		} {
-			cfg := determinismConfig(c.workers, 1)
-			wantFP, want := r(true, c.g, c.parts, cfg)
-			gotFP, got := r(false, c.g, c.parts, cfg)
-			if gotFP != wantFP || !reflect.DeepEqual(got, want) {
-				t.Errorf("%s, %s: differs from the reference", name, c.label)
-			}
-		}
+	wantFP, want = runTopK(&refTopKProgram{k: tk.K, ranks: ranks})
+	if gotFP, got := runTopK(&topkProgram{k: tk.K, ranks: ranks}); gotFP != wantFP || !reflect.DeepEqual(got, want) {
+		t.Error("TOPK on 3 vertices under Config.Workers 8 differs from the reference")
 	}
 }
 

@@ -126,8 +126,8 @@ type FixedSizeMessager interface {
 // WorkerScratcher is an optional Program extension for programs that keep
 // per-worker scratch indexed by Context.Worker. Run calls SetWorkers once,
 // before Init, with the worker count it resolved; that is not
-// Config.Workers under SetPartitioned or on a graph with fewer vertices
-// than workers, so a program must size its scratch here and nowhere else.
+// Config.Workers on a graph with fewer vertices than workers, so a program
+// must size its scratch here and nowhere else.
 type WorkerScratcher interface {
 	SetWorkers(workers int)
 }

@@ -37,7 +37,6 @@ type Engine[V, M any] struct {
 	combiner      Combiner[M]
 	exactCombiner bool
 	halt          HaltPredicate
-	partitioned   *graph.Partitioned
 }
 
 // NewEngine returns an engine for program p over graph g.
@@ -76,22 +75,6 @@ func (e *Engine[V, M]) SetExactCombiner(c Combiner[M]) {
 // nil, the run terminates only when every vertex has voted to halt and no
 // messages are in flight.
 func (e *Engine[V, M]) SetHalt(h HaltPredicate) { e.halt = h }
-
-// SetPartitioned switches the engine from hash placement to
-// partition-owning placement: one persistent worker per partition of p,
-// each scanning its contiguous vertex range through views that alias the
-// shared (possibly mmap'd) CSR arrays — dense cache-friendly sweeps
-// instead of hash-scattered ones. p must partition the engine's graph;
-// Config.Workers is ignored in favor of p.NumPartitions().
-//
-// Placement is PREDICTION-VISIBLE: per-worker loads, critical-path
-// seconds and Profile.Fingerprint all depend on which worker owns which
-// vertex, so a partitioned run is a different (equally deterministic)
-// execution than a hash-placed run, exactly as a Giraph job behaves under
-// a different partitioner. The default therefore remains hash placement,
-// keeping every historical pinned fingerprint intact; partitioned runs
-// pin their own fingerprints in the engine partition tests.
-func (e *Engine[V, M]) SetPartitioned(p *graph.Partitioned) { e.partitioned = p }
 
 // partitionWorker maps a vertex to its worker with a multiplicative hash,
 // emulating Giraph's hash partitioning.
@@ -173,49 +156,16 @@ func (e *Engine[V, M]) Run() (*Result[V], error) {
 	oracle := *e.cfg.Oracle
 	rng := rand.New(rand.NewPCG(e.cfg.Seed, e.cfg.Seed^0xbf58476d1ce4e5b9))
 
-	// ----- Setup phase: place vertices onto workers. Default is the
-	// hash placement (via the same assignHash that PartitionStats
-	// predicts); SetPartitioned swaps in partition-owning placement where
-	// workerVerts[w] is a contiguous sub-slice of one shared identity
-	// array — W slice headers instead of W scattered vertex lists.
-	var (
-		part             []int32
-		workerVerts      [][]VertexID
-		workerOutEdges   []int64
-		workerVertCounts []int64
-	)
-	if p := e.partitioned; p != nil {
-		if p.Graph() != e.g {
-			return nil, fmt.Errorf("bsp: SetPartitioned: partition is over a different graph")
-		}
-		W = p.NumPartitions()
-		part = make([]int32, n)
-		identity := make([]VertexID, n)
-		for v := range identity {
-			identity[v] = VertexID(v)
-		}
-		workerVerts = make([][]VertexID, W)
-		workerOutEdges = make([]int64, W)
-		workerVertCounts = make([]int64, W)
-		for w := 0; w < W; w++ {
-			lo, hi := p.Bounds(w)
-			workerVerts[w] = identity[lo:hi]
-			workerOutEdges[w] = p.View(w).NumEdges()
-			workerVertCounts[w] = int64(hi - lo)
-			for v := lo; v < hi; v++ {
-				part[v] = int32(w)
-			}
-		}
-	} else {
-		part = make([]int32, n)
-		workerVertCounts, workerOutEdges = assignHash(e.g, W, part)
-		workerVerts = make([][]VertexID, W)
-		for w := range workerVerts {
-			workerVerts[w] = make([]VertexID, 0, workerVertCounts[w])
-		}
-		for v := 0; v < n; v++ {
-			workerVerts[part[v]] = append(workerVerts[part[v]], VertexID(v))
-		}
+	// ----- Setup phase: hash-place vertices onto workers, through the
+	// same assignHash that PartitionStats predicts.
+	part := make([]int32, n)
+	workerVertCounts, workerOutEdges := assignHash(e.g, W, part)
+	workerVerts := make([][]VertexID, W)
+	for w := range workerVerts {
+		workerVerts[w] = make([]VertexID, 0, workerVertCounts[w])
+	}
+	for v := 0; v < n; v++ {
+		workerVerts[part[v]] = append(workerVerts[part[v]], VertexID(v))
 	}
 
 	profile := &Profile{

@@ -140,3 +140,33 @@ func BenchmarkSuperstepComponentsNoCombiner(b *testing.B) {
 		return NewEngine[VertexID, VertexID](g, labelMinProgram{}, benchConfig(4))
 	})
 }
+
+// TestSuperstepSteadyStateAllocs pins the superstep loop's steady-state
+// heap allocations: a 64-superstep run minus a 1-superstep run, over the
+// 63 supersteps between them, so one-time setup (placement, buffers,
+// value init) cancels. Measured ~4 per superstep — the profile's loads and
+// worker-seconds slices, the aggregate map and the amortized growth of
+// Profile.Supersteps, none of them sized by the graph; the ceiling leaves
+// room for the runtime's own bookkeeping but not for a per-worker or
+// per-vertex allocation creeping back into the loop.
+func TestSuperstepSteadyStateAllocs(t *testing.T) {
+	const steps, ceiling = 64, 32
+	g := benchGraph(4000)
+	cfg := benchConfig(4)
+	cfg.MaxSupersteps = steps + 1
+	allocs := func(supersteps int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			eng := NewEngine[float64, float64](g, rankShareProgram{n: float64(g.NumVertices())}, cfg)
+			eng.SetCombiner(func(a, b float64) float64 { return a + b })
+			eng.SetHalt(haltAfter(supersteps))
+			if _, err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	perStep := (allocs(steps) - allocs(1)) / (steps - 1)
+	t.Logf("steady state: %.1f allocations per superstep", perStep)
+	if perStep > ceiling {
+		t.Errorf("engine steady state allocates %.1f times per superstep, ceiling %d", perStep, ceiling)
+	}
+}

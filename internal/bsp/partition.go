@@ -42,9 +42,7 @@ func assignHash(g *graph.Graph, workers int, part []int32) (vertices, outEdges [
 }
 
 // maxEdgeShare returns the largest worker's fraction of the summed
-// outbound edges — the balance objective shared by the hash-placement
-// diagnostics (CriticalShareOf) and the edge-balanced partitioner's
-// quality metric (CriticalShare).
+// outbound edges — the balance metric CriticalShareOf reports.
 func maxEdgeShare(outEdges []int64) float64 {
 	var total, maxE int64
 	for _, e := range outEdges {
@@ -82,107 +80,5 @@ func CriticalShareOf(g *graph.Graph, workers int) float64 {
 // hashCriticalShare is the uncached walk behind CriticalShareOf.
 func hashCriticalShare(g *graph.Graph, workers int) float64 {
 	_, outEdges := PartitionStats(g, workers)
-	return maxEdgeShare(outEdges)
-}
-
-// Partition cuts g into parts contiguous vertex ranges balanced by edge
-// load: it minimizes the maximum per-partition cost, where a vertex costs
-// outDegree(v)+1 (the +1 charges the per-vertex compute the engine does
-// even for isolated vertices, so vertex-heavy sparse ranges are not
-// free). The cuts are found by the painter's-partition binary search over
-// the answer — O(n log(totalCost)) with no allocation beyond the result.
-//
-// Contiguity is deliberate: partitions become sub-slice views over the
-// shared CSR arrays (graph.Partitioned), each worker scans a dense
-// cache-friendly range, and an mmap'd graph partitions for free. The
-// trade-off versus hash placement is balance when heavy vertices cluster
-// in ID space (no contiguous cut can scatter them); CriticalShare
-// reports the achieved balance in the same metric as CriticalShareOf so
-// the two strategies are directly comparable, and the regression test
-// pins the search optimal within the contiguous family.
-func Partition(g *graph.Graph, parts int) *graph.Partitioned {
-	n := g.NumVertices()
-	if parts < 1 {
-		parts = 1
-	}
-	if parts > n && n > 0 {
-		parts = n
-	}
-	cost := func(v int) int64 { return int64(g.OutDegree(graph.VertexID(v))) + 1 }
-	var total, maxCost int64
-	for v := 0; v < n; v++ {
-		c := cost(v)
-		total += c
-		if c > maxCost {
-			maxCost = c
-		}
-	}
-
-	// canCut reports whether every partition can stay within budget using
-	// at most parts greedy cuts.
-	canCut := func(budget int64) bool {
-		used, acc := 1, int64(0)
-		for v := 0; v < n; v++ {
-			c := cost(v)
-			if acc+c > budget {
-				used++
-				acc = c
-				if used > parts {
-					return false
-				}
-			} else {
-				acc += c
-			}
-		}
-		return true
-	}
-	lo, hi := maxCost, total
-	if n == 0 {
-		lo, hi = 0, 0
-	}
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if canCut(mid) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-
-	// Re-run the greedy sweep at the optimal budget lo to materialize the
-	// cuts. canCut(lo) holds, so the sweep never runs out of partitions.
-	starts := make([]graph.VertexID, 1, parts+1)
-	acc := int64(0)
-	for v := 0; v < n; v++ {
-		c := cost(v)
-		if acc+c > lo && len(starts) < parts {
-			starts = append(starts, graph.VertexID(v))
-			acc = c
-		} else {
-			acc += c
-		}
-	}
-	for len(starts) < parts {
-		starts = append(starts, graph.VertexID(n))
-	}
-	starts = append(starts, graph.VertexID(n))
-
-	p, err := graph.NewPartitioned(g, starts)
-	if err != nil {
-		// Cannot happen: the sweep produces monotone cuts in [0, n].
-		panic("bsp: Partition: " + err.Error())
-	}
-	return p
-}
-
-// CriticalShare returns the critical partition's fraction of all outbound
-// edges for an edge-balanced partitioning — the same metric
-// CriticalShareOf reports for hash placement, so the two strategies are
-// directly comparable.
-func CriticalShare(p *graph.Partitioned) float64 {
-	outEdges := make([]int64, p.NumPartitions())
-	for i := range outEdges {
-		outEdges[i] = p.View(i).NumEdges()
-	}
 	return maxEdgeShare(outEdges)
 }

@@ -149,170 +149,6 @@ func skewedGraph(n int) *graph.Graph {
 	return g
 }
 
-// TestPartitionConservation pins that the edge-balanced cuts cover every
-// vertex and every edge exactly once.
-func TestPartitionConservation(t *testing.T) {
-	for _, g := range []*graph.Graph{starPlusRing(500), skewedGraph(500)} {
-		for _, parts := range []int{1, 2, 7} {
-			p := Partition(g, parts)
-			if p.NumPartitions() != parts {
-				t.Fatalf("NumPartitions = %d, want %d", p.NumPartitions(), parts)
-			}
-			var verts int
-			var edges int64
-			for i := 0; i < parts; i++ {
-				v := p.View(i)
-				verts += v.NumVertices()
-				edges += v.NumEdges()
-			}
-			if verts != g.NumVertices() || edges != g.NumEdges() {
-				t.Fatalf("parts=%d: views cover %d vertices / %d edges, want %d / %d",
-					parts, verts, edges, g.NumVertices(), g.NumEdges())
-			}
-		}
-	}
-}
-
-// TestPartitionBalanceBaselines is the satellite regression tying the
-// partitioner to the diagnostics: its objective is exactly the metric
-// CriticalShareOf reports for hash placement. On near-uniform degrees
-// the edge-balanced cuts must match the hash baseline (small tolerance:
-// contiguity quantizes the cuts); on any graph they must beat the naive
-// equal-vertex-count contiguous cut, since the painter search optimizes
-// over that same family. (On graphs whose heavy vertices cluster in ID
-// space, hash scattering can beat ANY contiguous cut — that is the
-// documented trade-off, not a regression.)
-func TestPartitionBalanceBaselines(t *testing.T) {
-	uniformCut := func(g *graph.Graph, parts int) *graph.Partitioned {
-		n := g.NumVertices()
-		starts := make([]graph.VertexID, parts+1)
-		for i := 0; i <= parts; i++ {
-			starts[i] = graph.VertexID(i * n / parts)
-		}
-		p, err := graph.NewPartitioned(g, starts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	for name, g := range map[string]*graph.Graph{
-		"star_plus_ring": starPlusRing(1000),
-		"skewed":         skewedGraph(1000),
-	} {
-		for _, parts := range []int{2, 4, 8} {
-			balanced := CriticalShare(Partition(g, parts))
-			if naive := CriticalShare(uniformCut(g, parts)); balanced > naive+1e-9 {
-				t.Errorf("%s parts=%d: edge-balanced critical share %.4f worse than the naive uniform cut's %.4f",
-					name, parts, balanced, naive)
-			}
-			if balanced < 1.0/float64(parts)-1e-9 || balanced > 1.0 {
-				t.Errorf("%s parts=%d: critical share %.4f outside [1/parts, 1]", name, parts, balanced)
-			}
-			if name == "star_plus_ring" {
-				if hash := CriticalShareOf(g, parts); balanced > hash+0.02 {
-					t.Errorf("parts=%d: edge-balanced critical share %.4f worse than hash %.4f on uniform degrees",
-						parts, balanced, hash)
-				}
-			}
-		}
-	}
-}
-
-func TestPartitionClamps(t *testing.T) {
-	g := starPlusRing(10)
-	if p := Partition(g, 100); p.NumPartitions() != 10 {
-		t.Errorf("parts=100 on 10 vertices: got %d partitions, want 10", p.NumPartitions())
-	}
-	if p := Partition(g, 0); p.NumPartitions() != 1 {
-		t.Errorf("parts=0: got %d partitions, want 1", p.NumPartitions())
-	}
-	b := graph.NewBuilder(0)
-	empty, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := Partition(empty, 3)
-	if p.NumPartitions() != 3 {
-		t.Errorf("empty graph: got %d partitions, want 3", p.NumPartitions())
-	}
-	if CriticalShare(p) != 0 {
-		t.Errorf("empty graph critical share = %v, want 0", CriticalShare(p))
-	}
-}
-
-// TestEnginePartitionedPlacement pins the opt-in partition-owning
-// placement end to end: converged values are bit-identical to the hash
-// placement (placement never changes program semantics), the per-worker
-// profile matches the partition bounds, and repeated partitioned runs
-// are deterministic.
-func TestEnginePartitionedPlacement(t *testing.T) {
-	g := skewedGraph(300)
-	flat, err := NewEngine[int, int](g, maxProgram{}, testCfg(4)).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, parts := range []int{1, 2, 7} {
-		p := Partition(g, parts)
-		run := func() *Result[int] {
-			eng := NewEngine[int, int](g, maxProgram{}, testCfg(4))
-			eng.SetPartitioned(p)
-			res, err := eng.Run()
-			if err != nil {
-				t.Fatalf("parts=%d: %v", parts, err)
-			}
-			return res
-		}
-		a, b := run(), run()
-		if a.Profile.Fingerprint() != b.Profile.Fingerprint() {
-			t.Fatalf("parts=%d: partitioned runs not deterministic", parts)
-		}
-		if a.Profile.NumWorkers != parts {
-			t.Fatalf("parts=%d: profile reports %d workers", parts, a.Profile.NumWorkers)
-		}
-		for w := 0; w < parts; w++ {
-			lo, hi := p.Bounds(w)
-			if a.Profile.WorkerVertices[w] != int64(hi-lo) {
-				t.Errorf("parts=%d worker %d: %d vertices, want bounds size %d",
-					parts, w, a.Profile.WorkerVertices[w], hi-lo)
-			}
-			if a.Profile.WorkerOutEdges[w] != p.View(w).NumEdges() {
-				t.Errorf("parts=%d worker %d: %d out-edges, want view's %d",
-					parts, w, a.Profile.WorkerOutEdges[w], p.View(w).NumEdges())
-			}
-		}
-		for v := range flat.Values {
-			if a.Values[v] != flat.Values[v] {
-				t.Fatalf("parts=%d: vertex %d value %d differs from hash placement's %d",
-					parts, v, a.Values[v], flat.Values[v])
-			}
-		}
-		if a.Supersteps != flat.Supersteps {
-			t.Errorf("parts=%d: %d supersteps vs hash placement's %d", parts, a.Supersteps, flat.Supersteps)
-		}
-	}
-}
-
-// TestEnginePartitionedSingleMatchesHash pins the degenerate case: one
-// partition and one hash worker are the same placement, so the entire
-// profile fingerprint — loads, aggregates, priced seconds — must match.
-func TestEnginePartitionedSingleMatchesHash(t *testing.T) {
-	g := starPlusRing(200)
-	hashEng := NewEngine[int, int](g, maxProgram{}, testCfg(1))
-	hashRes, err := hashEng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	partEng := NewEngine[int, int](g, maxProgram{}, testCfg(1))
-	partEng.SetPartitioned(Partition(g, 1))
-	partRes, err := partEng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := partRes.Profile.Fingerprint(), hashRes.Profile.Fingerprint(); got != want {
-		t.Errorf("single-partition fingerprint %s differs from single-worker hash %s", got, want)
-	}
-}
-
 // TestEngineFingerprintOnMmapGraph runs the hash-placed engine on an
 // mmap'd snapshot of the test graph at several worker counts and
 // requires profile fingerprints identical to the heap graph's: the
@@ -340,16 +176,5 @@ func TestEngineFingerprintOnMmapGraph(t *testing.T) {
 		if got, want := mapRes.Profile.Fingerprint(), heapRes.Profile.Fingerprint(); got != want {
 			t.Errorf("workers=%d: mmap'd graph fingerprint %s differs from heap %s", workers, got, want)
 		}
-	}
-}
-
-// TestEnginePartitionedWrongGraph pins the guard: a partition built over
-// a different graph is a configuration error, not silent misplacement.
-func TestEnginePartitionedWrongGraph(t *testing.T) {
-	g, other := starPlusRing(50), starPlusRing(50)
-	eng := NewEngine[int, int](g, maxProgram{}, testCfg(2))
-	eng.SetPartitioned(Partition(other, 2))
-	if _, err := eng.Run(); err == nil {
-		t.Fatal("engine accepted a partition over a different graph")
 	}
 }

@@ -1,21 +1,23 @@
 // Package faultinject is the deterministic fault-injection harness the
-// chaos suite and the robustness benchmarks drive the system with.
+// chaos suite and the crash harness drive the system with.
 //
 // Cloud runtimes are dominated by infrastructure noise — slow disks,
 // transient I/O errors, failed tasks — yet code paths that "cannot fail"
 // in tests fail constantly in production. This package lets a test (or
-// cmd/bench) declare a seeded, schedule-based plan of failures and replay
-// it bit-identically: every instrumented code path calls Fire(point) at
-// its entry, and the active Injector decides — by hit count, by period,
-// or by seeded coin flip — whether that particular hit observes an
-// injected error, an injected latency, or a partial (torn) write.
+// the crash harness, through predictd's PREDICT_FAULTS) declare a seeded,
+// schedule-based plan of failures and replay it bit-identically: every
+// instrumented code path calls Fire(point) at its entry, and the active
+// Injector decides — by hit count, by period, or by seeded coin flip —
+// whether that particular hit observes an injected error, an injected
+// latency, or a partial (torn) write.
 //
 // The disabled path is the contract that lets the injection points live
 // on production code paths at all: when no Injector is enabled (the
 // default, and the only state outside tests), Fire is one atomic pointer
 // load and a nil return — no locks, no allocations, no behavior change.
-// The CI alloc gates and the pinned golden fingerprints run against
-// exactly this disabled build, proving the instrumentation is free.
+// TestDisabledFireAllocs holds that to zero allocations, and the
+// allocation pins and golden fingerprints of the instrumented packages
+// run against exactly this disabled build.
 //
 // Determinism: an Injector's schedule depends only on its seed, its rules
 // and the order of Fire calls. Single-threaded replays are bit-identical;

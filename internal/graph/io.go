@@ -7,13 +7,12 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"strings"
 )
 
 // maxLineBytes bounds one edge-list line. Lines at or past this length are
-// rejected with a positional error by both the sequential and the parallel
-// text parser (it matches the sequential scanner's buffer, so the two
-// paths fail on exactly the same inputs).
+// rejected with a positional error (it is also the buffer of the
+// sequential reference parser the loader's tests compare against, so the
+// two fail on exactly the same inputs).
 const maxLineBytes = 1 << 20
 
 // maxVertexCount is the largest legal "# vertices" header value: vertex
@@ -24,9 +23,9 @@ const maxVertexCount = math.MaxInt32
 // must still exceed the ID).
 const maxVertexID = math.MaxInt32 - 1
 
-// Shared validation errors for the text parsers. Both ReadEdgeList and the
-// parallel chunk parser classify malformed fields into these, so the two
-// paths accept and reject identical inputs.
+// Validation errors of the text parser. The chunk parser and its
+// test-only sequential reference classify malformed fields into these, so
+// the two accept and reject identical inputs.
 var (
 	errNotInteger    = errors.New("not an integer")
 	errNegativeID    = errors.New("vertex IDs must be non-negative")
@@ -37,7 +36,7 @@ var (
 
 // WriteEdgeList writes g as a plain-text edge list: one "src dst [weight]"
 // line per edge, preceded by a header line "# vertices <n>". The format
-// round-trips through ReadEdgeList.
+// round-trips through LoadEdgeList.
 func WriteEdgeList(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "# vertices %d\n", g.NumVertices()); err != nil {
@@ -58,30 +57,6 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// parseVertex parses a vertex ID field, rejecting negative and oversized
-// IDs (IDs are int32; the vertex count must still exceed the ID).
-func parseVertex(s string) (VertexID, error) {
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		if errors.Is(err, strconv.ErrRange) {
-			// Magnitude overflowed int64: the ID is out of range either way,
-			// classify by sign for a precise message.
-			if strings.HasPrefix(s, "-") {
-				return 0, errNegativeID
-			}
-			return 0, errVertexTooBig
-		}
-		return 0, errNotInteger
-	}
-	if v < 0 {
-		return 0, errNegativeID
-	}
-	if v > maxVertexID {
-		return 0, errVertexTooBig
-	}
-	return VertexID(v), nil
 }
 
 // parseWeight parses an edge weight field, rejecting NaN and ±Inf: a
@@ -109,102 +84,4 @@ func parseHeaderCount(s string) (int64, error) {
 		return 0, errHeaderPattern
 	}
 	return v, nil
-}
-
-// ReadEdgeList parses the format produced by WriteEdgeList. Lines starting
-// with '#' other than the vertex-count header are ignored, as are blank
-// lines. A "# vertices <n>" header may appear anywhere in the file and is
-// always honoured; repeated headers must agree (a conflicting later header
-// is a positional error, never silently preferred or ignored). If no
-// header is present the vertex count is inferred as max(vertex ID)+1.
-//
-// Malformed input — negative or oversized vertex IDs, NaN/±Inf weights,
-// non-numeric fields, wrong field counts, oversized lines — fails with an
-// error naming the offending line.
-//
-// ReadEdgeList is the sequential reference implementation; LoadEdgeList
-// parses the same format in parallel and produces a bit-identical Graph.
-func ReadEdgeList(r io.Reader) (*Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), maxLineBytes)
-	n := int64(-1)
-	var srcs, dsts []VertexID
-	var weights []float32
-	weighted := false
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			fields := strings.Fields(line)
-			if len(fields) == 3 && fields[1] == "vertices" {
-				v, err := parseHeaderCount(fields[2])
-				if err != nil {
-					return nil, fmt.Errorf("graph: line %d: bad vertex count %q", lineNo, fields[2])
-				}
-				if n >= 0 && n != v {
-					return nil, fmt.Errorf("graph: line %d: vertex count header %d conflicts with earlier header %d", lineNo, v, n)
-				}
-				n = v
-			}
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 && len(fields) != 3 {
-			return nil, fmt.Errorf("graph: line %d: expected 'src dst [weight]', got %q", lineNo, line)
-		}
-		src, err := parseVertex(fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: bad source %q: %v", lineNo, fields[0], err)
-		}
-		dst, err := parseVertex(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: bad destination %q: %v", lineNo, fields[1], err)
-		}
-		srcs = append(srcs, src)
-		dsts = append(dsts, dst)
-		if len(fields) == 3 {
-			w, err := parseWeight(fields[2])
-			if err != nil {
-				return nil, fmt.Errorf("graph: line %d: bad weight %q: %v", lineNo, fields[2], err)
-			}
-			for len(weights) < len(srcs)-1 {
-				weights = append(weights, 1)
-			}
-			weights = append(weights, w)
-			weighted = true
-		} else if weighted {
-			weights = append(weights, 1)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		if errors.Is(err, bufio.ErrTooLong) {
-			return nil, fmt.Errorf("graph: line %d: line exceeds %d bytes", lineNo+1, maxLineBytes)
-		}
-		return nil, err
-	}
-	if n < 0 {
-		maxID := -1
-		for i := range srcs {
-			if int(srcs[i]) > maxID {
-				maxID = int(srcs[i])
-			}
-			if int(dsts[i]) > maxID {
-				maxID = int(dsts[i])
-			}
-		}
-		n = int64(maxID + 1)
-	}
-	b := NewBuilder(int(n))
-	for i := range srcs {
-		if weighted {
-			b.AddWeightedEdge(srcs[i], dsts[i], weights[i])
-		} else {
-			b.AddEdge(srcs[i], dsts[i])
-		}
-	}
-	return b.Build()
 }

@@ -6,15 +6,32 @@ import (
 	"testing"
 )
 
+// readText parses input with LoadEdgeList and with the sequential
+// reference it replaced (ReadEdgeList, readedgelist_ref_test.go), requires
+// the two to agree — the same graph, or the same error text — and returns
+// the loader's result, so every format test below holds both.
+func readText(t *testing.T, input string) (*Graph, error) {
+	t.Helper()
+	g, err := LoadEdgeList(strings.NewReader(input), LoadOptions{})
+	ref, refErr := ReadEdgeList(strings.NewReader(input))
+	switch {
+	case (err == nil) != (refErr == nil), err != nil && err.Error() != refErr.Error():
+		t.Fatalf("LoadEdgeList(%q) error %v, reference parser's %v", input, err, refErr)
+	case err == nil && !graphsIdentical(g, ref):
+		t.Fatalf("LoadEdgeList(%q) = %v, reference parser's %v", input, g, ref)
+	}
+	return g, err
+}
+
 func TestEdgeListRoundTrip(t *testing.T) {
 	g := MustFromEdges(5, [][2]VertexID{{0, 1}, {0, 4}, {2, 3}, {4, 0}})
 	var buf bytes.Buffer
 	if err := WriteEdgeList(&buf, g); err != nil {
 		t.Fatalf("WriteEdgeList: %v", err)
 	}
-	g2, err := ReadEdgeList(&buf)
+	g2, err := readText(t, buf.String())
 	if err != nil {
-		t.Fatalf("ReadEdgeList: %v", err)
+		t.Fatalf("LoadEdgeList: %v", err)
 	}
 	if g2.NumVertices() != g.NumVertices() || g2.NumEdges() != g.NumEdges() {
 		t.Fatalf("round trip changed shape: %v vs %v", g2, g)
@@ -44,7 +61,7 @@ func TestEdgeListRoundTripWeighted(t *testing.T) {
 	if err := WriteEdgeList(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ReadEdgeList(&buf)
+	g2, err := readText(t, buf.String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +77,7 @@ func TestEdgeListRoundTripWeighted(t *testing.T) {
 }
 
 func TestReadEdgeListInfersVertexCount(t *testing.T) {
-	g, err := ReadEdgeList(strings.NewReader("0 7\n3 2\n"))
+	g, err := readText(t, "0 7\n3 2\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +88,7 @@ func TestReadEdgeListInfersVertexCount(t *testing.T) {
 
 func TestReadEdgeListIgnoresCommentsAndBlanks(t *testing.T) {
 	in := "# a comment\n\n# vertices 4\n0 1\n\n# trailing\n2 3\n"
-	g, err := ReadEdgeList(strings.NewReader(in))
+	g, err := readText(t, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +126,9 @@ func TestReadEdgeListErrors(t *testing.T) {
 		{"edge above header count", "# vertices 2\n0 5\n", "out-of-range destination"},
 	}
 	for _, tc := range cases {
-		_, err := ReadEdgeList(strings.NewReader(tc.input))
+		_, err := readText(t, tc.input)
 		if err == nil {
-			t.Errorf("%s: ReadEdgeList(%q) succeeded, want error containing %q", tc.name, tc.input, tc.wantMsg)
+			t.Errorf("%s: LoadEdgeList(%q) succeeded, want error containing %q", tc.name, tc.input, tc.wantMsg)
 			continue
 		}
 		if !strings.Contains(err.Error(), tc.wantMsg) {
@@ -122,7 +139,7 @@ func TestReadEdgeListErrors(t *testing.T) {
 
 func TestReadEdgeListHeaderAnywhere(t *testing.T) {
 	// A later header is honoured, not silently replaced by inference.
-	g, err := ReadEdgeList(strings.NewReader("0 1\n1 2\n# vertices 9\n"))
+	g, err := readText(t, "0 1\n1 2\n# vertices 9\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +147,7 @@ func TestReadEdgeListHeaderAnywhere(t *testing.T) {
 		t.Errorf("NumVertices = %d, want 9 (trailing header ignored)", g.NumVertices())
 	}
 	// Agreeing duplicates are fine wherever they appear.
-	g, err = ReadEdgeList(strings.NewReader("# vertices 4\n0 1\n# vertices 4\n2 3\n"))
+	g, err = readText(t, "# vertices 4\n0 1\n# vertices 4\n2 3\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +157,7 @@ func TestReadEdgeListHeaderAnywhere(t *testing.T) {
 }
 
 func TestReadEdgeListAcceptsSignedZeroAndPlus(t *testing.T) {
-	g, err := ReadEdgeList(strings.NewReader("+0 +2\n-0 1\n"))
+	g, err := readText(t, "+0 +2\n-0 1\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +168,7 @@ func TestReadEdgeListAcceptsSignedZeroAndPlus(t *testing.T) {
 
 func TestReadEdgeListMixedWeightDefaults(t *testing.T) {
 	// First edge unweighted, second weighted: first should default to 1.
-	g, err := ReadEdgeList(strings.NewReader("# vertices 3\n0 1\n1 2 4.0\n"))
+	g, err := readText(t, "# vertices 3\n0 1\n1 2 4.0\n")
 	if err != nil {
 		t.Fatal(err)
 	}

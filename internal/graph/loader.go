@@ -1,6 +1,6 @@
-// Parallel edge-list ingestion. ReadEdgeList (io.go) is the sequential
-// reference: scanner, strings.Fields, Builder. The loader here is the
-// production path for real datasets: it splits the input at line
+// Parallel edge-list ingestion — the only text reader outside tests. Its
+// sequential reference (ReadEdgeList: scanner, strings.Fields, Builder)
+// lives in readedgelist_ref_test.go. The loader splits the input at line
 // boundaries into shards, parses every shard concurrently on an
 // internal/parallel pool with an allocation-lean byte-level lexer, and
 // merges the per-shard triple buffers into the final CSR with the same
@@ -8,8 +8,8 @@
 // counting-sort scatter in shard (= file) order followed by the shared
 // finishCSR bucket pass. Because the scatter visits edges in exactly the
 // order the sequential parser appends them and the bucket pass is the
-// same code Builder.Build runs, the loaded Graph is bit-identical to
-// ReadEdgeList's at any parallelism; property and fuzz tests in
+// same code Builder.Build runs, the loaded Graph is bit-identical to the
+// reference's at any parallelism; property and fuzz tests in
 // loader_test.go hold the two implementations equal.
 package graph
 
@@ -42,11 +42,18 @@ type LoadOptions struct {
 	chunkBytes int
 }
 
-// LoadEdgeList parses the WriteEdgeList text format in parallel and
-// returns a Graph bit-identical to ReadEdgeList's on the same input —
-// same CSR arrays, same weights, and errors on exactly the same inputs.
+// LoadEdgeList parses the WriteEdgeList text format in parallel. Lines
+// starting with '#' other than the vertex-count header are ignored, as are
+// blank lines. A "# vertices <n>" header may appear anywhere in the file
+// and is always honoured; repeated headers must agree (a conflicting later
+// header is a positional error). Without a header the vertex count is
+// inferred as max(vertex ID)+1. Malformed input — negative or oversized
+// vertex IDs, NaN/±Inf weights, non-numeric fields, wrong field counts,
+// oversized lines — fails with an error naming the offending line.
+//
 // The whole input is read into memory, split into line-aligned shards,
-// parsed concurrently, and merged via a direct two-pass CSR build.
+// parsed concurrently, and merged via a direct two-pass CSR build; the
+// result is bit-identical at any parallelism.
 func LoadEdgeList(r io.Reader, opts LoadOptions) (*Graph, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -167,7 +174,7 @@ func (s *edgeShard) fail(line int, err error) {
 	s.errLine = line
 }
 
-// parse consumes one chunk. It mirrors ReadEdgeList line for line:
+// parse consumes one chunk. It mirrors the reference parser line for line:
 // unicode-aware field splitting, the same comment/header rules, the same
 // field validation — but works on byte slices with no per-line string or
 // field allocations on the happy path.
@@ -308,9 +315,9 @@ func byteString(b []byte) string {
 	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
-// parseVertexBytes is parseVertex (io.go) over a byte slice: the same
-// accepted grammar (optional sign, decimal digits) and the same error
-// classes, without the string conversion.
+// parseVertexBytes parses a vertex ID field: the grammar strconv.ParseInt
+// accepts (optional sign, decimal digits), negative and oversized IDs
+// rejected by class, without a string conversion.
 func parseVertexBytes(b []byte) (VertexID, error) {
 	if len(b) == 0 {
 		return 0, errNotInteger
@@ -359,8 +366,8 @@ func parseVertexBytes(b []byte) (VertexID, error) {
 // walks shards in file order — replaying header adoption/conflict rules
 // and surfacing the earliest error with its absolute line number — then
 // builds the CSR directly in two passes: a counting-sort scatter over the
-// shard triples in order (exactly the edge order ReadEdgeList feeds the
-// Builder) and the shared finishCSR bucket pass.
+// shard triples in order (exactly the edge order the reference parser
+// feeds the Builder) and the shared finishCSR bucket pass.
 func mergeShards(shards []edgeShard) (*Graph, error) {
 	n := int64(-1)
 	maxID := int64(-1)

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -216,5 +217,67 @@ func TestOpenSnapshotFallback(t *testing.T) {
 	// Missing files surface the os error, not a fallback attempt loop.
 	if _, _, err := OpenSnapshot(filepath.Join(t.TempDir(), "absent.snap")); err == nil {
 		t.Fatal("OpenSnapshot of a missing file succeeded")
+	}
+}
+
+// TestSnapshotLoadAllocs pins what loading a snapshot allocates, on a
+// graph large enough (12k vertices, > 50k edges) that anything
+// proportional to it could not hide under the ceilings. The copy-in
+// reader allocates the CSR arrays and a few headers (measured 8; the text
+// parse of the same graph allocates tens of thousands), and mapping it
+// allocates slice headers over mapped pages and nothing else (measured ~7
+// with its Close) — the zero-copy contract.
+func TestSnapshotLoadAllocs(t *testing.T) {
+	const n, readCeiling, mmapCeiling = 12000, 64, 16
+	b := NewBuilder(n)
+	state := uint64(7)
+	next := func() VertexID {
+		state = state*6364136223846793005 + 1442695040888963407
+		return VertexID((state >> 33) % n)
+	}
+	for i := 0; i < 5*n; i++ {
+		b.AddEdge(next(), next())
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumEdges() < 50000 {
+		t.Fatalf("test graph has %d edges, want at least 50000", g.NumEdges())
+	}
+	path := writeSnapTemp(t, g)
+
+	var loaded *Graph
+	allocs := testing.AllocsPerRun(5, func() {
+		if loaded, err = ReadSnapshotFile(path); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("ReadSnapshotFile: %.0f allocations", allocs)
+	if allocs > readCeiling {
+		t.Errorf("ReadSnapshotFile allocates %.0f times on a %d-edge graph, ceiling %d", allocs, g.NumEdges(), readCeiling)
+	}
+	if !graphsIdentical(g, loaded) {
+		t.Fatal("ReadSnapshotFile graph differs from source")
+	}
+
+	allocs = testing.AllocsPerRun(5, func() {
+		mg, err := MmapSnapshot(path)
+		if errors.Is(err, ErrMmapUnsupported) {
+			t.Skip("mmap snapshots unsupported on this platform")
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mg.Graph().NumEdges() != g.NumEdges() {
+			t.Fatal("mapped graph differs from source")
+		}
+		if err := mg.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("MmapSnapshot + Close: %.0f allocations", allocs)
+	if allocs > mmapCeiling {
+		t.Errorf("MmapSnapshot + Close allocates %.0f times on a %d-edge graph, ceiling %d", allocs, g.NumEdges(), mmapCeiling)
 	}
 }

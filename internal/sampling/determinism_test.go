@@ -133,14 +133,12 @@ func TestSamplingDeterminismPins(t *testing.T) {
 	}
 }
 
-// TestSamplingPinsOnPartitionedAndMmap holds the alternate graph
-// representations against the SAME pinned fingerprints the flat heap
-// graph satisfies: a partitioned wrapper (SamplePartitioned) and an
-// mmap'd snapshot of the pin graph. Representation — partition views,
-// mapped pages — must be invisible to the sampler bit for bit.
-func TestSamplingPinsOnPartitionedAndMmap(t *testing.T) {
+// TestSamplingPinsOnMmap holds an mmap'd snapshot of the pin graph
+// against the SAME pinned fingerprints the heap graph satisfies: mapped
+// pages must be invisible to the sampler bit for bit.
+func TestSamplingPinsOnMmap(t *testing.T) {
 	if os.Getenv("PREDICT_CAPTURE_PINS") != "" {
-		t.Skip("capture runs on the flat graph only")
+		t.Skip("capture runs on the heap graph only")
 	}
 	g := gen.BarabasiAlbert(5000, 6, 0.4, 101)
 
@@ -154,41 +152,21 @@ func TestSamplingPinsOnPartitionedAndMmap(t *testing.T) {
 	}
 	t.Logf("mmap path live: %v (false means copy-in fallback, still pinned)", mappedLive)
 
-	parts := []graph.VertexID{0, 1100, 2500, 2500, 5000} // uneven + one empty
-	draw := func(key string, do func(m Method, o Options) (*Result, error)) {
-		for _, m := range []Method{BiasedRandomJump, RandomJump, MetropolisHastings, UniformVertex} {
-			for _, seed := range []uint64{1, 42, 1234567} {
-				for _, ratio := range []float64{0.05, 0.15} {
-					pin := fmt.Sprintf("%s/s%d/r%g", m, seed, ratio)
-					r, err := do(m, Options{Ratio: ratio, Seed: seed})
-					if err != nil {
-						t.Fatalf("%s via %s: %v", pin, key, err)
-					}
-					if got := sampleFingerprint(r); got != samplingPins[pin] {
-						t.Errorf("%s via %s: fingerprint %s, pinned %s — representation leaked into sampling",
-							pin, key, got, samplingPins[pin])
-					}
+	for _, m := range []Method{BiasedRandomJump, RandomJump, MetropolisHastings, UniformVertex} {
+		for _, seed := range []uint64{1, 42, 1234567} {
+			for _, ratio := range []float64{0.05, 0.15} {
+				pin := fmt.Sprintf("%s/s%d/r%g", m, seed, ratio)
+				r, err := Sample(mapped, m, Options{Ratio: ratio, Seed: seed})
+				if err != nil {
+					t.Fatalf("%s: %v", pin, err)
+				}
+				if got := sampleFingerprint(r); got != samplingPins[pin] {
+					t.Errorf("%s: fingerprint %s, pinned %s — mapped pages leaked into sampling",
+						pin, got, samplingPins[pin])
 				}
 			}
 		}
 	}
-	p, err := graph.NewPartitioned(g, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	draw("partitioned", func(m Method, o Options) (*Result, error) {
-		return SamplePartitioned(p, m, o)
-	})
-	draw("mmap", func(m Method, o Options) (*Result, error) {
-		return Sample(mapped, m, o)
-	})
-	mp, err := graph.NewPartitioned(mapped, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	draw("mmap+partitioned", func(m Method, o Options) (*Result, error) {
-		return SamplePartitioned(mp, m, o)
-	})
 }
 
 // TestSamplingRunToRunStability draws the same sample twice in one process

@@ -106,16 +106,6 @@ type Result struct {
 	EdgeRatio   float64
 }
 
-// SamplePartitioned draws a sample from a partitioned graph. Partitions
-// are views aliasing the flat CSR arrays (a placement structure, not a
-// different graph), so sampling reads straight through the underlying
-// graph and the visit sequence, induced subgraph and achieved ratios are
-// bit-identical to Sample on the flat form — the partitioned determinism
-// test holds both against the same pinned fingerprints.
-func SamplePartitioned(p *graph.Partitioned, method Method, opts Options) (*Result, error) {
-	return Sample(p.Graph(), method, opts)
-}
-
 // Sample draws a sample of g using the given method.
 func Sample(g *graph.Graph, method Method, opts Options) (*Result, error) {
 	opts = opts.withDefaults()

@@ -124,6 +124,59 @@ func TestObserveClosedLoop(t *testing.T) {
 		t.Errorf("blend regime tallies not kept: extrapolation=%d interpolation=%d",
 			st.BlendExtrapolation, st.BlendInterpolation)
 	}
+
+	// The long run: thirty observations whose offsets average exactly 1.0
+	// every five, so at each five-observation checkpoint what is left of
+	// the error is the blend's weight on the sample rows alone. It must
+	// fall strictly from checkpoint to checkpoint and at least halve over
+	// the run (measured ~3000×), and the target must sit inside the
+	// central interval the response states at nine checkpoints in ten.
+	t.Run("thirty observations", func(t *testing.T) {
+		svc, ctx, req := New(Config{}), context.Background(), testRequest()
+		base, err := svc.Predict(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		target := base.SuperstepSeconds * 1.30
+		offsets := []float64{0.98, 1.02, 0.99, 1.01, 1.00}
+		relErr := func(pred float64) float64 { return math.Abs(pred-target) / target }
+		errBefore := relErr(base.SuperstepSeconds)
+		prev, covered, checkpoints := errBefore, 0, 0
+		for i := 0; i < 30; i++ {
+			if _, err := svc.Observe(ctx, ObserveRequest{
+				ModelKey: base.ModelKey, ActualSeconds: target * offsets[i%len(offsets)],
+			}); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := svc.Predict(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (i+1)%len(offsets) != 0 {
+				continue
+			}
+			if resp.BlendRegime != "interpolation" {
+				t.Fatalf("%d observations in: regime %q, want interpolation", i+1, resp.BlendRegime)
+			}
+			e := relErr(resp.SuperstepSeconds)
+			if e >= prev {
+				t.Errorf("error did not shrink at %d observations: %.6f -> %.6f", i+1, prev, e)
+			}
+			prev = e
+			checkpoints++
+			if lo := 2*resp.P50Seconds - resp.P95Seconds; target >= lo && target <= resp.P95Seconds {
+				covered++
+			}
+		}
+		t.Logf("error %.4f -> %.6f (%.0fx), target inside the interval at %d of %d checkpoints",
+			errBefore, prev, errBefore/prev, covered, checkpoints)
+		if prev*2 > errBefore {
+			t.Errorf("thirty observations shrank the error %.4f -> %.4f, want at least 2x", errBefore, prev)
+		}
+		if float64(covered) < 0.9*float64(checkpoints) {
+			t.Errorf("target inside [2*p50-p95, p95] at %d of %d checkpoints, want 90%%", covered, checkpoints)
+		}
+	})
 }
 
 // TestPredictDeadlineProbability pins probability_of_deadline: absent

@@ -1,10 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -54,6 +58,70 @@ func TestTemplateHitAllocs(t *testing.T) {
 	}
 	if allocs > templateHitAllocs {
 		t.Errorf("template-hit Service.Predict allocates %v times, pinned at %d", allocs, templateHitAllocs)
+	}
+}
+
+// handlerWarmAllocs is the pinned allocation count of a warm POST /predict
+// through Service.Handler() (measured: 30; benchmark/ measures the same
+// call over its mix of warm keys as service.handler_warm_allocs and reads
+// 31.5): the templateHitAllocs of Service.Predict
+// plus decoding the request body (json.Decoder, its parse stack, the
+// request's strings and training ratios), the request's deadline context
+// with its timer, and the two response header values. The pin sits within
+// 10 % of the measurement.
+const handlerWarmAllocs = 33
+
+// discardResponse is a reusable http.ResponseWriter that keeps the status
+// and nothing else, so the handler's own allocations are what is counted.
+type discardResponse struct {
+	header http.Header
+	status int
+}
+
+func (d *discardResponse) Header() http.Header         { return d.header }
+func (d *discardResponse) WriteHeader(status int)      { d.status = status }
+func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestHandlerWarmAllocs pins the allocation cost of a warm /predict from
+// the handler down — admission gate, pooled codec, template hit, encode —
+// under predictd's default configuration, with the request, its body and
+// the response writer reused so none of the test's own machinery counts.
+func TestHandlerWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	svc := New(Config{})
+	handler := svc.Handler()
+	req := testRequest()
+	req.Workers = 16
+	payload, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := bytes.NewReader(nil)
+	httpReq := httptest.NewRequest(http.MethodPost, "/predict", body)
+	w := &discardResponse{header: http.Header{}}
+	serve := func() {
+		body.Reset(payload)
+		clear(w.header)
+		w.status = 0
+		handler.ServeHTTP(w, httpReq)
+		if w.status != http.StatusOK {
+			t.Fatalf("POST /predict: HTTP %d", w.status)
+		}
+	}
+	serve() // cold: fits
+	const runs = 200
+	before := svc.Stats()
+	allocs := testing.AllocsPerRun(runs, serve)
+	after := svc.Stats()
+	// AllocsPerRun calls the function once more to warm up.
+	if hits := after.TemplateHits - before.TemplateHits; hits != runs+1 {
+		t.Fatalf("%d of %d measured requests were template hits", hits, runs+1)
+	}
+	t.Logf("warm POST /predict: %v allocations", allocs)
+	if allocs > handlerWarmAllocs {
+		t.Errorf("warm POST /predict allocates %v times through the handler, pinned at %d", allocs, handlerWarmAllocs)
 	}
 }
 

@@ -7,7 +7,10 @@ package predict_test
 // target. External http(s) links are out of scope: this suite runs
 // offline and CI must not fail on someone else's outage. The checker is
 // a test rather than an installed tool so it needs no network, no
-// version pin, and runs with the ordinary suite.
+// version pin, and runs with the ordinary suite. A second check holds
+// every command or example directory the user-facing documents name to a
+// directory that exists, so deleting a binary cannot leave its
+// invocations behind.
 
 import (
 	"os"
@@ -152,4 +155,37 @@ func TestMarkdownLinks(t *testing.T) {
 		t.Error("link checker matched no repo-relative links — the extraction regexp has regressed")
 	}
 	t.Logf("checked %d repo-relative links", checked)
+}
+
+// commandMention matches a command or example directory named in prose or
+// in a shell line: `go run ./cmd/predictd`, "cmd/genexp", examples/service.
+var commandMention = regexp.MustCompile(`(?m)(?:^|[^\w/-])(?:\./)?((?:cmd|examples)/[a-z][a-z0-9_]*)`)
+
+// TestDocCommandsExist holds every cmd/<name> and examples/<name> the
+// user-facing documents mention to an existing directory. The history
+// files (CHANGES.md, ROADMAP.md, ISSUE.md) are exempt: they name what was
+// deleted on purpose.
+func TestDocCommandsExist(t *testing.T) {
+	files, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files = append(files, "README.md", "DESIGN.md", "EXPERIMENTS.md")
+	checked := 0
+	for _, file := range files {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range commandMention.FindAllStringSubmatch(string(data), -1) {
+			checked++
+			if info, err := os.Stat(m[1]); err != nil || !info.IsDir() {
+				t.Errorf("%s: mentions %s, which is not a directory in this repository", file, m[1])
+			}
+		}
+	}
+	if checked == 0 {
+		t.Error("no command mention matched — the extraction regexp has regressed")
+	}
+	t.Logf("checked %d command mentions", checked)
 }

@@ -197,15 +197,16 @@ func Sample(g *Graph, method SamplingMethod, opts SamplingOptions) (*sampling.Re
 // NewGraphBuilder returns a builder for a graph with n vertices.
 func NewGraphBuilder(n int) *GraphBuilder { return graph.NewBuilder(n) }
 
-// ReadGraph parses the edge-list format produced by WriteGraph.
-func ReadGraph(r io.Reader) (*Graph, error) { return graph.ReadEdgeList(r) }
+// ReadGraph parses the edge-list format produced by WriteGraph. It reads
+// all of r into memory before parsing (it is LoadGraph at GOMAXPROCS).
+func ReadGraph(r io.Reader) (*Graph, error) { return graph.LoadEdgeList(r, graph.LoadOptions{}) }
 
 // WriteGraph writes g as a plain-text edge list.
 func WriteGraph(w io.Writer, g *Graph) error { return graph.WriteEdgeList(w, g) }
 
 // LoadGraph parses the edge-list format in parallel (chunked at line
-// boundaries, shards parsed concurrently), producing a Graph bit-identical
-// to ReadGraph's. parallelism <= 0 selects GOMAXPROCS.
+// boundaries, shards parsed concurrently); the Graph is bit-identical at
+// any parallelism. parallelism <= 0 selects GOMAXPROCS.
 func LoadGraph(r io.Reader, parallelism int) (*Graph, error) {
 	return graph.LoadEdgeList(r, graph.LoadOptions{Parallelism: parallelism})
 }
