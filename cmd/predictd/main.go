@@ -73,7 +73,6 @@ func main() {
 		retryBase = flag.Duration("retry-base-delay", 0, "first backoff between dataset I/O retries, jittered exponential after (0 = default 50ms)")
 		retryMax  = flag.Duration("retry-max-delay", 0, "backoff ceiling between dataset I/O retries (0 = default 1s)")
 		drainTO   = flag.Duration("drain-timeout", 10*time.Second, "SIGTERM drain deadline: how long in-flight requests get before their fits are canceled")
-		ckptOff   = flag.Bool("no-checkpoints", false, "disable continuous model checkpointing; models then persist only at clean shutdown")
 		ckptGrow  = flag.Int("checkpoint-growth-factor", 0, "compact the checkpoint log when it grows this many times its post-compaction size (0 = default 4, <0 = never compact)")
 		blendK    = flag.Int("blend-threshold", 0, "observed runtimes per model key before predictions switch to the observation-weighted refit (0 = default 5)")
 	)
@@ -111,10 +110,9 @@ func main() {
 		RetryBaseDelay:      *retryBase,
 		RetryMaxDelay:       *retryMax,
 		// The readiness probe (GET /readyz) watches the history file's
-		// appendability when one is configured; with checkpointing on
-		// (default) every fitted model is durably appended here at fit time.
+		// appendability when one is configured; every fitted model is
+		// durably appended here at fit time.
 		HistoryPath:            *histFile,
-		DisableCheckpoints:     *ckptOff,
 		CheckpointGrowthFactor: *ckptGrow,
 		BlendThreshold:         *blendK,
 	})

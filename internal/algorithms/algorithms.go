@@ -66,18 +66,6 @@ func ByName(name string) (Algorithm, error) {
 	return nil, fmt.Errorf("algorithms: unknown algorithm %q", name)
 }
 
-// All returns every paper algorithm with default configuration, in the
-// order of the paper's Table 3.
-func All() []Algorithm {
-	return []Algorithm{
-		NewPageRank(),
-		NewSemiClustering(),
-		NewConnectedComponents(),
-		NewTopKRanking(),
-		NewNeighborhoodEstimation(),
-	}
-}
-
 // info assembles a RunInfo from an engine result.
 func info[V any](name string, res *bsp.Result[V]) *RunInfo {
 	return &RunInfo{

@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"math"
 	"slices"
 
 	"predict/internal/bsp"
@@ -33,6 +34,22 @@ func NewPageRank() PageRank {
 // graph at tolerance level ε (§5.1).
 func TauForTolerance(epsilon float64, n int) float64 {
 	return epsilon / float64(n)
+}
+
+// PageRankIterations returns the Langville & Meyer upper bound on the
+// number of power iterations needed to reach tolerance level epsilon with
+// damping factor d — the analytical bound the paper compares against
+// (§5.1), which ignores dataset characteristics and is loose in practice:
+//
+//	#iterations = log10(epsilon) / log10(d)
+//
+// For epsilon = 0.001, d = 0.85 this gives ~42 iterations, versus fewer
+// than 21 observed on all of the paper's datasets — a 2x over-estimate.
+func PageRankIterations(epsilon, damping float64) int {
+	if epsilon <= 0 || epsilon >= 1 || damping <= 0 || damping >= 1 {
+		return 0
+	}
+	return int(math.Ceil(math.Log10(epsilon) / math.Log10(damping)))
 }
 
 // Name implements Algorithm.

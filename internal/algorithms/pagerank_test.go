@@ -200,3 +200,27 @@ func TestTauForTolerance(t *testing.T) {
 		t.Errorf("TauForTolerance = %v, want 1e-5", got)
 	}
 }
+
+func TestPageRankIterationsMatchesPaper(t *testing.T) {
+	// The paper: for epsilon = 0.001, d = 0.85 the bound gives 42
+	// iterations (log10(0.001)/log10(0.85) = 42.5).
+	got := PageRankIterations(0.001, 0.85)
+	if got != 43 && got != 42 {
+		t.Errorf("PageRankIterations(0.001, 0.85) = %d, want ~42-43", got)
+	}
+	// Looser tolerance, fewer iterations.
+	loose := PageRankIterations(0.1, 0.85)
+	if loose >= got {
+		t.Errorf("looser tolerance bound %d >= tighter %d", loose, got)
+	}
+}
+
+func TestPageRankIterationsDegenerate(t *testing.T) {
+	for _, c := range []struct{ eps, d float64 }{
+		{0, 0.85}, {-1, 0.85}, {1, 0.85}, {0.001, 0}, {0.001, 1}, {0.001, 2},
+	} {
+		if got := PageRankIterations(c.eps, c.d); got != 0 {
+			t.Errorf("PageRankIterations(%v, %v) = %d, want 0", c.eps, c.d, got)
+		}
+	}
+}

@@ -5,6 +5,8 @@
 package core
 
 import (
+	"math"
+
 	"predict/internal/algorithms"
 	"predict/internal/bsp"
 	"predict/internal/costmodel"
@@ -172,15 +174,23 @@ func Evaluate(pred *Prediction, actual *algorithms.RunInfo) Evaluation {
 	for i := range actual.Profile.Supersteps {
 		ev.ActualRemoteBytes += float64(actual.Profile.Supersteps[i].Total().RemoteMessageBytes)
 	}
-	ev.IterationsError = signedRel(float64(ev.PredictedIterations), float64(ev.ActualIterations))
-	ev.RuntimeError = signedRel(ev.PredictedSeconds, ev.ActualSeconds)
-	ev.RemoteBytesError = signedRel(ev.PredictedRemoteBytes, ev.ActualRemoteBytes)
+	ev.IterationsError = SignedRelativeError(float64(ev.PredictedIterations), float64(ev.ActualIterations))
+	ev.RuntimeError = SignedRelativeError(ev.PredictedSeconds, ev.ActualSeconds)
+	ev.RemoteBytesError = SignedRelativeError(ev.PredictedRemoteBytes, ev.ActualRemoteBytes)
 	return ev
 }
 
-func signedRel(pred, actual float64) float64 {
+// SignedRelativeError returns (predicted - actual) / actual, the error
+// statistic of every figure: negative values are under-predictions,
+// positive are over-predictions. It is 0 when both are zero and +Inf when
+// only actual is zero — a non-zero prediction of a zero actual is not
+// "0 % error".
+func SignedRelativeError(predicted, actual float64) float64 {
 	if actual == 0 {
-		return 0
+		if predicted == 0 {
+			return 0
+		}
+		return math.Inf(1)
 	}
-	return (pred - actual) / actual
+	return (predicted - actual) / actual
 }

@@ -221,8 +221,27 @@ func TestEvaluateArithmetic(t *testing.T) {
 	if math.Abs(ev.IterationsError-0.25) > 1e-12 {
 		t.Errorf("IterationsError = %v, want 0.25", ev.IterationsError)
 	}
-	if ev.ActualSeconds != 0 || ev.RuntimeError != 0 {
+	// A non-zero prediction of a zero actual is an infinite over-prediction,
+	// not "0 % error".
+	if ev.ActualSeconds != 0 || !math.IsInf(ev.RuntimeError, 1) || !math.IsInf(ev.RemoteBytesError, 1) {
 		t.Errorf("zero-actual runtime handling: %+v", ev)
+	}
+}
+
+func TestSignedRelativeError(t *testing.T) {
+	for _, c := range []struct {
+		name                    string
+		predicted, actual, want float64
+	}{
+		{"over-prediction", 110, 100, 0.1},
+		{"under-prediction", 90, 100, -0.1},
+		{"zero of zero", 0, 0, 0},
+		{"non-zero of zero", 5, 0, math.Inf(1)},
+	} {
+		got := SignedRelativeError(c.predicted, c.actual)
+		if got != c.want && math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("%s: SignedRelativeError(%v, %v) = %v, want %v", c.name, c.predicted, c.actual, got, c.want)
+		}
 	}
 }
 

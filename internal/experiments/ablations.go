@@ -6,7 +6,6 @@ import (
 	"predict/internal/algorithms"
 	"predict/internal/core"
 	"predict/internal/features"
-	"predict/internal/metrics"
 	"predict/internal/sampling"
 )
 
@@ -49,9 +48,9 @@ func (l *Lab) AblationNoTransform() (*TableResult, error) {
 			prefix,
 			fmt.Sprintf("%d", actual.Iterations),
 			fmt.Sprintf("%d (err %+.2f)", with.Iterations,
-				metrics.SignedRelativeError(float64(with.Iterations), float64(actual.Iterations))),
+				core.SignedRelativeError(float64(with.Iterations), float64(actual.Iterations))),
 			fmt.Sprintf("%d (err %+.2f)", without.Iterations,
-				metrics.SignedRelativeError(float64(without.Iterations), float64(actual.Iterations))),
+				core.SignedRelativeError(float64(without.Iterations), float64(actual.Iterations))),
 		})
 	}
 	t.Notes = append(t.Notes,
@@ -87,7 +86,7 @@ func (l *Lab) AblationUniformSampling() (*TableResult, error) {
 				return nil, err
 			}
 			row = append(row, fmt.Sprintf("%+.2f",
-				metrics.SignedRelativeError(float64(ri.Iterations), float64(actual.Iterations))))
+				core.SignedRelativeError(float64(ri.Iterations), float64(actual.Iterations))))
 			fid := sampling.MeasureFidelity(g, s)
 			wccs = append(wccs, fmt.Sprintf("%.2f", fid.ConnectivitySample))
 		}
@@ -139,8 +138,8 @@ func (l *Lab) AblationVertexOnlyExtrapolation() (*TableResult, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			prefix,
-			fmt.Sprintf("%+.2f", metrics.SignedRelativeError(sampleBytes*scale.EE, actualBytes)),
-			fmt.Sprintf("%+.2f", metrics.SignedRelativeError(sampleBytes*scale.EV, actualBytes)),
+			fmt.Sprintf("%+.2f", core.SignedRelativeError(sampleBytes*scale.EE, actualBytes)),
+			fmt.Sprintf("%+.2f", core.SignedRelativeError(sampleBytes*scale.EV, actualBytes)),
 		})
 	}
 	t.Notes = append(t.Notes,

@@ -7,7 +7,6 @@ import (
 	"predict/internal/core"
 	"predict/internal/costmodel"
 	"predict/internal/features"
-	"predict/internal/metrics"
 	"predict/internal/sampling"
 )
 
@@ -33,7 +32,7 @@ func (l *Lab) iterationErrorSweep(id, title string, mkAlg func(n int) algorithms
 			if err != nil {
 				return nil, fmt.Errorf("%s on %s: %w", id, prefix, err)
 			}
-			errIter := metrics.SignedRelativeError(float64(ri.Iterations), float64(actual.Iterations))
+			errIter := core.SignedRelativeError(float64(ri.Iterations), float64(actual.Iterations))
 			s.Points = append(s.Points, Point{Ratio: ratio, Value: errIter})
 			l.progressf("%s %s ratio %.2f: sample %d vs actual %d iterations (err %+.2f)",
 				id, prefix, ratio, ri.Iterations, actual.Iterations, errIter)
@@ -141,7 +140,7 @@ func (l *Lab) Figure6() ([]*FigureResult, error) {
 				return nil, fmt.Errorf("Figure 6 on %s: %w", prefix, err)
 			}
 			sIter.Points = append(sIter.Points, Point{Ratio: ratio,
-				Value: metrics.SignedRelativeError(float64(ri.Iterations), float64(actual.Iterations))})
+				Value: core.SignedRelativeError(float64(ri.Iterations), float64(actual.Iterations))})
 
 			// Extrapolate the sample run's remote bytes with the edge factor.
 			scale, err := features.NewScale(g.NumVertices(), s.Graph.NumVertices(),
@@ -155,7 +154,7 @@ func (l *Lab) Figure6() ([]*FigureResult, error) {
 			}
 			predBytes := sampleRemBytes * scale.EE
 			sBytes.Points = append(sBytes.Points, Point{Ratio: ratio,
-				Value: metrics.SignedRelativeError(predBytes, actualRemBytes)})
+				Value: core.SignedRelativeError(predBytes, actualRemBytes)})
 		}
 		iters.Series = append(iters.Series, sIter)
 		bytes.Series = append(bytes.Series, sBytes)
@@ -318,7 +317,7 @@ func (l *Lab) Figure9() ([]*FigureResult, error) {
 					return nil, fmt.Errorf("%s %s: %w", pn.id, method, err)
 				}
 				s.Points = append(s.Points, Point{Ratio: ratio,
-					Value: metrics.SignedRelativeError(float64(ri.Iterations), float64(actual.Iterations))})
+					Value: core.SignedRelativeError(float64(ri.Iterations), float64(actual.Iterations))})
 			}
 			fig.Series = append(fig.Series, s)
 		}

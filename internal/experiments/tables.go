@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"predict/internal/algorithms"
-	"predict/internal/bounds"
 	"predict/internal/bsp"
 	"predict/internal/gen"
 	"predict/internal/graph"
@@ -142,7 +141,7 @@ func (l *Lab) UpperBounds() (*TableResult, error) {
 	}
 	for _, eps := range []float64{0.01, 0.001} {
 		row := []string{fmt.Sprintf("%g", eps),
-			fmt.Sprintf("%d", bounds.PageRankIterations(eps, 0.85))}
+			fmt.Sprintf("%d", algorithms.PageRankIterations(eps, 0.85))}
 		for _, prefix := range []string{"LJ", "Wiki", "UK", "TW"} {
 			g, err := l.Graph(prefix)
 			if err != nil {

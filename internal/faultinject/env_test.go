@@ -47,7 +47,7 @@ func TestEnableFromEnv(t *testing.T) {
 	if on, err := EnableFromEnv(); on || err != nil {
 		t.Fatalf("empty env: on=%v err=%v", on, err)
 	}
-	if Enabled() {
+	if enabled() {
 		t.Fatal("injector enabled by empty env")
 	}
 

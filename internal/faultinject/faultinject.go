@@ -248,10 +248,6 @@ func Enable(in *Injector) (restore func()) {
 	return func() { active.Store(prev) }
 }
 
-// Enabled reports whether any injector is active (used by bench to refuse
-// to record numbers from an injected build by accident).
-func Enabled() bool { return active.Load() != nil }
-
 // Fire is the instrumented call sites' entry: it returns the fault to
 // apply at point, or nil. With no injector enabled this is a single
 // atomic load — zero allocations, zero behavior change — which is what

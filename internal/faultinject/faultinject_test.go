@@ -22,8 +22,11 @@ func firePattern(in *Injector, point string, n int) string {
 	return b.String()
 }
 
+// enabled reports whether any injector is active.
+func enabled() bool { return active.Load() != nil }
+
 func TestDisabledFireIsNil(t *testing.T) {
-	if Enabled() {
+	if enabled() {
 		t.Fatal("injector enabled at test start")
 	}
 	if f := Fire(PointGraphLoadFile); f != nil {
@@ -45,8 +48,8 @@ func TestDisabledFireAllocs(t *testing.T) {
 func TestEnableRestore(t *testing.T) {
 	in := NewInjector(1, Rule{Point: PointServiceFit, Err: errBoom})
 	restore := Enable(in)
-	if !Enabled() {
-		t.Fatal("Enabled() false after Enable")
+	if !enabled() {
+		t.Fatal("no active injector after Enable")
 	}
 	f := Fire(PointServiceFit)
 	if f == nil || f.Err != errBoom {
@@ -56,8 +59,8 @@ func TestEnableRestore(t *testing.T) {
 		t.Fatal("unmatched point fired")
 	}
 	restore()
-	if Enabled() {
-		t.Fatal("Enabled() true after restore")
+	if enabled() {
+		t.Fatal("injector still active after restore")
 	}
 	if Fire(PointServiceFit) != nil {
 		t.Fatal("Fire fired after restore")
@@ -77,7 +80,7 @@ func TestEnableRestoresPrevious(t *testing.T) {
 		t.Fatal("injector a not restored")
 	}
 	restoreA()
-	if Enabled() {
+	if enabled() {
 		t.Fatal("injector still enabled after full unwind")
 	}
 }

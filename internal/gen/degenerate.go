@@ -75,24 +75,6 @@ func Grid(rows, cols int) *graph.Graph {
 	return g
 }
 
-// Complete builds the complete directed graph on n vertices (no
-// self-loops). Quadratic; intended for tiny test inputs.
-func Complete(n int) *graph.Graph {
-	b := graph.NewBuilder(n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				b.AddEdge(graph.VertexID(i), graph.VertexID(j))
-			}
-		}
-	}
-	g, err := b.Build()
-	if err != nil {
-		panic("gen: Complete: " + err.Error())
-	}
-	return g
-}
-
 // WattsStrogatz builds a directed small-world graph: a ring lattice where
 // each vertex points to its k nearest clockwise neighbors, with each edge
 // rewired to a uniform random destination with probability beta.

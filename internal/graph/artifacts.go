@@ -89,8 +89,7 @@ func (g *Graph) ensureDegreeArtifacts() *degreeArtifacts {
 }
 
 // CachedOutDegrees returns the memoized out-degree slice indexed by vertex.
-// The slice is shared: callers must not modify it. Use OutDegrees for a
-// private copy.
+// The slice is shared: callers must not modify it.
 func (g *Graph) CachedOutDegrees() []int {
 	return g.ensureDegreeArtifacts().outDegrees
 }

@@ -16,20 +16,12 @@ type Builder struct {
 	dsts     []VertexID
 	weights  []float32
 	weighted bool
-	keepSelf bool
 }
 
 // NewBuilder returns a Builder for a graph with numVertices vertices
 // (IDs 0..numVertices-1).
 func NewBuilder(numVertices int) *Builder {
 	return &Builder{n: numVertices}
-}
-
-// KeepSelfLoops configures the builder to retain self-loop edges, which are
-// dropped by default.
-func (b *Builder) KeepSelfLoops() *Builder {
-	b.keepSelf = true
-	return b
 }
 
 // AddEdge records the directed edge (src, dst).
@@ -56,10 +48,6 @@ func (b *Builder) AddWeightedEdge(src, dst VertexID, w float32) {
 	b.dsts = append(b.dsts, dst)
 	b.weights = append(b.weights, w)
 }
-
-// NumPendingEdges reports how many edges have been added so far (before
-// dedup).
-func (b *Builder) NumPendingEdges() int { return len(b.srcs) }
 
 // Build validates, sorts and deduplicates the accumulated edges and returns
 // the immutable Graph. The builder must not be reused afterwards.
@@ -100,7 +88,7 @@ func (b *Builder) Build() (*Graph, error) {
 		cursor[s]++
 	}
 
-	g := finishCSR(b.n, offsets, edges, weights, b.keepSelf)
+	g := finishCSR(b.n, offsets, edges, weights)
 	// Release builder storage.
 	b.srcs, b.dsts, b.weights = nil, nil, nil
 	return g, nil
@@ -115,7 +103,7 @@ func (b *Builder) Build() (*Graph, error) {
 // and the parallel edge-list loader's shard merge, which makes the two
 // construction paths bit-identical by construction in everything past the
 // scatter. The offsets/edges/weights arrays are consumed (mutated).
-func finishCSR(n int, offsets []int64, edges []VertexID, weights []float32, keepSelf bool) *Graph {
+func finishCSR(n int, offsets []int64, edges []VertexID, weights []float32) *Graph {
 	outEdges := edges[:0]
 	var outWeights []float32
 	var pairScratch []dstWeight
@@ -138,7 +126,7 @@ func finishCSR(n int, offsets []int64, edges []VertexID, weights []float32, keep
 			if dst == prev {
 				continue // parallel edge
 			}
-			if !keepSelf && int(dst) == v {
+			if int(dst) == v {
 				prev = dst
 				continue // self-loop
 			}
@@ -158,21 +146,8 @@ func finishCSR(n int, offsets []int64, edges []VertexID, weights []float32, keep
 	}
 }
 
-// FromEdges is a convenience constructor building an unweighted graph from
-// parallel src/dst slices.
-func FromEdges(numVertices int, srcs, dsts []VertexID) (*Graph, error) {
-	if len(srcs) != len(dsts) {
-		return nil, fmt.Errorf("graph: FromEdges: %d sources vs %d destinations", len(srcs), len(dsts))
-	}
-	b := NewBuilder(numVertices)
-	for i := range srcs {
-		b.AddEdge(srcs[i], dsts[i])
-	}
-	return b.Build()
-}
-
-// MustFromEdges is FromEdges but panics on error; intended for tests and
-// examples with literal edge lists.
+// MustFromEdges builds an unweighted graph from a literal edge list and
+// panics on error; intended for tests and examples.
 func MustFromEdges(numVertices int, edges [][2]VertexID) *Graph {
 	b := NewBuilder(numVertices)
 	for _, e := range edges {

@@ -7,13 +7,12 @@
 //
 // Graphs are immutable once built. Vertex identifiers are dense integers
 // in [0, NumVertices). Parallel edges are deduplicated by the builder and
-// self-loops are dropped unless explicitly kept.
+// self-loops are dropped.
 package graph
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // VertexID identifies a vertex. IDs are dense: every graph with n vertices
@@ -28,10 +27,8 @@ type Graph struct {
 	weights []float32  // optional, parallel to edges; nil if unweighted
 
 	// Reverse adjacency (in-edges), built lazily — and concurrency-safely —
-	// by EnsureInEdges. inOnce serializes the build; inBuilt publishes its
-	// completion to lock-free readers (HasInEdges).
+	// by EnsureInEdges; inOnce serializes the build.
 	inOnce    sync.Once
-	inBuilt   atomic.Bool
 	inOffsets []int64
 	inEdges   []VertexID
 
@@ -104,10 +101,6 @@ func (g *Graph) OutWeights(v VertexID) []float32 {
 	return g.weights[g.offsets[v]:g.offsets[v+1]]
 }
 
-// HasInEdges reports whether the reverse adjacency has been materialized.
-// It is safe to call concurrently with EnsureInEdges.
-func (g *Graph) HasInEdges() bool { return g.inBuilt.Load() }
-
 // EnsureInEdges materializes the reverse adjacency (in-edges) if it has
 // not been built yet. It is safe for concurrent use: parallel fit
 // pipelines share the base graph (in-degree features, sampling fidelity),
@@ -138,7 +131,6 @@ func (g *Graph) buildInEdges() {
 	}
 	g.inOffsets = inDeg
 	g.inEdges = inEdges
-	g.inBuilt.Store(true)
 }
 
 // InDegree reports the number of in-edges of v. It requires in-edges to be
@@ -326,38 +318,4 @@ func (g *Graph) buildUndirected() *Graph {
 		mergeRow(VertexID(r), edges[offsets[r]:offsets[r+1]], weights[offsets[r]:offsets[r+1]])
 	}
 	return &Graph{offsets: offsets, edges: edges, weights: weights}
-}
-
-// OutDegrees returns a freshly allocated slice of out-degrees indexed by
-// vertex.
-func (g *Graph) OutDegrees() []int {
-	n := g.NumVertices()
-	deg := make([]int, n)
-	for v := 0; v < n; v++ {
-		deg[v] = g.OutDegree(VertexID(v))
-	}
-	return deg
-}
-
-// InDegrees returns a freshly allocated slice of in-degrees indexed by
-// vertex, materializing the reverse adjacency if needed.
-func (g *Graph) InDegrees() []int {
-	g.EnsureInEdges()
-	n := g.NumVertices()
-	deg := make([]int, n)
-	for v := 0; v < n; v++ {
-		deg[v] = g.InDegree(VertexID(v))
-	}
-	return deg
-}
-
-// TotalOutEdges returns, for an arbitrary subset of vertices, the sum of
-// their out-degrees. It is the quantity used to locate the critical-path
-// worker (the paper's §3.4 "Modeling the Critical Path").
-func (g *Graph) TotalOutEdges(vertices []VertexID) int64 {
-	var total int64
-	for _, v := range vertices {
-		total += int64(g.OutDegree(v))
-	}
-	return total
 }

@@ -98,19 +98,6 @@ func TestBuilderDropsSelfLoopsByDefault(t *testing.T) {
 	}
 }
 
-func TestBuilderKeepSelfLoops(t *testing.T) {
-	b := NewBuilder(2).KeepSelfLoops()
-	b.AddEdge(0, 0)
-	b.AddEdge(0, 1)
-	g, err := b.Build()
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	if g.NumEdges() != 2 {
-		t.Errorf("NumEdges = %d, want 2 (self-loop kept)", g.NumEdges())
-	}
-}
-
 func TestBuilderRejectsOutOfRange(t *testing.T) {
 	b := NewBuilder(2)
 	b.AddEdge(0, 5)
@@ -234,8 +221,8 @@ func TestInducedSubgraph(t *testing.T) {
 	if _, ok := m.SampleOf(2); ok {
 		t.Error("vertex 2 should not be in sample")
 	}
-	if m.OriginalOf(s1) != 1 {
-		t.Errorf("OriginalOf(%d) = %d, want 1", s1, m.OriginalOf(s1))
+	if m.ToOriginal[s1] != 1 {
+		t.Errorf("ToOriginal[%d] = %d, want 1", s1, m.ToOriginal[s1])
 	}
 	if m.Len() != 5 {
 		t.Errorf("Mapping.Len = %d, want 5", m.Len())
@@ -273,21 +260,5 @@ func TestInducedSubgraphKeepsWeights(t *testing.T) {
 	}
 	if ws := sub.OutWeights(0); len(ws) != 1 || ws[0] != 7 {
 		t.Errorf("OutWeights(0) = %v, want [7]", ws)
-	}
-}
-
-func TestTotalOutEdges(t *testing.T) {
-	g := MustFromEdges(4, [][2]VertexID{{0, 1}, {0, 2}, {0, 3}, {1, 2}})
-	if got := g.TotalOutEdges([]VertexID{0, 1}); got != 4 {
-		t.Errorf("TotalOutEdges([0 1]) = %d, want 4", got)
-	}
-	if got := g.TotalOutEdges([]VertexID{2, 3}); got != 0 {
-		t.Errorf("TotalOutEdges([2 3]) = %d, want 0", got)
-	}
-}
-
-func TestFromEdgesLengthMismatch(t *testing.T) {
-	if _, err := FromEdges(2, []VertexID{0}, []VertexID{1, 0}); err == nil {
-		t.Fatal("expected length-mismatch error")
 	}
 }

@@ -447,5 +447,5 @@ func mergeShards(shards []edgeShard) (*Graph, error) {
 			}
 		}
 	}
-	return finishCSR(int(n), offsets, edges, weights, false), nil
+	return finishCSR(int(n), offsets, edges, weights), nil
 }

@@ -3,47 +3,8 @@ package graph
 import (
 	"math"
 	"math/rand/v2"
-	"sort"
 	"sync"
 )
-
-// DegreeStats summarizes a degree sequence.
-type DegreeStats struct {
-	Min, Max int
-	Mean     float64
-	Median   float64
-	// P90 is the 90th-percentile degree.
-	P90 int
-	// ZeroFraction is the fraction of vertices with degree zero.
-	ZeroFraction float64
-}
-
-// NewDegreeStats computes summary statistics of a degree sequence.
-func NewDegreeStats(degrees []int) DegreeStats {
-	if len(degrees) == 0 {
-		return DegreeStats{}
-	}
-	sorted := make([]int, len(degrees))
-	copy(sorted, degrees)
-	sort.Ints(sorted)
-	var sum int64
-	zeros := 0
-	for _, d := range sorted {
-		sum += int64(d)
-		if d == 0 {
-			zeros++
-		}
-	}
-	n := len(sorted)
-	return DegreeStats{
-		Min:          sorted[0],
-		Max:          sorted[n-1],
-		Mean:         float64(sum) / float64(n),
-		Median:       float64(sorted[n/2]),
-		P90:          sorted[(n*9)/10],
-		ZeroFraction: float64(zeros) / float64(n),
-	}
-}
 
 // PowerLawAlpha estimates the exponent of a discrete power-law degree
 // distribution by maximum likelihood (Clauset/Shalizi/Newman form):
@@ -70,25 +31,14 @@ func PowerLawAlpha(degrees []int, dmin int) float64 {
 	return 1 + float64(n)/sum
 }
 
-// KolmogorovSmirnov computes the two-sample KS D-statistic between two
+// KolmogorovSmirnovSorted computes the two-sample KS D-statistic between two
 // degree sequences: the maximum absolute difference between their empirical
 // CDFs. It is the fidelity measure Leskovec & Faloutsos use to compare a
-// sample's degree distribution against the full graph's.
-func KolmogorovSmirnov(a, b []int) float64 {
-	sa := make([]int, len(a))
-	copy(sa, a)
-	sort.Ints(sa)
-	sb := make([]int, len(b))
-	copy(sb, b)
-	sort.Ints(sb)
-	return KolmogorovSmirnovSorted(sa, sb)
-}
-
-// KolmogorovSmirnovSorted is KolmogorovSmirnov over sequences that are
-// already sorted ascending — the memoized form SortedOutDegrees and
+// sample's degree distribution against the full graph's. Both sequences
+// must already be sorted ascending — the memoized form SortedOutDegrees and
 // SortedInDegrees serve — so repeated fidelity measurements against the
-// same base graph skip the per-call copy and O(n log n) sort. The inputs
-// are read, never modified.
+// same base graph pay no per-call copy or sort. The inputs are read, never
+// modified.
 func KolmogorovSmirnovSorted(sa, sb []int) float64 {
 	if len(sa) == 0 || len(sb) == 0 {
 		return 1
@@ -352,9 +302,7 @@ type Properties struct {
 func Measure(g *Graph, bfsSources, ccSamples int, seed uint64) Properties {
 	rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
 	// The shared memoized degree slice: MaxOutDegree comes straight from
-	// the degree artifact (the old NewDegreeStats(degs).Max paid a full
-	// O(n log n) sort just to read the last element), and PowerLawAlpha
-	// only reads the sequence.
+	// the degree artifact and PowerLawAlpha only reads the sequence.
 	degs := g.CachedOutDegrees()
 	return Properties{
 		NumVertices:       g.NumVertices(),

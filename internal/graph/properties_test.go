@@ -3,35 +3,13 @@ package graph
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
 func testRNG() *rand.Rand {
 	return rand.New(rand.NewPCG(42, 1337))
-}
-
-func TestDegreeStats(t *testing.T) {
-	s := NewDegreeStats([]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
-	if s.Min != 0 || s.Max != 9 {
-		t.Errorf("Min/Max = %d/%d, want 0/9", s.Min, s.Max)
-	}
-	if s.Mean != 4.5 {
-		t.Errorf("Mean = %v, want 4.5", s.Mean)
-	}
-	if s.P90 != 9 {
-		t.Errorf("P90 = %d, want 9", s.P90)
-	}
-	if s.ZeroFraction != 0.1 {
-		t.Errorf("ZeroFraction = %v, want 0.1", s.ZeroFraction)
-	}
-}
-
-func TestDegreeStatsEmpty(t *testing.T) {
-	s := NewDegreeStats(nil)
-	if s.Max != 0 || s.Mean != 0 {
-		t.Errorf("empty stats = %+v, want zeros", s)
-	}
 }
 
 func TestPowerLawAlphaRecoversExponent(t *testing.T) {
@@ -63,9 +41,17 @@ func TestPowerLawAlphaDegenerate(t *testing.T) {
 	}
 }
 
+// kolmogorovSmirnov is KolmogorovSmirnovSorted over unsorted sequences.
+func kolmogorovSmirnov(a, b []int) float64 {
+	sa, sb := slices.Clone(a), slices.Clone(b)
+	slices.Sort(sa)
+	slices.Sort(sb)
+	return KolmogorovSmirnovSorted(sa, sb)
+}
+
 func TestKolmogorovSmirnovIdentical(t *testing.T) {
 	a := []int{1, 2, 3, 4, 5}
-	if d := KolmogorovSmirnov(a, a); d != 0 {
+	if d := kolmogorovSmirnov(a, a); d != 0 {
 		t.Errorf("KS(a,a) = %v, want 0", d)
 	}
 }
@@ -73,13 +59,13 @@ func TestKolmogorovSmirnovIdentical(t *testing.T) {
 func TestKolmogorovSmirnovDisjoint(t *testing.T) {
 	a := []int{1, 1, 1}
 	b := []int{100, 100, 100}
-	if d := KolmogorovSmirnov(a, b); d != 1 {
+	if d := kolmogorovSmirnov(a, b); d != 1 {
 		t.Errorf("KS(disjoint) = %v, want 1", d)
 	}
 }
 
 func TestKolmogorovSmirnovEmpty(t *testing.T) {
-	if d := KolmogorovSmirnov(nil, []int{1}); d != 1 {
+	if d := kolmogorovSmirnov(nil, []int{1}); d != 1 {
 		t.Errorf("KS(nil, x) = %v, want 1", d)
 	}
 }
@@ -97,8 +83,8 @@ func TestKolmogorovSmirnovSymmetric(t *testing.T) {
 		for i, x := range b {
 			db[i] = int(x)
 		}
-		d1 := KolmogorovSmirnov(da, db)
-		d2 := KolmogorovSmirnov(db, da)
+		d1 := kolmogorovSmirnov(da, db)
+		d2 := kolmogorovSmirnov(db, da)
 		return math.Abs(d1-d2) < 1e-12 && d1 >= 0 && d1 <= 1
 	}
 	if err := quick.Check(f, nil); err != nil {

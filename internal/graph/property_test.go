@@ -92,9 +92,9 @@ func TestInducedSubgraphPreservesEdgesExactly(t *testing.T) {
 		}
 		// Every subgraph edge maps back to an original edge.
 		for sv := 0; sv < sub.NumVertices(); sv++ {
-			ov := m.OriginalOf(VertexID(sv))
+			ov := m.ToOriginal[sv]
 			for _, sd := range sub.OutNeighbors(VertexID(sv)) {
-				if !g.HasEdge(ov, m.OriginalOf(sd)) {
+				if !g.HasEdge(ov, m.ToOriginal[sd]) {
 					return false
 				}
 			}
@@ -185,10 +185,10 @@ func TestInOutDegreeSumsMatch(t *testing.T) {
 			return false
 		}
 		var outSum, inSum int64
-		for _, d := range g.OutDegrees() {
+		for _, d := range g.CachedOutDegrees() {
 			outSum += int64(d)
 		}
-		for _, d := range g.InDegrees() {
+		for _, d := range g.SortedInDegrees() {
 			inSum += int64(d)
 		}
 		return outSum == g.NumEdges() && inSum == g.NumEdges()

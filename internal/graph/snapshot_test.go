@@ -76,14 +76,14 @@ func TestSnapshotRoundTripEmptyGraph(t *testing.T) {
 }
 
 func TestSnapshotPreservesSelfLoopsAndNaNWeights(t *testing.T) {
-	b := NewBuilder(3).KeepSelfLoops()
-	b.AddWeightedEdge(0, 0, float32(math.NaN()))
+	b := NewBuilder(3)
 	b.AddWeightedEdge(0, 2, 1.5)
 	b.AddWeightedEdge(2, 1, -0)
 	g, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
+	g = withSelfLoops(g, map[VertexID]float32{0: float32(math.NaN())})
 	got, err := ReadSnapshot(bytes.NewReader(snapshotBytes(t, g)))
 	if err != nil {
 		t.Fatal(err)

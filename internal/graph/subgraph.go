@@ -21,9 +21,6 @@ type Mapping struct {
 	toSample   []VertexID
 }
 
-// OriginalOf returns the original-graph ID of subgraph vertex v.
-func (m *Mapping) OriginalOf(v VertexID) VertexID { return m.ToOriginal[v] }
-
 // SampleOf returns the subgraph ID of original vertex v and whether v is in
 // the subgraph. The first call materializes the reverse table; it is safe
 // for concurrent use.

@@ -131,9 +131,9 @@ func TestInducedSubgraphMatchesBuilderReference(t *testing.T) {
 		}
 		requireSameGraph(t, got, want, fmt.Sprintf("trial %d (weighted=%v)", trial, weighted))
 		for i, orig := range refOriginal {
-			if mapping.OriginalOf(VertexID(i)) != orig {
-				t.Fatalf("trial %d: OriginalOf(%d) = %d, reference %d",
-					trial, i, mapping.OriginalOf(VertexID(i)), orig)
+			if mapping.ToOriginal[i] != orig {
+				t.Fatalf("trial %d: ToOriginal[%d] = %d, reference %d",
+					trial, i, mapping.ToOriginal[i], orig)
 			}
 		}
 		for v := 0; v < n; v++ {
@@ -214,6 +214,25 @@ func TestVerticesByOutDegreeMatchesSortReference(t *testing.T) {
 	}
 }
 
+// outDegrees and inDegrees compute fresh per-vertex degree slices straight
+// from the adjacency — the reference the memoized artifacts are held to.
+func outDegrees(g *Graph) []int {
+	deg := make([]int, g.NumVertices())
+	for v := range deg {
+		deg[v] = g.OutDegree(VertexID(v))
+	}
+	return deg
+}
+
+func inDegrees(g *Graph) []int {
+	g.EnsureInEdges()
+	deg := make([]int, g.NumVertices())
+	for v := range deg {
+		deg[v] = g.InDegree(VertexID(v))
+	}
+	return deg
+}
+
 // TestDegreeArtifactsConsistency checks the memoized degree artifacts
 // against directly computed values.
 func TestDegreeArtifactsConsistency(t *testing.T) {
@@ -221,7 +240,7 @@ func TestDegreeArtifactsConsistency(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		g := randomTestGraph(rng, false)
 		g.EnsureDegreeArtifacts() // the warm-ahead entry point the service uses
-		degs := g.OutDegrees()
+		degs := outDegrees(g)
 		cached := g.CachedOutDegrees()
 		maxDeg := 0
 		for v, d := range degs {
@@ -243,7 +262,7 @@ func TestDegreeArtifactsConsistency(t *testing.T) {
 				t.Fatalf("trial %d: SortedOutDegrees[%d] = %d, want %d", trial, i, gotSorted[i], sortedRef[i])
 			}
 		}
-		inRef := g.InDegrees()
+		inRef := inDegrees(g)
 		sort.Ints(inRef)
 		gotIn := g.SortedInDegrees()
 		if len(gotIn) != len(inRef) {

@@ -85,20 +85,6 @@ func NewObservation(modelKey string, actualSeconds float64, workers int) Record 
 	}
 }
 
-// ObservationsByKey collects the observed runtimes of every "observation"
-// record, grouped by model key in log order — the per-key feedback stream
-// a blended estimator consumes.
-func ObservationsByKey(records []Record) map[string][]float64 {
-	out := map[string][]float64{}
-	for _, r := range records {
-		if r.Observation == nil {
-			continue
-		}
-		out[r.Observation.ModelKey] = append(out[r.Observation.ModelKey], r.Observation.ActualSeconds)
-	}
-	return out
-}
-
 // ModelMeta is the extrapolation context of one fitted cost model — the
 // scalars a core.Fitted needs beyond its training rows. Together with a
 // Record's iteration rows it reconstructs a cache entry without re-running

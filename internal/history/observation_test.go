@@ -6,6 +6,19 @@ import (
 	"testing"
 )
 
+// observationsByKey collects the observed runtimes of every "observation"
+// record, grouped by model key in log order.
+func observationsByKey(records []Record) map[string][]float64 {
+	out := map[string][]float64{}
+	for _, r := range records {
+		if r.Observation == nil {
+			continue
+		}
+		out[r.Observation.ModelKey] = append(out[r.Observation.ModelKey], r.Observation.ActualSeconds)
+	}
+	return out
+}
+
 func TestObservationRoundTripAndGrouping(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "history.jsonl")
 	recs := []Record{
@@ -26,7 +39,7 @@ func TestObservationRoundTripAndGrouping(t *testing.T) {
 	if torn != nil {
 		t.Fatalf("unexpected torn tail: %v", torn)
 	}
-	obs := ObservationsByKey(loaded)
+	obs := observationsByKey(loaded)
 	if got := obs["key-a"]; len(got) != 2 || got[0] != 10.5 || got[1] != 11.5 {
 		t.Errorf("key-a observations %v, want [10.5 11.5] in log order", got)
 	}
@@ -55,7 +68,7 @@ func TestCompactRecordsCapsObservationsPerKey(t *testing.T) {
 	}
 	records = append(records, modelRecord("big", 1))
 	compacted := CompactRecords(records)
-	obs := ObservationsByKey(compacted)
+	obs := observationsByKey(compacted)
 	big := obs["big"]
 	if len(big) != MaxObservationsPerKey {
 		t.Fatalf("big stream kept %d observations, want %d", len(big), MaxObservationsPerKey)

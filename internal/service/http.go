@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -211,7 +212,7 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	resp := BatchResponse{Responses: make([]BatchItem, len(batch.Requests))}
 	// Bounded fan-out: a batch of distinct cold requests must not launch
 	// MaxBatch sample pipelines at once.
-	sem := make(chan struct{}, s.cfg.BatchParallelism)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for i, req := range batch.Requests {
 		wg.Add(1)

@@ -81,10 +81,6 @@ type Config struct {
 	// MaxBatch bounds the number of requests in one batch call; zero
 	// selects 256.
 	MaxBatch int
-	// BatchParallelism bounds how many batch items execute at once, so
-	// one batch of distinct cold requests cannot launch MaxBatch sample
-	// pipelines simultaneously; zero selects GOMAXPROCS.
-	BatchParallelism int
 	// FitParallelism budgets the shared fit pool: across all concurrent
 	// cold-path fits, at most this many sample+profile pipelines execute
 	// at once. Concurrent cache misses for different keys previously
@@ -137,17 +133,11 @@ type Config struct {
 	// HistoryPath, when set, names the history file the service persists
 	// models to; the readiness probe (Readiness) checks it stays
 	// appendable so operators learn about a read-only or full volume
-	// before a save silently starts failing. With checkpointing enabled
-	// (the default), every newly fitted model is appended here at fit
-	// time via the crash-safe durable append — a SIGKILL at any instant
-	// loses at most the fit in flight, never a fitted model.
+	// before a save silently starts failing. Every newly fitted model is
+	// appended here at fit time via the crash-safe durable append — a
+	// SIGKILL at any instant loses at most the fit in flight, never a
+	// fitted model.
 	HistoryPath string
-	// DisableCheckpoints turns off continuous model checkpointing: models
-	// then persist only through explicit SaveHistory calls (the clean-
-	// shutdown path), and a crash loses every fit since startup. The
-	// zero value — checkpointing on whenever HistoryPath is set — is the
-	// crash-consistent default.
-	DisableCheckpoints bool
 	// CheckpointGrowthFactor bounds checkpoint-log growth: when the log
 	// holds at least this many times the records it held after the last
 	// compaction (or warm start), a compaction pass rewrites it keeping
@@ -183,9 +173,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 256
-	}
-	if c.BatchParallelism <= 0 {
-		c.BatchParallelism = runtime.GOMAXPROCS(0)
 	}
 	if c.FitParallelism <= 0 {
 		c.FitParallelism = runtime.GOMAXPROCS(0)
@@ -886,9 +873,6 @@ func (s *Service) fit(req PredictRequest, g *graph.Graph) (*core.Fitted, error) 
 // key. Failures are counted, not fatal: a full or read-only volume
 // degrades persistence, not serving (the readiness probe surfaces it).
 func (s *Service) checkpoint(key string, fitted *core.Fitted) {
-	if s.cfg.DisableCheckpoints {
-		return
-	}
 	if s.appendRecord(fitted.Record(key, key)) {
 		s.checkpoints.Add(1)
 	}
@@ -975,8 +959,7 @@ func (s *Service) Observe(ctx context.Context, req ObserveRequest) (*ObserveResp
 			"service: unknown model key %q: observations attach to fitted models (predict first)", req.ModelKey)}
 	}
 	n := s.recordObservation(req.ModelKey, req.ActualSeconds)
-	persisted := !s.cfg.DisableCheckpoints &&
-		s.appendRecord(history.NewObservation(req.ModelKey, req.ActualSeconds, req.Workers))
+	persisted := s.appendRecord(history.NewObservation(req.ModelKey, req.ActualSeconds, req.Workers))
 	regime := core.RegimeExtrapolation
 	if n >= s.cfg.BlendThreshold {
 		regime = core.RegimeInterpolation

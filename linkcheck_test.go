@@ -10,9 +10,13 @@ package predict_test
 // version pin, and runs with the ordinary suite. A second check holds
 // every command or example directory the user-facing documents name to a
 // directory that exists, so deleting a binary cannot leave its
-// invocations behind.
+// invocations behind. A third holds the exported functions under
+// internal/ to ones something outside their own tests names.
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -188,4 +192,101 @@ func TestDocCommandsExist(t *testing.T) {
 		t.Error("no command mention matched — the extraction regexp has regressed")
 	}
 	t.Logf("checked %d command mentions", checked)
+}
+
+// testSupportAPI lists what TestExportedSurfaceIsReached lets stay
+// exported although only its own package's tests name it: a whole package
+// directory, or one "<dir>.<Func>".
+var testSupportAPI = map[string]string{
+	"internal/crashtest":         "the process-level crash harness: a package of helpers its own tests drive",
+	"internal/bsp.Send":          "Pregel's point-to-point send, the vertex-program API a user-defined algorithm gets; every shipped program broadcasts",
+	"internal/graph.InNeighbors": "how tests read the reverse adjacency EnsureInEdges builds; non-test code reads only its degrees",
+}
+
+// TestExportedSurfaceIsReached holds "exported" to "something reaches it":
+// every exported top-level function or method declared in a non-test file
+// under internal/ must be named in a non-test file of this module or of
+// benchmark/ (which compiles against internal/), or in a _test.go of
+// another package, or be listed in testSupportAPI. Matching is by bare
+// name, so a dead function that shares its name with a live one is
+// missed; a live one is never reported.
+func TestExportedSurfaceIsReached(t *testing.T) {
+	type decl struct{ dir, name string }
+	var decls []decl
+	declared := map[*ast.Ident]bool{}
+	// usedIn[name] is the set of directories naming it: non-test files
+	// under "" (one shared key — any such use reaches), test files under
+	// their own directory.
+	usedIn := map[string]map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == filepath.Join("benchmark", "out") || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir, isTest := filepath.ToSlash(filepath.Dir(path)), strings.HasSuffix(path, "_test.go")
+		if !isTest && strings.HasPrefix(path, "internal"+string(filepath.Separator)) {
+			for _, d := range file.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok && fn.Name.IsExported() {
+					decls = append(decls, decl{dir, fn.Name.Name})
+					declared[fn.Name] = true
+				}
+			}
+		}
+		where := dir
+		if !isTest {
+			where = ""
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !declared[id] {
+				if usedIn[id.Name] == nil {
+					usedIn[id.Name] = map[string]bool{}
+				}
+				usedIn[id.Name][where] = true
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(decls) < 100 {
+		t.Fatalf("found only %d exported functions under internal/ — is the test running outside the repo root?", len(decls))
+	}
+	listed := map[string]bool{}
+	for _, d := range decls {
+		key := d.dir + "." + d.name
+		reached := false
+		for where := range usedIn[d.name] {
+			reached = reached || where != d.dir
+		}
+		if _, ok := testSupportAPI[d.dir]; ok {
+			listed[d.dir] = true
+		} else if _, ok := testSupportAPI[key]; ok {
+			listed[key] = true
+			if reached {
+				t.Errorf("%s is reached from outside its package's tests: drop it from testSupportAPI", key)
+			}
+		} else if !reached {
+			t.Errorf("%s is exported but named only by its own package's tests (or by nothing): unexport it, move it to the _test.go that wants it, or delete it", key)
+		}
+	}
+	for key := range testSupportAPI {
+		if !listed[key] {
+			t.Errorf("testSupportAPI lists %s, which is no package or exported function under internal/", key)
+		}
+	}
 }

@@ -49,7 +49,6 @@ import (
 	"io"
 
 	"predict/internal/algorithms"
-	"predict/internal/bounds"
 	"predict/internal/bsp"
 	"predict/internal/cluster"
 	"predict/internal/core"
@@ -165,7 +164,7 @@ func PageRankTau(epsilon float64, numVertices int) float64 {
 // PageRankIterationBound returns the Langville & Meyer analytical upper
 // bound on PageRank iterations, the baseline PREDIcT beats (§5.1).
 func PageRankIterationBound(epsilon, damping float64) int {
-	return bounds.PageRankIterations(epsilon, damping)
+	return algorithms.PageRankIterations(epsilon, damping)
 }
 
 // DefaultCluster returns the default simulated execution environment:
