@@ -96,7 +96,7 @@ func (p *rwrProgram) Compute(ctx *bsp.Context[float64], id bsp.VertexID, val *fl
 		*val = next
 	}
 	if deg := ctx.Graph().OutDegree(id); deg > 0 && *val > 0 {
-		ctx.SendToNeighbors(id, *val/float64(deg))
+		ctx.SendToNeighbors(*val / float64(deg))
 	}
 }
 

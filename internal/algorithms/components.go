@@ -49,10 +49,8 @@ func (c ConnectedComponents) RunLabels(g *graph.Graph, cfg bsp.Config) (*RunInfo
 	ug := g.Undirected()
 	prog := &ccProgram{}
 	eng := bsp.NewEngine[graph.VertexID, graph.VertexID](ug, prog, cfg)
-	// Integer min is associative, commutative and idempotent at the bit
-	// level, so the engine may combine on the send side: at most one label
-	// crosses each (sender, destination) pair per superstep.
-	eng.SetExactCombiner(func(a, b graph.VertexID) graph.VertexID {
+	// A vertex needs only the smallest label it was sent.
+	eng.SetCombiner(func(a, b graph.VertexID) graph.VertexID {
 		if a < b {
 			return a
 		}
@@ -71,7 +69,7 @@ func (ccProgram) Init(_ *graph.Graph, id bsp.VertexID) graph.VertexID { return i
 
 func (ccProgram) Compute(ctx *bsp.Context[graph.VertexID], id bsp.VertexID, label *graph.VertexID, msgs []graph.VertexID) {
 	if ctx.Superstep() == 0 {
-		ctx.SendToNeighbors(id, *label)
+		ctx.SendToNeighbors(*label)
 		ctx.VoteToHalt()
 		return
 	}
@@ -83,7 +81,7 @@ func (ccProgram) Compute(ctx *bsp.Context[graph.VertexID], id bsp.VertexID, labe
 	}
 	if best < *label {
 		*label = best
-		ctx.SendToNeighbors(id, best)
+		ctx.SendToNeighbors(best)
 	}
 	ctx.VoteToHalt()
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -312,9 +313,11 @@ func TestKernelScratchFollowsEngineWorkers(t *testing.T) {
 
 // TestKernelAllocsPerMessage holds heap allocations per message sent for a
 // whole engine run on a 3k-vertex graph, where the sort-based kernels
-// measure 3.24 (SC) and 1.28 (TOPK) and these 0.14 and 0.29. What remains
-// is the engine's inbox growth, the member list of an extension that wins
-// a place and the fresh list of a vertex whose top-k changed; a return to
+// measured 3.24 (SC) and 1.28 (TOPK) and these measure 0.06 and 0.09 (0.14
+// and 0.29 while the engine still grew an inbox per vertex). What remains
+// is the member list of an extension that wins a place and the fresh list
+// of a vertex whose top-k changed (the engine adds nothing per message:
+// it stores a broadcast once and gathers into a reused buffer); a return to
 // per-candidate member lists, sort.Slice or per-vertex maps fails here.
 func TestKernelAllocsPerMessage(t *testing.T) {
 	g := gen.BarabasiAlbert(3000, 8, 0.4, 17)
@@ -364,6 +367,29 @@ const (
 	scAllocsPerMessageCeiling   = 0.25
 	topkAllocsPerMessageCeiling = 0.4
 )
+
+// TestSemiClusteringRunBytes holds the bytes a semi-clustering sample run
+// allocates, on the graph above (379,008 messages of 48-byte clusters).
+// It measures 1.8 MB: the engine's set-up, one log entry per broadcast
+// and the kernels' member lists. The engine that copied a message per
+// edge — an envelope into an outbox, then the cluster into the
+// receiver's inbox — measured 20.1 MB here, ten times over the ceiling.
+func TestSemiClusteringRunBytes(t *testing.T) {
+	const ceiling = 4 << 20
+	g := gen.BarabasiAlbert(3000, 8, 0.4, 17)
+	g.Undirected() // the closure is the graph's to remember, not the run's
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := NewSemiClustering().Run(g, quietCfg(4)); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	allocated := after.TotalAlloc - before.TotalAlloc
+	t.Logf("SC run allocated %d bytes", allocated)
+	if allocated > ceiling {
+		t.Errorf("SC run allocated %d bytes, ceiling %d", allocated, ceiling)
+	}
+}
 
 // TestKernelLimitsRejected: a list or cluster limit below one used to mean
 // "no limit" by accident of the truncation loops; it is an error now.

@@ -69,10 +69,9 @@ func (n NeighborhoodEstimation) RunEstimates(g *graph.Graph, cfg bsp.Config) (*R
 	}
 	prog := &nhProgram{seed: n.HashSeed}
 	eng := bsp.NewEngine[nhValue, nhMsg](g.Reverse(), prog, cfg)
-	// Bitwise OR is exact under any regrouping, so Flajolet–Martin sketch
-	// unions combine on the send side: one merged sketch per (sender,
-	// destination) pair instead of one 64-byte message per edge.
-	eng.SetExactCombiner(func(a, b nhMsg) nhMsg {
+	// A vertex needs only the union of the Flajolet–Martin sketches it
+	// was sent.
+	eng.SetCombiner(func(a, b nhMsg) nhMsg {
 		for i := range a {
 			a[i] |= b[i]
 		}
@@ -129,7 +128,7 @@ func (np *nhProgram) Init(_ *graph.Graph, id bsp.VertexID) nhValue {
 
 func (np *nhProgram) Compute(ctx *bsp.Context[nhMsg], id bsp.VertexID, v *nhValue, msgs []nhMsg) {
 	if ctx.Superstep() == 0 {
-		ctx.SendToNeighbors(id, v.sketch)
+		ctx.SendToNeighbors(v.sketch)
 		ctx.VoteToHalt()
 		return
 	}
@@ -144,7 +143,7 @@ func (np *nhProgram) Compute(ctx *bsp.Context[nhMsg], id bsp.VertexID, v *nhValu
 	}
 	if changed {
 		ctx.AddToAggregate(aggNHChanged, 1)
-		ctx.SendToNeighbors(id, v.sketch)
+		ctx.SendToNeighbors(v.sketch)
 	}
 	ctx.VoteToHalt()
 }

@@ -132,11 +132,10 @@ func (p PageRank) runRanks(g *graph.Graph, cfg bsp.Config) (*RunInfo, []float64,
 	cfg = p.engineConfig(cfg)
 	prog := &pageRankProgram{damping: p.Damping, n: float64(g.NumVertices())}
 	eng := bsp.NewEngine[prValue, float64](g, prog, cfg)
-	// Floating-point addition is not associative at the bit level, so the
-	// rank-share combiner must stay a plain (receive-side) combiner: the
-	// engine applies it in its fixed pinned order, keeping ranks, delta
-	// aggregates and iteration counts bit-identical on every run. Do not
-	// "upgrade" this to SetExactCombiner.
+	// Floating-point addition is not associative at the bit level; the
+	// engine folds a vertex's inbox in its fixed delivery order, which is
+	// what keeps ranks, delta aggregates and iteration counts bit-identical
+	// on every run.
 	eng.SetCombiner(func(a, b float64) float64 { return a + b })
 	n := float64(g.NumVertices())
 	tau := p.Tau
@@ -199,7 +198,7 @@ func (p *pageRankProgram) Compute(ctx *bsp.Context[float64], id bsp.VertexID, v 
 	}
 	if deg := ctx.Graph().OutDegree(id); deg > 0 {
 		share := v.rank / float64(deg)
-		ctx.SendToNeighbors(id, share)
+		ctx.SendToNeighbors(share)
 	} else {
 		ctx.AddToAggregate(aggDangling, v.rank)
 	}

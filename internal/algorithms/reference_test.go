@@ -49,7 +49,7 @@ func (tp *refTopKProgram) Init(_ *graph.Graph, id bsp.VertexID) topkValue {
 
 func (tp *refTopKProgram) Compute(ctx *bsp.Context[topkMsg], id bsp.VertexID, v *topkValue, msgs []topkMsg) {
 	if ctx.Superstep() == 0 {
-		ctx.SendToNeighbors(id, topkMsg(v.list))
+		ctx.SendToNeighbors(topkMsg(v.list))
 		ctx.AddToAggregate(aggTopKUpdated, 1)
 		ctx.VoteToHalt()
 		return
@@ -63,7 +63,7 @@ func (tp *refTopKProgram) Compute(ctx *bsp.Context[topkMsg], id bsp.VertexID, v 
 	newList := topK(merged, tp.k)
 	if !rankListsEqual(newList, v.list) {
 		v.list = newList
-		ctx.SendToNeighbors(id, topkMsg(newList))
+		ctx.SendToNeighbors(topkMsg(newList))
 		ctx.AddToAggregate(aggTopKUpdated, 1)
 	}
 	ctx.VoteToHalt()
@@ -171,7 +171,7 @@ func (sp refSCProgram) Compute(ctx *bsp.Context[scCluster], id bsp.VertexID, v *
 		}
 		c.score = sp.score(c.ic, c.bc, 1)
 		v.best = []scCluster{c}
-		ctx.SendToNeighbors(id, c)
+		ctx.SendToNeighbors(c)
 		ctx.AddToAggregate(aggSCUpdated, 1)
 		ctx.AddToAggregate(aggSCTotal, 1)
 		return
@@ -193,7 +193,7 @@ func (sp refSCProgram) Compute(ctx *bsp.Context[scCluster], id bsp.VertexID, v *
 		limit = len(candidates)
 	}
 	for i := 0; i < limit; i++ {
-		ctx.SendToNeighbors(id, candidates[i])
+		ctx.SendToNeighbors(candidates[i])
 	}
 
 	// Update the local best-cluster list with candidates containing id.

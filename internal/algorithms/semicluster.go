@@ -325,7 +325,7 @@ func (sp *scProgram) Compute(ctx *bsp.Context[scCluster], id bsp.VertexID, v *sc
 		}
 		c.score = sp.score(c.ic, c.bc, 1)
 		v.best = append(make([]scCluster, 0, sp.p.CMax), c)
-		ctx.SendToNeighbors(id, c)
+		ctx.SendToNeighbors(c)
 		ctx.AddToAggregate(aggSCUpdated, 1)
 		ctx.AddToAggregate(aggSCTotal, 1)
 		return
@@ -354,7 +354,7 @@ func (sp *scProgram) Compute(ctx *bsp.Context[scCluster], id bsp.VertexID, v *sc
 	}
 
 	for _, k := range send {
-		ctx.SendToNeighbors(id, cands[k].cluster(id))
+		ctx.SendToNeighbors(cands[k].cluster(id))
 	}
 
 	// cands[i] is still the i-th current cluster.

@@ -141,7 +141,7 @@ func (tp *topkProgram) Init(_ *graph.Graph, id bsp.VertexID) topkValue {
 
 func (tp *topkProgram) Compute(ctx *bsp.Context[topkMsg], id bsp.VertexID, v *topkValue, msgs []topkMsg) {
 	if ctx.Superstep() == 0 {
-		ctx.SendToNeighbors(id, topkMsg(v.list))
+		ctx.SendToNeighbors(topkMsg(v.list))
 		ctx.AddToAggregate(aggTopKUpdated, 1)
 		ctx.VoteToHalt()
 		return
@@ -156,7 +156,7 @@ func (tp *topkProgram) Compute(ctx *bsp.Context[topkMsg], id bsp.VertexID, v *to
 	if !rankListsEqual(list, v.list) {
 		// A fresh slice: neighbors still hold the old one as a message.
 		v.list = slices.Clone(list)
-		ctx.SendToNeighbors(id, topkMsg(v.list))
+		ctx.SendToNeighbors(topkMsg(v.list))
 		ctx.AddToAggregate(aggTopKUpdated, 1)
 	}
 	ctx.VoteToHalt()

@@ -2,7 +2,10 @@
 // graph-processing engine (§2.2 of the paper): vertex-centric programs run
 // in supersteps, exchanging messages that are delivered at the next
 // superstep, with vote-to-halt semantics, optional combiners, global
-// aggregators and a master-side convergence predicate.
+// aggregators and a master-side convergence predicate. A vertex sends by
+// broadcasting to its out-neighbours (Context.SendToNeighbors), which is
+// all the paper's algorithms do, and the engine is built on that: one
+// stored copy per broadcast, gathered by its receivers.
 //
 // The engine executes genuinely in parallel (one goroutine per worker) and
 // maintains the per-worker, per-superstep counters of the paper's Table 1
@@ -99,7 +102,8 @@ type Program[V, M any] interface {
 	Init(g *graph.Graph, id VertexID) V
 	// Compute processes the messages delivered to vertex id this superstep
 	// and may send messages, update the value in place, vote to halt, and
-	// contribute to aggregators via ctx.
+	// contribute to aggregators via ctx. ctx and messages belong to the
+	// engine and are reused once Compute returns.
 	Compute(ctx *Context[M], id VertexID, value *V, messages []M)
 	// MessageBytes reports the serialized payload size of a message, used
 	// for the byte counters and the memory budget.
@@ -133,8 +137,8 @@ type WorkerScratcher interface {
 }
 
 // Combiner merges two messages destined for the same vertex (e.g. partial
-// sums for PageRank), reducing memory and delivery cost exactly like
-// Giraph combiners.
+// sums for PageRank), like a Giraph combiner: a vertex is handed the one
+// merged message instead of the list.
 type Combiner[M any] func(a, b M) M
 
 // SuperstepInfo is handed to the master's convergence predicate after

@@ -6,37 +6,32 @@ import (
 )
 
 // Context is the per-worker execution context handed to Program.Compute.
-// It routes messages, tracks the Table 1 counters, exposes aggregators and
-// implements vote-to-halt. A Context is only valid for the duration of the
-// Compute call that receives it.
+// It records broadcasts, tracks the Table 1 counters, exposes aggregators
+// and implements vote-to-halt. A Context is only valid for the duration of
+// the Compute call that receives it, and so is the message slice passed
+// beside it.
 //
 // Contexts are persistent: the engine creates one per worker for the whole
-// run and all hot-path state — outboxes, send-side combining slots,
+// run and all hot-path state — the broadcast log, the gather buffer, the
 // aggregator arrays — is reused across supersteps, invalidated lazily by
-// an epoch stamp instead of being reallocated or cleared. Send and
-// AddToAggregate are therefore allocation-free in the steady state.
+// an epoch stamp instead of being reallocated or cleared. SendToNeighbors
+// and AddToAggregate are therefore allocation-free in the steady state.
 type Context[M any] struct {
 	g       *graph.Graph
-	part    []int32
 	worker  int
-	workers int
 	numVert int64
 
 	superstep int
-	epoch     uint32 // superstep+1; stamps slots and aggregates as live
+	epoch     int // superstep+1; stamps broadcasts and aggregates as live
 	current   VertexID
 	load      cluster.WorkerLoad
 	halted    []bool
 	combiner  Combiner[M]
 	prog      interface{ MessageBytes(m M) int }
 	// fixedBytes caches FixedSizeMessager.FixedMessageBytes (-1 when the
-	// program's messages are variable-size), sparing the per-send
+	// program's messages are variable-size), sparing the per-broadcast
 	// interface call on the dominant fixed-size programs.
 	fixedBytes int
-
-	// scratch backs the one-element message slice handed to Compute on
-	// the combiner path.
-	scratch [1]M
 
 	// Slice-backed aggregators: names are interned once into aggIdx and
 	// accumulate into aggVals; aggEpoch marks which names were touched
@@ -46,25 +41,19 @@ type Context[M any] struct {
 	aggIdx   map[string]int
 	aggNames []string
 	aggVals  []float64
-	aggEpoch []uint32
+	aggEpoch []int
 	prevAgg  map[string]float64
 
-	// Remote sends, one of two reusable forms. Without an exact combiner:
-	// one envelope per message, per destination worker (outbox[dw]),
-	// truncated and reused each superstep. With an exact combiner: one
-	// dense combined slot per destination vertex (slot/slotEpoch) plus
-	// the first-touch order per destination worker (touched[dw]) — at
-	// most one combined value per (sender, destination vertex) pair.
-	outbox    [][]envelope[M]
-	slot      []M
-	slotEpoch []uint32
-	touched   [][]VertexID
+	// st is the run's broadcast store, shared by every worker; log is
+	// this worker's half of it for the superstep being computed — what its
+	// vertices have broadcast so far, in send order. The master hands log
+	// to the store at the barrier.
+	st  *store[M]
+	log []M
 
-	// next-superstep inboxes, owned by the engine; a worker only writes
-	// entries for vertices it owns (local sends).
-	nextOne  []M
-	nextHas  []bool
-	nextList [][]M
+	// inbox backs the message slice handed to Compute: the gathered list,
+	// or the one folded value on the combiner path.
+	inbox []M
 }
 
 // Superstep returns the current 0-based superstep index.
@@ -79,14 +68,6 @@ func (c *Context[M]) Graph() *graph.Graph { return c.g }
 // Worker returns the executing worker's index.
 func (c *Context[M]) Worker() int { return c.worker }
 
-// Send delivers message m to vertex dst at the next superstep, updating
-// the local/remote counters according to dst's worker. Counters are
-// always per message sent — combining collapses storage and delivery
-// work, never the counted load.
-func (c *Context[M]) Send(dst VertexID, m M) {
-	c.send(dst, m, c.messageBytes(m))
-}
-
 // messageBytes returns the serialized payload size of m.
 func (c *Context[M]) messageBytes(m M) int64 {
 	if c.fixedBytes >= 0 {
@@ -95,49 +76,65 @@ func (c *Context[M]) messageBytes(m M) int64 {
 	return int64(c.prog.MessageBytes(m))
 }
 
-// send is Send for a message whose payload size is already known.
-func (c *Context[M]) send(dst VertexID, m M, bytes int64) {
-	if int(c.part[dst]) == c.worker {
-		c.load.LocalMessages++
-		c.load.LocalMessageBytes += bytes
-		if c.combiner != nil {
-			if c.nextHas[dst] {
-				c.nextOne[dst] = c.combiner(c.nextOne[dst], m)
-			} else {
-				c.nextOne[dst] = m
-				c.nextHas[dst] = true
-			}
-		} else {
-			c.nextList[dst] = append(c.nextList[dst], m)
-		}
+// SendToNeighbors sends m from the vertex being computed to each of its
+// out-neighbours, for delivery at the next superstep. The message is
+// stored once, in this worker's log; the counters are charged per
+// receiver — one message and its payload bytes for every out-neighbour,
+// local or remote by the receiver's worker — from the vertex's local
+// out-degree, so they read what a copy per edge would have counted. The
+// message is sized once per broadcast.
+func (c *Context[M]) SendToNeighbors(m M) {
+	v := c.current
+	deg := int64(c.g.OutDegree(v))
+	if deg == 0 {
 		return
 	}
-	w := int(c.part[dst])
-	c.load.RemoteMessages++
-	c.load.RemoteMessageBytes += bytes
-	if c.slot != nil {
-		// Send-side combining (exact combiners only): fold into the dense
-		// per-destination slot; only the first touch records the envelope.
-		if c.slotEpoch[dst] == c.epoch {
-			c.slot[dst] = c.combiner(c.slot[dst], m)
-		} else {
-			c.slot[dst] = m
-			c.slotEpoch[dst] = c.epoch
-			c.touched[w] = append(c.touched[w], dst)
-		}
-		return
+	bytes := c.messageBytes(m)
+	local := int64(c.st.localOut[v])
+	c.load.LocalMessages += local
+	c.load.LocalMessageBytes += local * bytes
+	c.load.RemoteMessages += deg - local
+	c.load.RemoteMessageBytes += (deg - local) * bytes
+	s := &c.st.next[v]
+	if s.epoch != c.epoch {
+		*s = stamp{off: len(c.log), epoch: c.epoch, worker: int32(c.worker)}
 	}
-	c.outbox[w] = append(c.outbox[w], envelope[M]{dst: dst, m: m})
+	s.count++
+	c.log = append(c.log, m)
 }
 
-// SendToNeighbors sends m to every out-neighbor of v. The message is sized
-// once per broadcast: a variable-size program pays one MessageBytes call
-// per broadcast, not one per neighbor.
-func (c *Context[M]) SendToNeighbors(v VertexID, m M) {
-	bytes := c.messageBytes(m)
-	for _, dst := range c.g.OutNeighbors(v) {
-		c.send(dst, m, bytes)
+// gather returns the messages broadcast to v in the previous superstep, in
+// delivery order: own worker's senders ascending, then each other worker's
+// in worker order, a sender's several broadcasts adjacent in send order.
+// With a combiner the list is folded left to right into one message — the
+// same applications in the same order on every run, so a combiner that is
+// only approximately associative (a floating-point sum) still yields
+// identical bits.
+func (c *Context[M]) gather(v VertexID) []M {
+	c.inbox = c.inbox[:0]
+	if c.superstep == 0 {
+		return c.inbox
 	}
+	st, sentIn := c.st, c.epoch-1
+	for _, src := range st.inSrc[st.inOff[v]:st.inOff[v+1]] {
+		s := &st.cur[src]
+		if s.epoch != sentIn {
+			continue
+		}
+		sent := st.logs[s.worker][s.off : s.off+int(s.count)]
+		if c.combiner == nil {
+			c.inbox = append(c.inbox, sent...)
+			continue
+		}
+		for _, m := range sent {
+			if len(c.inbox) == 0 {
+				c.inbox = append(c.inbox, m)
+			} else {
+				c.inbox[0] = c.combiner(c.inbox[0], m)
+			}
+		}
+	}
+	return c.inbox
 }
 
 // VoteToHalt deactivates the current vertex; a subsequent message

@@ -10,33 +10,28 @@ import (
 	"predict/internal/graph"
 )
 
-// envelope is a message in flight to a vertex on another worker.
-type envelope[M any] struct {
-	dst VertexID
-	m   M
-}
-
 // Engine executes a Program over a graph under a Config. Engines are
 // single-use: construct, configure, Run once.
 //
-// The superstep loop is engineered for near-zero steady-state heap
-// allocation: W worker goroutines are spawned once and driven through
-// phase barriers for the whole run (inline on the caller for W=1),
-// outboxes and inboxes are reused across supersteps, aggregators are
-// slice-backed behind an interned name table, and exact combiners are
-// applied on the send side so remote traffic collapses to at most one
-// combined slot per (sender, destination) pair. None of this is
-// observable in the simulation: messages and bytes are counted at send
-// time, so Profile counters, oracle pricing and fitted cost models are
-// bit-identical to the historical per-superstep message path (pinned by
-// the engine-determinism tests).
+// It is a broadcast engine: the one way a vertex sends is
+// Context.SendToNeighbors, so a message is stored once, at its sender,
+// and each receiver gathers it at the next superstep through a reverse
+// adjacency built in delivery order (see store). The superstep loop is
+// engineered for near-zero steady-state heap allocation: W worker
+// goroutines are spawned once and driven through a barrier per superstep
+// (inline on the caller for W=1), broadcast logs and gather buffers are
+// reused across supersteps, and aggregators are slice-backed behind an
+// interned name table. None of this is observable in the simulation:
+// messages and bytes are charged per receiver at send time, so Profile
+// counters, oracle pricing and fitted cost models are bit-identical to
+// the historical copy-per-edge message path (pinned by the
+// engine-determinism tests).
 type Engine[V, M any] struct {
-	g             *graph.Graph
-	prog          Program[V, M]
-	cfg           Config
-	combiner      Combiner[M]
-	exactCombiner bool
-	halt          HaltPredicate
+	g        *graph.Graph
+	prog     Program[V, M]
+	cfg      Config
+	combiner Combiner[M]
+	halt     HaltPredicate
 }
 
 // NewEngine returns an engine for program p over graph g.
@@ -44,32 +39,13 @@ func NewEngine[V, M any](g *graph.Graph, p Program[V, M], cfg Config) *Engine[V,
 	return &Engine[V, M]{g: g, prog: p, cfg: cfg.withDefaults()}
 }
 
-// SetCombiner installs a message combiner (optional). The combiner is
-// applied in a fixed, scheduling-independent order — eagerly for local
-// messages, then per sending worker in worker order at delivery — so
-// combiners that are only approximately associative (floating-point
-// sums) still produce bit-identical results on every run. Combiners that
-// are exact under regrouping should use SetExactCombiner, which
-// additionally enables send-side combining.
-func (e *Engine[V, M]) SetCombiner(c Combiner[M]) {
-	e.combiner = c
-	e.exactCombiner = false
-}
-
-// SetExactCombiner installs a combiner that is bit-exact under any
-// grouping and ordering of its applications: associative and commutative
-// at the bit level, like min, max, bitwise and/or, or integer addition —
-// but not floating-point addition, whose rounding depends on grouping.
-// For exact combiners the engine combines remote messages on the send
-// side into one dense slot per destination vertex, so at most one
-// combined value per (sender, destination) pair crosses the worker
-// boundary regardless of how many messages were sent. Counters are
-// unaffected (messages and bytes are counted at send time); only the
-// host-side memory footprint and delivery work shrink.
-func (e *Engine[V, M]) SetExactCombiner(c Combiner[M]) {
-	e.combiner = c
-	e.exactCombiner = true
-}
+// SetCombiner installs a message combiner (optional). A vertex's inbox is
+// folded into one message, left to right in delivery order — its own
+// worker's senders ascending, then the other workers in worker order —
+// which no scheduling can change, so a combiner that is only approximately
+// associative (a floating-point sum) still produces bit-identical results
+// on every run, and an exact one (min, bitwise or) needs nothing more.
+func (e *Engine[V, M]) SetCombiner(c Combiner[M]) { e.combiner = c }
 
 // SetHalt installs the master-side convergence predicate (optional). When
 // nil, the run terminates only when every vertex has voted to halt and no
@@ -84,8 +60,8 @@ func partitionWorker(v VertexID, workers int) int {
 
 // crew drives a fixed set of persistent worker goroutines through phase
 // barriers: the master installs a phase body, kicks every worker, and
-// waits for all of them — the two-spawns-per-superstep pattern replaced
-// by two channel round-trips. A single-worker crew runs every phase
+// waits for all of them — a channel round-trip per phase in place of a
+// spawn per worker. A single-worker crew runs every phase
 // inline on the master goroutine and never spawns.
 type crew struct {
 	workers int
@@ -179,28 +155,6 @@ func (e *Engine[V, M]) Run() (*Result[V], error) {
 		WriteSeconds:   oracle.WriteSeconds(int64(n), W),
 	}
 
-	// Message storage. With a combiner each vertex holds at most one
-	// pending message; without one it holds a list. All buffers are
-	// allocated once and reused for the whole run.
-	useCombiner := e.combiner != nil
-	var (
-		curList  [][]M
-		nextList [][]M
-		curOne   []M
-		curHas   []bool
-		nextOne  []M
-		nextHas  []bool
-	)
-	if useCombiner {
-		curOne = make([]M, n)
-		curHas = make([]bool, n)
-		nextOne = make([]M, n)
-		nextHas = make([]bool, n)
-	} else {
-		curList = make([][]M, n)
-		nextList = make([][]M, n)
-	}
-
 	graphBytes := 8*e.g.NumEdges() + 16*int64(n)
 	sizer, hasSizer := any(e.prog).(ValueSizer[V])
 	fixedBytes := -1
@@ -214,39 +168,24 @@ func (e *Engine[V, M]) Run() (*Result[V], error) {
 	values := make([]V, n)
 	halted := make([]bool, n)
 
-	// Persistent per-worker contexts: every buffer a superstep needs —
-	// outboxes, combined-send slots, aggregator arrays — lives here and is
-	// reused, so the steady-state loop allocates nothing per worker.
+	// Persistent per-worker contexts around the one broadcast store: every
+	// buffer a superstep needs lives in them and is reused, so the
+	// steady-state loop allocates nothing per worker.
+	st, logs := newStore[M](e.g, part, workerVerts)
 	contexts := make([]*Context[M], W)
 	for w := 0; w < W; w++ {
-		c := &Context[M]{
+		contexts[w] = &Context[M]{
 			g:          e.g,
-			part:       part,
 			worker:     w,
-			workers:    W,
 			numVert:    int64(n),
 			prog:       e.prog,
 			fixedBytes: fixedBytes,
 			combiner:   e.combiner,
 			halted:     halted,
 			aggIdx:     map[string]int{},
-			nextOne:    nextOne,
-			nextHas:    nextHas,
-			nextList:   nextList,
+			st:         st,
+			log:        logs[w],
 		}
-		if W > 1 {
-			if useCombiner && e.exactCombiner {
-				// Send-side combining: one dense combined slot per
-				// destination vertex, plus the first-touch order per
-				// destination worker (the deterministic delivery order).
-				c.slot = make([]M, n)
-				c.slotEpoch = make([]uint32, n)
-				c.touched = make([][]VertexID, W)
-			} else {
-				c.outbox = make([][]envelope[M], W)
-			}
-		}
-		contexts[w] = c
 	}
 
 	workers := startCrew(W)
@@ -259,20 +198,13 @@ func (e *Engine[V, M]) Run() (*Result[V], error) {
 		}
 	})
 
-	// Phase bodies are built once; per-superstep state reaches them
-	// through the contexts and the captured buffer variables.
+	// The phase body is built once; per-superstep state reaches it through
+	// the contexts. A vertex's inbox is gathered when its turn comes, from
+	// what its in-neighbours broadcast in the superstep before.
 	computePhase := func(w int) {
 		c := contexts[w]
 		for _, v := range workerVerts[w] {
-			var msgs []M
-			if useCombiner {
-				if curHas[v] {
-					c.scratch[0] = curOne[v]
-					msgs = c.scratch[:1]
-				}
-			} else {
-				msgs = curList[v]
-			}
+			msgs := c.gather(v)
 			if halted[v] && len(msgs) == 0 {
 				continue
 			}
@@ -284,38 +216,6 @@ func (e *Engine[V, M]) Run() (*Result[V], error) {
 			e.prog.Compute(c, v, &values[v], msgs)
 		}
 	}
-	// Delivery merges remote sends targeting worker w, sender by sender in
-	// worker order — the fixed merge order that keeps combiner application
-	// bit-reproducible (and, for non-exact combiners, bit-identical to the
-	// historical per-message path).
-	deliverPhase := func(w int) {
-		for sw := 0; sw < W; sw++ {
-			c := contexts[sw]
-			if c.slot != nil {
-				for _, dst := range c.touched[w] {
-					if nextHas[dst] {
-						nextOne[dst] = e.combiner(nextOne[dst], c.slot[dst])
-					} else {
-						nextOne[dst] = c.slot[dst]
-						nextHas[dst] = true
-					}
-				}
-				continue
-			}
-			for _, env := range c.outbox[w] {
-				if useCombiner {
-					if nextHas[env.dst] {
-						nextOne[env.dst] = e.combiner(nextOne[env.dst], env.m)
-					} else {
-						nextOne[env.dst] = env.m
-						nextHas[env.dst] = true
-					}
-				} else {
-					nextList[env.dst] = append(nextList[env.dst], env.m)
-				}
-			}
-		}
-	}
 
 	prevAgg := map[string]float64{}
 
@@ -323,30 +223,18 @@ func (e *Engine[V, M]) Run() (*Result[V], error) {
 	converged := false
 	for step := 0; step < e.cfg.MaxSupersteps; step++ {
 		start := time.Now()
-		epoch := uint32(step + 1)
-		// Reset per-superstep context state: truncate reused buffers,
-		// advance the epoch that lazily invalidates slots and aggregates.
+		epoch := step + 1
+		// Reset per-superstep context state and advance the epoch that
+		// lazily invalidates stamps and aggregates.
 		for w := 0; w < W; w++ {
 			c := contexts[w]
 			c.superstep = step
 			c.epoch = epoch
 			c.load = cluster.WorkerLoad{TotalVertices: workerVertCounts[w]}
 			c.prevAgg = prevAgg
-			for i := range c.touched {
-				c.touched[i] = c.touched[i][:0]
-			}
-			for i := range c.outbox {
-				c.outbox[i] = c.outbox[i][:0]
-			}
 		}
 
-		// Compute phase: each worker scans its vertices. Delivery phase:
-		// each worker merges the remote sends targeting it (no remote
-		// traffic exists on a single worker).
 		workers.phase(computePhase)
-		if W > 1 {
-			workers.phase(deliverPhase)
-		}
 		wallNanos := time.Since(start).Nanoseconds()
 
 		// Master: merge aggregates deterministically — per key, worker
@@ -388,7 +276,8 @@ func (e *Engine[V, M]) Run() (*Result[V], error) {
 		profile.Supersteps = append(profile.Supersteps, sp)
 
 		// Memory budget: graph + vertex state + doubled message footprint
-		// (outboxes plus inboxes), with a fixed per-message overhead.
+		// (the simulated cluster's outboxes plus inboxes), with a fixed
+		// per-message overhead.
 		if oracle.MemoryBudgetBytes > 0 {
 			var valueBytes int64
 			if hasSizer {
@@ -430,23 +319,12 @@ func (e *Engine[V, M]) Run() (*Result[V], error) {
 			}
 		}
 
-		// Swap message buffers.
-		if useCombiner {
-			curOne, nextOne = nextOne, curOne
-			curHas, nextHas = nextHas, curHas
-			for i := range nextHas {
-				nextHas[i] = false
-			}
-		} else {
-			curList, nextList = nextList, curList
-			for i := range nextList {
-				nextList[i] = nextList[i][:0]
-			}
-		}
-		// Re-point the contexts at the swapped next-superstep inboxes.
-		for w := 0; w < W; w++ {
-			c := contexts[w]
-			c.nextOne, c.nextHas, c.nextList = nextOne, nextHas, nextList
+		// Swap the store's halves: what was broadcast this superstep is
+		// what the next one gathers, and the logs it read are truncated for
+		// reuse.
+		st.cur, st.next = st.next, st.cur
+		for w, c := range contexts {
+			st.logs[w], c.log = c.log, st.logs[w][:0]
 		}
 
 		if converged {

@@ -43,7 +43,7 @@ func (p rankShareProgram) Compute(ctx *Context[float64], id VertexID, v *float64
 	}
 	ctx.AddToAggregate("bench.delta", sum)
 	if deg := ctx.Graph().OutDegree(id); deg > 0 {
-		ctx.SendToNeighbors(id, *v/float64(deg))
+		ctx.SendToNeighbors(*v / float64(deg))
 	}
 }
 
@@ -51,7 +51,7 @@ func (rankShareProgram) MessageBytes(float64) int { return 8 }
 func (rankShareProgram) FixedMessageBytes() int   { return 8 }
 
 // labelMinProgram is the Components-shaped benchmark load: VertexID label
-// floods with an exact (min) combiner. It keeps all vertices active so
+// floods with a min combiner. It keeps all vertices active so
 // every superstep does full work.
 type labelMinProgram struct{}
 
@@ -63,7 +63,7 @@ func (labelMinProgram) Compute(ctx *Context[VertexID], id VertexID, label *Verte
 			*label = m
 		}
 	}
-	ctx.SendToNeighbors(id, *label)
+	ctx.SendToNeighbors(*label)
 }
 
 func (labelMinProgram) MessageBytes(VertexID) int { return 4 }
@@ -120,11 +120,11 @@ func BenchmarkSuperstepPageRankNoCombiner(b *testing.B) {
 	})
 }
 
-func BenchmarkSuperstepComponentsExactCombiner(b *testing.B) {
+func BenchmarkSuperstepComponentsCombiner(b *testing.B) {
 	g := benchGraph(4000)
 	runEngineBench(b, g, 4, func() *Engine[VertexID, VertexID] {
 		eng := NewEngine[VertexID, VertexID](g, labelMinProgram{}, benchConfig(4))
-		eng.SetExactCombiner(func(a, b VertexID) VertexID {
+		eng.SetCombiner(func(a, b VertexID) VertexID {
 			if a < b {
 				return a
 			}

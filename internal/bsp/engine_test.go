@@ -40,7 +40,7 @@ func (maxProgram) Compute(ctx *Context[int], id VertexID, value *int, msgs []int
 		}
 	}
 	if changed {
-		ctx.SendToNeighbors(id, *value)
+		ctx.SendToNeighbors(*value)
 	}
 	ctx.VoteToHalt()
 }
@@ -143,7 +143,7 @@ func (p sumProgram) Compute(ctx *Context[float64], id VertexID, value *float64, 
 	}
 	ctx.AddToAggregate("active", 1)
 	if ctx.Superstep() < p.rounds {
-		ctx.SendToNeighbors(id, float64(id)+1)
+		ctx.SendToNeighbors(float64(id) + 1)
 	} else {
 		ctx.VoteToHalt()
 	}
@@ -226,7 +226,7 @@ type chattyProgram struct{}
 
 func (chattyProgram) Init(_ *graph.Graph, _ VertexID) int { return 0 }
 func (chattyProgram) Compute(ctx *Context[int], id VertexID, _ *int, _ []int) {
-	ctx.SendToNeighbors(id, 1)
+	ctx.SendToNeighbors(1)
 }
 func (chattyProgram) MessageBytes(int) int { return 8 }
 
@@ -373,14 +373,15 @@ func TestNaturalTerminationWhenAllHalt(t *testing.T) {
 	}
 }
 
-// reactivationProgram: vertex 0 sends a message to vertex 1 in superstep 0;
-// everyone halts immediately. Vertex 1 must be reactivated in superstep 1.
+// reactivationProgram: vertex 0 broadcasts in superstep 0 — on the cycle
+// graph its one out-edge is 0 → 1 — and everyone halts immediately. Vertex
+// 1 must be reactivated in superstep 1.
 type reactivationProgram struct{}
 
 func (reactivationProgram) Init(_ *graph.Graph, _ VertexID) int { return 0 }
 func (reactivationProgram) Compute(ctx *Context[int], id VertexID, value *int, msgs []int) {
 	if ctx.Superstep() == 0 && id == 0 {
-		ctx.Send(1, 42)
+		ctx.SendToNeighbors(42)
 	}
 	for _, m := range msgs {
 		*value = m
@@ -430,64 +431,9 @@ func (p aggEchoProgram) Compute(ctx *Context[int], id VertexID, _ *int, _ []int)
 	if ctx.Superstep() == 1 && ctx.Aggregate("x") == 10 {
 		p.saw.Store(true)
 	}
-	ctx.SendToNeighbors(id, 0)
+	ctx.SendToNeighbors(0)
 }
 func (aggEchoProgram) MessageBytes(int) int { return 8 }
-
-// minProgram floods min labels like connected components; min is exact
-// under regrouping, so plain and send-side combining must agree bit-wise.
-type minProgram struct{}
-
-func (minProgram) Init(_ *graph.Graph, id VertexID) int { return int(id) }
-
-func (minProgram) Compute(ctx *Context[int], id VertexID, value *int, msgs []int) {
-	changed := ctx.Superstep() == 0
-	for _, m := range msgs {
-		if m < *value {
-			*value = m
-			changed = true
-		}
-	}
-	if changed {
-		ctx.SendToNeighbors(id, *value)
-	}
-	ctx.VoteToHalt()
-}
-
-func (minProgram) MessageBytes(int) int { return 8 }
-
-func TestExactCombinerMatchesPlainCombiner(t *testing.T) {
-	g := starPlusRing(80)
-	min := func(a, b int) int {
-		if a < b {
-			return a
-		}
-		return b
-	}
-	run := func(exact bool) ([]int, string) {
-		eng := NewEngine[int, int](g, minProgram{}, testCfg(4))
-		if exact {
-			eng.SetExactCombiner(min)
-		} else {
-			eng.SetCombiner(min)
-		}
-		res, err := eng.Run()
-		if err != nil {
-			t.Fatalf("Run(exact=%v): %v", exact, err)
-		}
-		return res.Values, res.Profile.Fingerprint()
-	}
-	plainVals, plainFP := run(false)
-	exactVals, exactFP := run(true)
-	for v := range plainVals {
-		if plainVals[v] != exactVals[v] {
-			t.Fatalf("vertex %d: plain %d vs exact %d", v, plainVals[v], exactVals[v])
-		}
-	}
-	if plainFP != exactFP {
-		t.Errorf("profiles diverge between plain and send-side combining:\nplain %s\nexact %s", plainFP, exactFP)
-	}
-}
 
 // sparseAggProgram contributes to an aggregator only on even supersteps,
 // guarding the epoch-gated merge: an interned name must not linger in the
@@ -500,7 +446,7 @@ func (sparseAggProgram) Compute(ctx *Context[int], id VertexID, _ *int, _ []int)
 	if ctx.Superstep()%2 == 0 {
 		ctx.AddToAggregate("even", 1)
 	}
-	ctx.SendToNeighbors(id, 1)
+	ctx.SendToNeighbors(1)
 }
 func (sparseAggProgram) MessageBytes(int) int { return 8 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 
 	"predict/internal/algorithms"
 	"predict/internal/bsp"
@@ -111,6 +112,16 @@ type sampleFamily struct {
 	opts   sampling.Options
 }
 
+// drawSlots lets at most max(1, GOMAXPROCS-1) sample draws run at once in
+// the process. A draw is the one stage of a fit that never blocks — a walk
+// over the graph with no barrier, channel or lock in it — so as many
+// draws as there are Ps hold every P until the scheduler preempts one,
+// and a process that also serves requests reads its network only then
+// (the runtime polls it when a P runs out of work, or from sysmon every
+// 10 ms). One P kept free of draws is what keeps a warm answer's latency
+// from depending on how fast the fits beside it are; see DESIGN.md §10.
+var drawSlots = make(chan struct{}, max(1, runtime.GOMAXPROCS(0)-1))
+
 // sample returns task t's sample of g. A sample is a pure function of
 // (g, method, options) and immutable once drawn (it aliases no pooled
 // workspace buffer), so g remembers the most recent family's samples and
@@ -126,6 +137,8 @@ func (p *Predictor) sample(g *graph.Graph, t sampleTask) (s *sampling.Result, re
 		sOpts := p.opts.Sampling
 		sOpts.Ratio = t.ratio
 		sOpts.Seed = t.seed
+		drawSlots <- struct{}{}
+		defer func() { <-drawSlots }()
 		return sampling.Sample(g, p.opts.Method, sOpts)
 	})
 	if err != nil {

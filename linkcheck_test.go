@@ -199,7 +199,6 @@ func TestDocCommandsExist(t *testing.T) {
 // directory, or one "<dir>.<Func>".
 var testSupportAPI = map[string]string{
 	"internal/crashtest":         "the process-level crash harness: a package of helpers its own tests drive",
-	"internal/bsp.Send":          "Pregel's point-to-point send, the vertex-program API a user-defined algorithm gets; every shipped program broadcasts",
 	"internal/graph.InNeighbors": "how tests read the reverse adjacency EnsureInEdges builds; non-test code reads only its degrees",
 }
 
