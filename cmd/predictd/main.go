@@ -12,12 +12,13 @@
 //	predictd -max-models 128 -timeout 120s -workers 16
 //	predictd -fit-parallelism 8 -fit-timeout 2m     # cold-path budget
 //	predictd -fit-queue-depth 8 -max-inflight 256   # admission control (shed past the bound)
-//	predictd -retry-after 2s                        # Retry-After guidance on shed responses
-//	predictd -fit-breaker-threshold 5 -fit-breaker-cooldown 5s  # per-model circuit breaker
-//	predictd -retry-attempts 3 -retry-base-delay 50ms -retry-max-delay 1s  # transient dataset I/O
 //	predictd -pprof-addr 127.0.0.1:6060             # live profiling (off by default)
 //	predictd -drain-timeout 10s                     # SIGTERM drain deadline before fits are canceled
-//	predictd -blend-threshold 5                     # observations before closed-loop refits kick in
+//
+// Fifteen flags: addresses, paths, capacities and timeouts of this host.
+// The batch limit, blend threshold, Retry-After hint, circuit breaker,
+// dataset I/O retry policy and checkpoint growth factor are constants
+// (DESIGN.md §10, "Constants, and why they are not flags").
 //
 // API (JSON; docs/API.md is the full reference):
 //
@@ -55,26 +56,17 @@ func main() {
 		maxModels = flag.Int("max-models", 64, "LRU bound on cached cost models")
 		maxGraphs = flag.Int("max-graphs", 8, "LRU bound on cached dataset graphs")
 		timeout   = flag.Duration("timeout", 60*time.Second, "default per-request timeout")
-		maxBatch  = flag.Int("max-batch", 256, "maximum requests per batch call")
 		workers   = flag.Int("workers", 0, "sample-cluster BSP workers (0 = default 8)")
 		seed      = flag.Uint64("seed", 0, "cost-oracle noise seed")
 		histFile  = flag.String("history", "", "JSON-lines file: warm the model cache at startup, persist it at shutdown")
 		dataDir   = flag.String("dataset-dir", "", "dataset registry directory (<name>.snap snapshots, <name>.txt/.el/.edges edge lists)")
-		mmapData  = flag.Bool("mmap-datasets", false, "serve .snap registry datasets from mmap'd pages (zero-copy, shared across processes; falls back to copy-in where unsupported)")
+		mmapData  = flag.Bool("mmap-datasets", false, "serve .snap registry datasets from mmap'd pages (zero-copy, shared across processes; falls back to copy-in where unsupported); replace a served .snap by rename, never in place")
 		fitPar    = flag.Int("fit-parallelism", 0, "shared fit-pool budget: sample pipelines running at once across all cold fits (0 = GOMAXPROCS)")
 		fitTO     = flag.Duration("fit-timeout", 0, "per-fit deadline, detached from request timeouts (0 = default 5m)")
-		fitQueue  = flag.Int("fit-queue-depth", 0, "cold fits outstanding before shedding with 503 (0 = 4x fit parallelism, <0 = unlimited)")
+		fitQueue  = flag.Int("fit-queue-depth", 0, "cold fits outstanding before shedding with 503 (0 = 4x fit parallelism)")
 		maxInfl   = flag.Int("max-inflight", 0, "hard bound on in-flight requests before shedding with 429 (0 = unlimited)")
-		retry     = flag.Duration("retry-after", 0, "Retry-After guidance on shed responses (0 = default 1s)")
 		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060); empty disables profiling")
-		brkThresh = flag.Int("fit-breaker-threshold", 0, "consecutive fit failures before a model key's circuit breaker opens (0 = default 5, <0 = disabled)")
-		brkCool   = flag.Duration("fit-breaker-cooldown", 0, "how long an open breaker waits before a half-open probe (0 = default 5s)")
-		retryN    = flag.Int("retry-attempts", 0, "dataset I/O attempts for transient failures, first try included (0 = default 3, <0 = no retries)")
-		retryBase = flag.Duration("retry-base-delay", 0, "first backoff between dataset I/O retries, jittered exponential after (0 = default 50ms)")
-		retryMax  = flag.Duration("retry-max-delay", 0, "backoff ceiling between dataset I/O retries (0 = default 1s)")
 		drainTO   = flag.Duration("drain-timeout", 10*time.Second, "SIGTERM drain deadline: how long in-flight requests get before their fits are canceled")
-		ckptGrow  = flag.Int("checkpoint-growth-factor", 0, "compact the checkpoint log when it grows this many times its post-compaction size (0 = default 4, <0 = never compact)")
-		blendK    = flag.Int("blend-threshold", 0, "observed runtimes per model key before predictions switch to the observation-weighted refit (0 = default 5)")
 	)
 	flag.Parse()
 
@@ -94,27 +86,17 @@ func main() {
 		MaxModels:      *maxModels,
 		MaxGraphs:      *maxGraphs,
 		DefaultTimeout: *timeout,
-		MaxBatch:       *maxBatch,
 		FitParallelism: *fitPar,
 		FitTimeout:     *fitTO,
 		FitQueueDepth:  *fitQueue,
 		MaxInFlight:    *maxInfl,
-		ShedRetryAfter: *retry,
 		Cluster:        bsp.Config{Workers: *workers, Seed: *seed, Oracle: &oracle},
 		DatasetDir:     *dataDir,
 		MmapDatasets:   *mmapData,
-
-		FitBreakerThreshold: *brkThresh,
-		FitBreakerCooldown:  *brkCool,
-		RetryAttempts:       *retryN,
-		RetryBaseDelay:      *retryBase,
-		RetryMaxDelay:       *retryMax,
 		// The readiness probe (GET /readyz) watches the history file's
 		// appendability when one is configured; every fitted model is
 		// durably appended here at fit time.
-		HistoryPath:            *histFile,
-		CheckpointGrowthFactor: *ckptGrow,
-		BlendThreshold:         *blendK,
+		HistoryPath: *histFile,
 	})
 
 	// Warm the cache from history. If the warm-up could not read the whole

@@ -1,5 +1,6 @@
-// SLA-feasibility sweep against the prediction service — the serving-side
-// version of examples/slafeasibility.
+// SLA-feasibility sweep against the prediction service — the paper's §1
+// motivating question ("is it feasible to execute the workload on an
+// input dataset while guaranteeing user specified SLAs?") asked over HTTP.
 //
 // The example starts an in-process predictd service, then acts as an HTTP
 // client planning a nightly PageRank job on the Wikipedia stand-in:
@@ -9,7 +10,8 @@
 //  2. A /predict/batch what-if sweep asks "would the job meet its SLA on
 //     4, 8, 12, ... workers?" — every item reuses the one cached model
 //     (the worker count is an extrapolation input, not part of the model
-//     key), so the whole sweep costs milliseconds.
+//     key), so the whole sweep costs milliseconds, and every answer
+//     carries the probability of meeting the deadline.
 //  3. A repeat of the cold call demonstrates the warm path.
 //
 // Run:
@@ -57,23 +59,26 @@ func main() {
 	for _, w := range workerCounts {
 		req := base
 		req.Workers = w
+		req.DeadlineSeconds = slaSeconds
 		batch.Requests = append(batch.Requests, req)
 	}
 	sweep := post[service.BatchResponse](server.URL+"/predict/batch", batch)
 
 	fmt.Printf("what-if sweep against a %.0f s SLA (%d configs in %.1f ms, %d cache hits):\n",
 		slaSeconds, len(workerCounts), sweep.ElapsedMillis, sweep.CacheHits)
-	fmt.Printf("  %-8s %-14s %s\n", "workers", "predicted", "verdict")
+	fmt.Printf("  %-8s %-14s %-12s %s\n", "workers", "predicted", "P(meets SLA)", "verdict")
 	for i, item := range sweep.Responses {
 		if item.Error != "" {
 			log.Fatalf("sweep item %d: %s", i, item.Error)
 		}
 		r := item.Response
+		// Each answer is a distribution, so feasibility is a probability:
+		// plan on the configurations that meet the SLA 95 times in 100.
 		verdict := "FEASIBLE"
-		if r.SuperstepSeconds > slaSeconds {
+		if *r.ProbabilityOfDeadline < 0.95 {
 			verdict = "infeasible"
 		}
-		fmt.Printf("  %-8d %7.0f s      %s\n", r.Workers, r.SuperstepSeconds, verdict)
+		fmt.Printf("  %-8d %7.0f s      %-12.3f %s\n", r.Workers, r.SuperstepSeconds, *r.ProbabilityOfDeadline, verdict)
 	}
 
 	// 3. Warm repeat of the original query.

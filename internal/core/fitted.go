@@ -82,14 +82,12 @@ type Fitted struct {
 	SamplesReused int
 }
 
-// sampleTask describes one sample+profile pipeline of a fit: the main
-// sample run (index 0) or one additional training-ratio run. Its seed is
-// fixed before execution starts, which is what makes the parallel fan-out
-// bit-identical to the sequential path.
-type sampleTask struct {
-	ratio float64
-	seed  uint64
-}
+// sampleTask describes one sample+profile pipeline of a fit — the main
+// sample run (index 0) or one additional training-ratio run — by the
+// options its sample is drawn with. Its seed is fixed before execution
+// starts, which is what makes the parallel fan-out bit-identical to the
+// sequential path.
+type sampleTask = sampling.Options
 
 // sampleOutcome is a completed sampleTask's artifacts.
 type sampleOutcome struct {
@@ -102,14 +100,13 @@ type sampleOutcome struct {
 type sampleMemo struct{}
 
 // sampleFamily is what the samples of one fit share, and what every fit
-// with the same method, options and base seed shares with it: the memo
-// holds the samples of one such family per graph. opts.Ratio is zero and
-// opts.Seed the base seed; a member's own ratio and derived seed are its
-// sampleTask, so family and task together are everything sampling.Sample
-// reads.
+// with the same method and base seed shares with it: the memo holds the
+// samples of one such family per graph. A member's own ratio and derived
+// seed are its sampleTask, so family and task together are everything
+// sampling.Sample reads.
 type sampleFamily struct {
 	method sampling.Method
-	opts   sampling.Options
+	seed   uint64
 }
 
 // drawSlots lets at most max(1, GOMAXPROCS-1) sample draws run at once in
@@ -123,7 +120,7 @@ type sampleFamily struct {
 var drawSlots = make(chan struct{}, max(1, runtime.GOMAXPROCS(0)-1))
 
 // sample returns task t's sample of g. A sample is a pure function of
-// (g, method, options) and immutable once drawn (it aliases no pooled
+// (g, method, ratio, seed) and immutable once drawn (it aliases no pooled
 // workspace buffer), so g remembers the most recent family's samples and
 // the second to fifth algorithm fitted on a (graph, seed) draw none: a
 // dataset's algorithms share one set of samples, as in the paper, where
@@ -131,15 +128,11 @@ var drawSlots = make(chan struct{}, max(1, runtime.GOMAXPROCS(0)-1))
 // seeds on one graph replace each other's family and pay for every draw,
 // which is the cost of not remembering; see DESIGN.md §8.
 func (p *Predictor) sample(g *graph.Graph, t sampleTask) (s *sampling.Result, reused bool, err error) {
-	family := sampleFamily{method: p.opts.Method, opts: p.opts.Sampling}
-	family.opts.Ratio = 0
+	family := sampleFamily{method: p.opts.Method, seed: p.opts.Sampling.Seed}
 	v, reused, err := g.Memo(sampleMemo{}).Do(family, t, func() (any, error) {
-		sOpts := p.opts.Sampling
-		sOpts.Ratio = t.ratio
-		sOpts.Seed = t.seed
 		drawSlots <- struct{}{}
 		defer func() { <-drawSlots }()
-		return sampling.Sample(g, p.opts.Method, sOpts)
+		return sampling.Sample(g, p.opts.Method, t)
 	})
 	if err != nil {
 		return nil, false, err
@@ -163,7 +156,7 @@ func (p *Predictor) Fit(alg algorithms.Algorithm, g *graph.Graph) (*Fitted, erro
 // bit-identical at every parallelism level. Cancellation is observed
 // between pipeline stages, not inside a profiled run.
 //
-// A pipeline's sample is drawn once per (graph, method, options, seed) and
+// A pipeline's sample is drawn once per (graph, method, ratio, seed) and
 // remembered on g (see sample), so only the first algorithm fitted on a
 // dataset pays for sampling. The draws themselves are allocation-light by
 // construction: every pipeline draws on pooled sampling workspaces
@@ -187,14 +180,14 @@ func (p *Predictor) runPipelines(ctx context.Context, alg algorithms.Algorithm, 
 	// Task 0 is the main sample run; the rest are the additional
 	// training-ratio runs in declaration order, each seeded from its
 	// index in Options.TrainingRatios.
-	tasks := []sampleTask{{ratio: p.opts.Sampling.Ratio, seed: p.opts.Sampling.Seed}}
+	tasks := []sampleTask{p.opts.Sampling}
 	for i, ratio := range p.opts.TrainingRatios {
 		if ratio == p.opts.Sampling.Ratio {
 			continue // the main sample run already contributes
 		}
 		tasks = append(tasks, sampleTask{
-			ratio: ratio,
-			seed:  sampling.DeriveSeed(p.opts.Sampling.Seed, uint64(i)),
+			Ratio: ratio,
+			Seed:  sampling.DeriveSeed(p.opts.Sampling.Seed, uint64(i)),
 		})
 	}
 
@@ -211,7 +204,7 @@ func (p *Predictor) runPipelines(ctx context.Context, alg algorithms.Algorithm, 
 			if i == 0 {
 				return fmt.Errorf("core: sampling: %w", err)
 			}
-			return fmt.Errorf("core: training sample at ratio %v: %w", t.ratio, err)
+			return fmt.Errorf("core: training sample at ratio %v: %w", t.Ratio, err)
 		}
 		// Cancellation boundary between the two pipeline stages: the
 		// profiled run is the expensive half of a pipeline, so a fit past
@@ -230,7 +223,7 @@ func (p *Predictor) runPipelines(ctx context.Context, alg algorithms.Algorithm, 
 			if i == 0 {
 				return fmt.Errorf("core: sample run: %w", err)
 			}
-			return fmt.Errorf("core: training sample run at ratio %v: %w", t.ratio, err)
+			return fmt.Errorf("core: training sample run at ratio %v: %w", t.Ratio, err)
 		}
 		outcomes[i] = sampleOutcome{sample: s, reused: reused, run: ri}
 		return nil
@@ -253,7 +246,7 @@ func (p *Predictor) train(alg algorithms.Algorithm, tasks []sampleTask, outcomes
 		costmodel.TrainingRun{Source: "sample", Iters: iterFeats})
 	for i := 1; i < len(tasks); i++ {
 		training = append(training, costmodel.FromProfile(
-			fmt.Sprintf("sample sr=%.2f", tasks[i].ratio),
+			fmt.Sprintf("sample sr=%.2f", tasks[i].Ratio),
 			outcomes[i].run.Profile, p.opts.Mode))
 	}
 	model, err := costmodel.Train(training, p.opts.CostModel)

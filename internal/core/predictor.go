@@ -21,7 +21,7 @@ type Options struct {
 	// Method is the sampling technique; the default is Biased Random Jump,
 	// the paper's default (§3.2.1).
 	Method sampling.Method
-	// Sampling carries the sampling ratio, restart probability, seed etc.
+	// Sampling carries the main sample run's ratio and the base seed.
 	Sampling sampling.Options
 	// BSP is the execution environment used for the sample run. Per the
 	// paper's assumption iii, it must match the actual run's environment

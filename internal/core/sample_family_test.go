@@ -279,7 +279,7 @@ func requireSameSample(t *testing.T, got, want *sampling.Result) {
 func TestRememberedSampleOwnsItsMemory(t *testing.T) {
 	g := familyGraph()
 	p := New(familyOptions(5))
-	task := sampleTask{ratio: 0.1, seed: 5}
+	task := sampleTask{Ratio: 0.1, Seed: 5}
 	remembered, reused, err := p.sample(g, task)
 	if err != nil || reused {
 		t.Fatalf("first draw: reused %v, err %v", reused, err)
@@ -436,7 +436,6 @@ func TestGraphHoldsOneBoundedFamily(t *testing.T) {
 			opts := familyOptions(seed)
 			opts.Method = method
 			opts.Sampling.Ratio = 0.05 + 0.01*float64(seed)
-			opts.Sampling.RestartProb = 0.1 + 0.02*float64(seed)
 			fit(opts)
 		}
 	}

@@ -67,23 +67,26 @@ func TestCrashMidCompactionKeepsOldLog(t *testing.T) {
 	seed := ChaosSeed(t)
 	hist := filepath.Join(t.TempDir(), "models.jsonl")
 
-	srv := Start(t, []string{"-history", hist, "-checkpoint-growth-factor", "2"},
+	srv := Start(t, []string{"-history", hist},
 		"PREDICT_FAULTS=point=history.compact,from=1,kill",
 		fmt.Sprintf("PREDICT_FAULTS_SEED=%d", seed))
 	srv.WaitReady(15 * time.Second)
-	if code := srv.Predict(1); code != 200 {
-		t.Fatalf("fit 1 = %d, want 200\n%s", code, srv.Output())
+	for fit := uint64(1); fit <= 3; fit++ {
+		if code := srv.Predict(fit); code != 200 {
+			t.Fatalf("fit %d = %d, want 200\n%s", fit, code, srv.Output())
+		}
 	}
-	// Fit 2 checkpoints fine, which tips the log over the growth factor;
-	// the compaction then dies pre-rename, taking the process with it.
-	if code := srv.Predict(2); code == 200 {
-		t.Fatalf("fit 2 survived its scheduled mid-compaction crash\n%s", srv.Output())
+	// Fit 4 checkpoints fine, which brings the log to four times its
+	// one-record baseline; the compaction then dies pre-rename, taking the
+	// process with it.
+	if code := srv.Predict(4); code == 200 {
+		t.Fatalf("fit 4 survived its scheduled mid-compaction crash\n%s", srv.Output())
 	}
 	srv.ExpectKilled(15 * time.Second)
 
 	oracle := CheckpointedModels(t, hist)
-	if len(oracle) != 2 {
-		t.Fatalf("old log holds %d models after mid-compaction crash, want both", len(oracle))
+	if len(oracle) != 4 {
+		t.Fatalf("old log holds %d models after mid-compaction crash, want all four", len(oracle))
 	}
 
 	srv2 := Start(t, []string{"-history", hist})

@@ -10,8 +10,7 @@ import "sync"
 // ordering paid an O(n log n) sort.Slice per Sample, and the fidelity and
 // property measurements re-derived and re-sorted full degree sequences per
 // call. A Graph is immutable once built, which makes all of these pure
-// functions of the graph — ideal cache fodder behind a sync.Once, the same
-// pattern EnsureInEdges uses for the reverse adjacency.
+// functions of the graph — ideal cache fodder behind a sync.Once.
 type degreeArtifacts struct {
 	// outDegrees[v] is v's out-degree. Shared; callers must not modify.
 	outDegrees []int
@@ -27,11 +26,11 @@ type degreeArtifacts struct {
 }
 
 // EnsureDegreeArtifacts materializes the degree artifacts if they have not
-// been built yet — the EnsureInEdges counterpart for degree state. Callers
-// that load or generate a graph ahead of serving (the prediction service's
-// graph cache) warm the artifacts here so the first cold fit's sampling
-// pipelines find the BRJ seed ordering ready instead of paying the build
-// inside the request path. Safe for concurrent use.
+// been built yet. Callers that load or generate a graph ahead of serving
+// (the prediction service's graph cache) warm the artifacts here so the
+// first cold fit's sampling pipelines find the BRJ seed ordering ready
+// instead of paying the build inside the request path. Safe for
+// concurrent use.
 func (g *Graph) EnsureDegreeArtifacts() {
 	g.ensureDegreeArtifacts()
 }
@@ -109,16 +108,13 @@ func (g *Graph) VerticesByOutDegree() []VertexID {
 	return g.ensureDegreeArtifacts().byOutDegreeDesc
 }
 
-// SortedInDegrees returns the memoized ascending in-degree sequence,
-// materializing the reverse adjacency if needed. The slice is shared:
-// callers must not modify it.
+// SortedInDegrees returns the memoized ascending in-degree sequence. The
+// slice is shared: callers must not modify it.
 func (g *Graph) SortedInDegrees() []int {
 	g.inDegOnce.Do(func() {
-		g.EnsureInEdges()
 		n := g.NumVertices()
 		counts := []int{0}
-		for v := 0; v < n; v++ {
-			d := g.InDegree(VertexID(v))
+		for _, d := range g.inDegrees() {
 			for d >= len(counts) {
 				counts = append(counts, 0)
 			}

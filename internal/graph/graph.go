@@ -26,21 +26,15 @@ type Graph struct {
 	edges   []VertexID // concatenated adjacency lists, sorted per vertex
 	weights []float32  // optional, parallel to edges; nil if unweighted
 
-	// Reverse adjacency (in-edges), built lazily — and concurrency-safely —
-	// by EnsureInEdges; inOnce serializes the build.
-	inOnce    sync.Once
-	inOffsets []int64
-	inEdges   []VertexID
-
 	// Degree artifacts (memoized out-degree slices, sorted sequences and
 	// the BRJ seed ordering), built lazily by ensureDegreeArtifacts; see
 	// artifacts.go. The sync.Once publishes deg with a happens-before edge
-	// for every caller, the same discipline as EnsureInEdges.
+	// for every caller.
 	degOnce sync.Once
 	deg     *degreeArtifacts
 
-	// Sorted in-degree sequence, memoized separately because it needs the
-	// reverse adjacency first.
+	// Sorted in-degree sequence, memoized separately: only fidelity and
+	// property measurements read it.
 	inDegOnce   sync.Once
 	sortedInDeg []int
 
@@ -101,54 +95,55 @@ func (g *Graph) OutWeights(v VertexID) []float32 {
 	return g.weights[g.offsets[v]:g.offsets[v+1]]
 }
 
-// EnsureInEdges materializes the reverse adjacency (in-edges) if it has
-// not been built yet. It is safe for concurrent use: parallel fit
-// pipelines share the base graph (in-degree features, sampling fidelity),
-// so the build is serialized behind a sync.Once and every caller returns
-// with the reverse adjacency visible (the Once gives the happens-before
-// edge).
-func (g *Graph) EnsureInEdges() {
-	g.inOnce.Do(g.buildInEdges)
+// inDegrees counts every vertex's in-edges in one pass over the edge
+// array; nothing is kept.
+func (g *Graph) inDegrees() []int {
+	deg := make([]int, g.NumVertices())
+	for _, dst := range g.edges {
+		deg[dst]++
+	}
+	return deg
 }
 
-func (g *Graph) buildInEdges() {
+// transpose builds the reverse CSR of g by counting scatter: row v holds
+// the sources of v's in-edges, ascending because sources are visited in
+// ascending order, each with its edge's weight when g carries weights.
+// Self-loops are left out, as everywhere a graph is built. It is the one
+// builder of a reverse adjacency: Reverse wraps it and Undirected merges
+// against it.
+func (g *Graph) transpose() (offsets []int64, edges []VertexID, weights []float32) {
 	n := g.NumVertices()
-	inDeg := make([]int64, n+1)
-	for _, dst := range g.edges {
-		inDeg[dst+1]++
-	}
-	for i := 1; i <= n; i++ {
-		inDeg[i] += inDeg[i-1]
-	}
-	inEdges := make([]VertexID, len(g.edges))
-	cursor := make([]int64, n)
-	copy(cursor, inDeg[:n])
+	offsets = make([]int64, n+1)
 	for src := 0; src < n; src++ {
 		for _, dst := range g.OutNeighbors(VertexID(src)) {
-			inEdges[cursor[dst]] = VertexID(src)
+			if dst != VertexID(src) {
+				offsets[dst+1]++
+			}
+		}
+	}
+	for i := 1; i <= n; i++ {
+		offsets[i] += offsets[i-1]
+	}
+	edges = make([]VertexID, offsets[n])
+	if g.weights != nil && len(g.edges) > 0 { // no edge, so no weight either
+		weights = make([]float32, offsets[n])
+	}
+	cursor := make([]int64, n)
+	copy(cursor, offsets[:n])
+	for src := 0; src < n; src++ {
+		ws := g.OutWeights(VertexID(src))
+		for i, dst := range g.OutNeighbors(VertexID(src)) {
+			if dst == VertexID(src) {
+				continue
+			}
+			edges[cursor[dst]] = VertexID(src)
+			if weights != nil {
+				weights[cursor[dst]] = ws[i]
+			}
 			cursor[dst]++
 		}
 	}
-	g.inOffsets = inDeg
-	g.inEdges = inEdges
-}
-
-// InDegree reports the number of in-edges of v. It requires in-edges to be
-// materialized (see EnsureInEdges).
-func (g *Graph) InDegree(v VertexID) int {
-	if g.inOffsets == nil {
-		panic("graph: InDegree called before EnsureInEdges")
-	}
-	return int(g.inOffsets[v+1] - g.inOffsets[v])
-}
-
-// InNeighbors returns the in-neighbors of v as a shared slice view. It
-// requires in-edges to be materialized (see EnsureInEdges).
-func (g *Graph) InNeighbors(v VertexID) []VertexID {
-	if g.inOffsets == nil {
-		panic("graph: InNeighbors called before EnsureInEdges")
-	}
-	return g.inEdges[g.inOffsets[v]:g.inOffsets[v+1]]
+	return offsets, edges, weights
 }
 
 // HasEdge reports whether the directed edge (src, dst) exists. It runs a
@@ -190,24 +185,8 @@ func (g *Graph) String() string {
 // Reverse returns the transpose graph: every edge (u, v) becomes (v, u).
 // Weights are carried over.
 func (g *Graph) Reverse() *Graph {
-	n := g.NumVertices()
-	b := NewBuilder(n)
-	for src := 0; src < n; src++ {
-		ws := g.OutWeights(VertexID(src))
-		for i, dst := range g.OutNeighbors(VertexID(src)) {
-			if ws != nil {
-				b.AddWeightedEdge(dst, VertexID(src), ws[i])
-			} else {
-				b.AddEdge(dst, VertexID(src))
-			}
-		}
-	}
-	rg, err := b.Build()
-	if err != nil {
-		// Cannot happen: edges come from a valid graph.
-		panic("graph: Reverse: " + err.Error())
-	}
-	return rg
+	offsets, edges, weights := g.transpose()
+	return &Graph{offsets: offsets, edges: edges, weights: weights}
 }
 
 // Undirected returns the symmetric closure of g: for every edge (u, v) the
@@ -218,17 +197,17 @@ func (g *Graph) Reverse() *Graph {
 // the result carry the weight of the edge leaving the smaller endpoint —
 // the one a Builder fed g's edges in order sees first.
 //
-// The closure is built once per graph and shared, like the reverse
-// adjacency: connected components and semi-clustering both run on the
-// closure of the same sample. It is safe for concurrent use.
+// The closure is built once per graph and shared: connected components
+// and semi-clustering both run on the closure of the same sample. It is
+// safe for concurrent use.
 func (g *Graph) Undirected() *Graph {
 	g.undOnce.Do(func() { g.und = g.buildUndirected() })
 	return g.und
 }
 
 // buildUndirected builds the closure straight into CSR. A built graph's
-// rows are strictly ascending, and a reverse adjacency scattered by
-// ascending source has ascending rows too, so row r of the closure is the
+// rows are strictly ascending, and so are its transpose's, so row r of
+// the closure is the
 // merge of r's out-row and in-row: counted in one pass, filled in a
 // second, with no sort and no intermediate edge list.
 func (g *Graph) buildUndirected() *Graph {
@@ -236,30 +215,7 @@ func (g *Graph) buildUndirected() *Graph {
 	if len(g.edges) == 0 {
 		return &Graph{offsets: make([]int64, n+1)} // no edge, so no weight either
 	}
-	inOffsets := make([]int64, n+1)
-	for _, dst := range g.edges {
-		inOffsets[dst+1]++
-	}
-	for i := 1; i <= n; i++ {
-		inOffsets[i] += inOffsets[i-1]
-	}
-	inEdges := make([]VertexID, len(g.edges))
-	var inWeights []float32
-	if g.weights != nil {
-		inWeights = make([]float32, len(g.edges))
-	}
-	cursor := make([]int64, n)
-	copy(cursor, inOffsets[:n])
-	for src := 0; src < n; src++ {
-		ws := g.OutWeights(VertexID(src))
-		for i, dst := range g.OutNeighbors(VertexID(src)) {
-			inEdges[cursor[dst]] = VertexID(src)
-			if ws != nil {
-				inWeights[cursor[dst]] = ws[i]
-			}
-			cursor[dst]++
-		}
-	}
+	inOffsets, inEdges, inWeights := g.transpose()
 
 	// mergeRow merges row r's two directions into edges/weights (or only
 	// counts them when edges is nil) and returns the merged length.

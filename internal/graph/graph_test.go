@@ -130,16 +130,12 @@ func TestBuilderWeighted(t *testing.T) {
 
 func TestInEdges(t *testing.T) {
 	g := MustFromEdges(4, [][2]VertexID{{0, 2}, {1, 2}, {3, 2}, {2, 0}})
-	g.EnsureInEdges()
-	if d := g.InDegree(2); d != 3 {
-		t.Errorf("InDegree(2) = %d, want 3", d)
+	if deg := g.inDegrees(); deg[2] != 3 || deg[0] != 1 {
+		t.Errorf("inDegrees = %v, want 3 at vertex 2 and 1 at vertex 0", deg)
 	}
-	if d := g.InDegree(0); d != 1 {
-		t.Errorf("InDegree(0) = %d, want 1", d)
-	}
-	in := g.InNeighbors(2)
-	if len(in) != 3 {
-		t.Fatalf("InNeighbors(2) = %v, want 3 entries", in)
+	in := g.Reverse().OutNeighbors(2)
+	if len(in) != 3 || in[0] != 0 || in[1] != 1 || in[2] != 3 {
+		t.Fatalf("in-neighbours of 2 = %v, want [0 1 3]", in)
 	}
 }
 

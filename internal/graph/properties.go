@@ -265,7 +265,7 @@ func LargestComponentFraction(g *Graph) float64 {
 // vertices with non-zero out-degree. The paper's sampling requirements call
 // for the sample to preserve in/out degree proportionality (§4.1).
 func InOutRatioStats(g *Graph) float64 {
-	g.EnsureInEdges()
+	in := g.inDegrees()
 	n := g.NumVertices()
 	var sum float64
 	count := 0
@@ -274,7 +274,7 @@ func InOutRatioStats(g *Graph) float64 {
 		if out == 0 {
 			continue
 		}
-		sum += float64(g.InDegree(VertexID(v))) / float64(out)
+		sum += float64(in[v]) / float64(out)
 		count++
 	}
 	if count == 0 {

@@ -1,16 +1,18 @@
 package graph
 
 import (
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 )
 
-// TestEnsureInEdgesConcurrent is the -race regression for the lazy
-// reverse-adjacency build: parallel fit pipelines share the base graph and
-// may hit EnsureInEdges (via SortedInDegrees, sampling fidelity, feature
-// extraction) from many goroutines at once. Before the sync.Once guard
-// this was an unguarded write to shared state.
-func TestEnsureInEdgesConcurrent(t *testing.T) {
+// TestSortedInDegreesConcurrent is the -race regression for the lazily
+// built in-degree sequence: parallel fit pipelines share the base graph
+// and may ask for it (sampling fidelity, property measurements) from many
+// goroutines at once. Every caller must get the one shared slice, and it
+// must be the transpose's degrees in ascending order.
+func TestSortedInDegreesConcurrent(t *testing.T) {
 	const n = 500
 	b := NewBuilder(n)
 	for i := 0; i < n; i++ {
@@ -23,50 +25,26 @@ func TestEnsureInEdgesConcurrent(t *testing.T) {
 	}
 
 	const goroutines = 16
-	degs := make([][]int, goroutines)
+	got := make([][]int, goroutines)
 	var wg sync.WaitGroup
 	wg.Add(goroutines)
 	for i := 0; i < goroutines; i++ {
 		go func(i int) {
 			defer wg.Done()
-			// Mix the three entry points that trigger or depend on the
-			// lazy build.
-			switch i % 3 {
-			case 0:
-				g.EnsureInEdges()
-				degs[i] = inDegrees(g)
-			case 1:
-				degs[i] = inDegrees(g)
-			default:
-				g.EnsureInEdges()
-				d := make([]int, n)
-				for v := 0; v < n; v++ {
-					d[v] = len(g.InNeighbors(VertexID(v)))
-				}
-				degs[i] = d
-			}
+			got[i] = g.SortedInDegrees()
 		}(i)
 	}
 	wg.Wait()
 
-	if g.inOffsets == nil {
-		t.Fatal("no reverse adjacency after concurrent EnsureInEdges")
-	}
-	want := degs[0]
-	var total int
-	for _, d := range want {
-		total += d
-	}
-	if int64(total) != g.NumEdges() {
-		t.Fatalf("in-degrees sum to %d, want %d", total, g.NumEdges())
-	}
-	for i := 1; i < goroutines; i++ {
-		for v := range want {
-			if degs[i][v] != want[v] {
-				t.Fatalf("goroutine %d saw in-degree %d for vertex %d, goroutine 0 saw %d",
-					i, degs[i][v], v, want[v])
-			}
+	want := referenceInDegrees(g)
+	sort.Ints(want)
+	for i, d := range got {
+		if &d[0] != &got[0][0] {
+			t.Fatalf("goroutine %d got its own in-degree sequence", i)
 		}
+	}
+	if !slices.Equal(got[0], want) {
+		t.Fatalf("SortedInDegrees = %v, want %v", got[0], want)
 	}
 }
 

@@ -214,8 +214,10 @@ func TestVerticesByOutDegreeMatchesSortReference(t *testing.T) {
 	}
 }
 
-// outDegrees and inDegrees compute fresh per-vertex degree slices straight
-// from the adjacency — the reference the memoized artifacts are held to.
+// outDegrees computes a fresh per-vertex out-degree slice straight from
+// the adjacency — the reference the memoized artifacts are held to — and
+// referenceInDegrees reads in-degrees off the transpose, not off the
+// counting pass SortedInDegrees uses.
 func outDegrees(g *Graph) []int {
 	deg := make([]int, g.NumVertices())
 	for v := range deg {
@@ -224,14 +226,7 @@ func outDegrees(g *Graph) []int {
 	return deg
 }
 
-func inDegrees(g *Graph) []int {
-	g.EnsureInEdges()
-	deg := make([]int, g.NumVertices())
-	for v := range deg {
-		deg[v] = g.InDegree(VertexID(v))
-	}
-	return deg
-}
+func referenceInDegrees(g *Graph) []int { return outDegrees(g.Reverse()) }
 
 // TestDegreeArtifactsConsistency checks the memoized degree artifacts
 // against directly computed values.
@@ -262,7 +257,7 @@ func TestDegreeArtifactsConsistency(t *testing.T) {
 				t.Fatalf("trial %d: SortedOutDegrees[%d] = %d, want %d", trial, i, gotSorted[i], sortedRef[i])
 			}
 		}
-		inRef := inDegrees(g)
+		inRef := referenceInDegrees(g)
 		sort.Ints(inRef)
 		gotIn := g.SortedInDegrees()
 		if len(gotIn) != len(inRef) {

@@ -33,6 +33,30 @@ func referenceUndirected(g *Graph) *Graph {
 	return ug
 }
 
+// referenceReverse is the pre-rewrite Builder-based transpose (a sort per
+// row), kept verbatim as the executable specification Graph.transpose
+// must match bit for bit.
+func referenceReverse(g *Graph) *Graph {
+	n := g.NumVertices()
+	b := NewBuilder(n)
+	for src := 0; src < n; src++ {
+		ws := g.OutWeights(VertexID(src))
+		for i, dst := range g.OutNeighbors(VertexID(src)) {
+			if ws != nil {
+				b.AddWeightedEdge(dst, VertexID(src), ws[i])
+			} else {
+				b.AddEdge(dst, VertexID(src))
+			}
+		}
+	}
+	rg, err := b.Build()
+	if err != nil {
+		// Cannot happen: edges come from a valid graph.
+		panic("graph: Reverse: " + err.Error())
+	}
+	return rg
+}
+
 // withSelfLoops returns g with the self-loop (v, v) of weight loops[v]
 // spliced into each listed vertex's sorted row: the graphs a snapshot file
 // can carry but a Builder, which drops self-loops, cannot build.
@@ -127,6 +151,25 @@ func TestUndirectedMatchesBuilderReference(t *testing.T) {
 	}
 	for _, g := range []*Graph{{}, MustFromEdges(3, nil), MustFromEdges(1, [][2]VertexID{{0, 0}})} {
 		requireSameGraph(t, g.Undirected(), referenceUndirected(g), g.String())
+	}
+}
+
+// TestReverseMatchesBuilderReference drives the counting-scatter
+// transpose against the Builder-based reference on the same inputs:
+// random directed, weighted, self-loop and duplicate-edge graphs, the
+// transpose of a transpose, and the empty ones.
+func TestReverseMatchesBuilderReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(15, 51))
+	for trial := 0; trial < 400; trial++ {
+		weighted, keepSelf := trial%2 == 1, trial%4 >= 2
+		g := randomClosureInput(rng, weighted, keepSelf)
+		label := fmt.Sprintf("trial %d (weighted=%v, self-loops=%v, %v)", trial, weighted, keepSelf, g)
+		r := g.Reverse()
+		requireSameGraph(t, r, referenceReverse(g), label)
+		requireSameGraph(t, r.Reverse(), referenceReverse(r), label+" twice")
+	}
+	for _, g := range []*Graph{{}, MustFromEdges(3, nil), MustFromEdges(1, [][2]VertexID{{0, 0}})} {
+		requireSameGraph(t, g.Reverse(), referenceReverse(g), g.String())
 	}
 }
 

@@ -192,13 +192,17 @@ func TestChaosCompactionCrashLeavesLogIntact(t *testing.T) {
 		t.Fatal("crashed compaction modified the log")
 	}
 	// No temp litter: the aborted compaction cleans up after itself.
-	entries, err := os.ReadDir(filepath.Dir(path))
-	if err != nil {
-		t.Fatal(err)
+	onlyTheLog := func(when string) {
+		t.Helper()
+		entries, err := os.ReadDir(filepath.Dir(path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 || entries[0].Name() != filepath.Base(path) {
+			t.Fatalf("%s the log directory holds %v, want only the log", when, entries)
+		}
 	}
-	if len(entries) != 1 {
-		t.Fatalf("aborted compaction left %d files in the log directory, want 1", len(entries))
-	}
+	onlyTheLog("after an aborted compaction")
 
 	kept, err := CompactFile(path)
 	if err != nil {
@@ -207,8 +211,18 @@ func TestChaosCompactionCrashLeavesLogIntact(t *testing.T) {
 	if kept != 2 {
 		t.Errorf("kept = %d, want 2 (newest generation of a and b)", kept)
 	}
+	onlyTheLog("after a compaction")
 	want := map[string]string{"a": "a-gen3", "b": "b-gen3"}
 	if got := loadLiveSet(t, path); !equalSets(got, want) {
 		t.Errorf("live set after recovery = %v, want %v", got, want)
+	}
+
+	// The other rewrite, a whole-file replacement, goes the same way.
+	if err := ReplaceFile(path, modelRecord("c", 1)); err != nil {
+		t.Fatal(err)
+	}
+	onlyTheLog("after ReplaceFile")
+	if got := loadLiveSet(t, path); !equalSets(got, map[string]string{"c": "c-gen1"}) {
+		t.Errorf("live set after ReplaceFile = %v, want only c", got)
 	}
 }

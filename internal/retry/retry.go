@@ -29,17 +29,18 @@ import (
 )
 
 // Policy bounds and spaces retries of one operation. The zero value
-// retries nothing (one attempt); withDefaults fills the spacing knobs.
+// retries nothing (one attempt). The spacing has no defaults of its own:
+// the caller that knows what it is waiting for names the delays, and a
+// Policy with Attempts alone retries without waiting.
 type Policy struct {
 	// Attempts is the total number of tries, including the first; values
 	// below 1 mean 1 (no retry).
 	Attempts int
-	// BaseDelay is the backoff before the first retry; zero selects 10ms.
+	// BaseDelay is the backoff before the first retry; it doubles before
+	// each later one.
 	BaseDelay time.Duration
-	// MaxDelay caps the exponential growth; zero selects 1s.
+	// MaxDelay caps the exponential growth: no backoff exceeds it.
 	MaxDelay time.Duration
-	// Multiplier grows the delay between retries; values <= 1 select 2.
-	Multiplier float64
 	// Jitter is the fraction of each delay that is randomized (0..1):
 	// the actual sleep is delay * (1 - Jitter + Jitter*u) for a seeded
 	// uniform u in [0,1). Negative means 0 (deterministic spacing); the
@@ -55,27 +56,13 @@ type Policy struct {
 	OnRetry func(attempt int, err error, sleep time.Duration)
 }
 
-func (p Policy) withDefaults() Policy {
-	if p.Attempts < 1 {
-		p.Attempts = 1
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 10 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = time.Second
-	}
-	if p.Multiplier <= 1 {
-		p.Multiplier = 2
-	}
+// jitter resolves the Jitter field: zero selects 0.5, the rest clamps
+// to [0, 1].
+func (p Policy) jitter() float64 {
 	if p.Jitter == 0 {
-		p.Jitter = 0.5
-	} else if p.Jitter < 0 {
-		p.Jitter = 0
-	} else if p.Jitter > 1 {
-		p.Jitter = 1
+		return 0.5
 	}
-	return p
+	return max(0, min(p.Jitter, 1))
 }
 
 // doSeq decorrelates the jitter streams of concurrent Do calls that did
@@ -90,12 +77,12 @@ var doSeq atomic.Uint64
 // op's last error so callers can distinguish "gave up" from "kept
 // failing".
 func (p Policy) Do(ctx context.Context, retryable func(error) bool, op func() error) error {
-	p = p.withDefaults()
 	seed := p.Seed
 	if seed == 0 {
 		seed = doSeq.Add(1) * 0x9e3779b97f4a7c15
 	}
-	delay := p.BaseDelay
+	jitter := p.jitter()
+	delay := min(p.BaseDelay, p.MaxDelay)
 	var err error
 	for attempt := 1; ; attempt++ {
 		if err = op(); err == nil {
@@ -108,10 +95,10 @@ func (p Policy) Do(ctx context.Context, retryable func(error) bool, op func() er
 			return err
 		}
 		sleep := delay
-		if p.Jitter > 0 {
+		if jitter > 0 {
 			seed = splitmix64(seed)
 			u := float64(seed>>11) / float64(1<<53)
-			sleep = time.Duration(float64(delay) * (1 - p.Jitter + p.Jitter*u))
+			sleep = time.Duration(float64(delay) * (1 - jitter + jitter*u))
 		}
 		if p.OnRetry != nil {
 			p.OnRetry(attempt, err, sleep)
@@ -121,10 +108,7 @@ func (p Policy) Do(ctx context.Context, retryable func(error) bool, op func() er
 		case <-ctx.Done():
 			return errors.Join(ctx.Err(), err)
 		}
-		delay = time.Duration(float64(delay) * p.Multiplier)
-		if delay > p.MaxDelay {
-			delay = p.MaxDelay
-		}
+		delay = min(2*delay, p.MaxDelay)
 	}
 }
 

@@ -44,8 +44,8 @@ func BenchmarkBRJSamplingWalk(b *testing.B) {
 // walk with restarts) from subgraph induction.
 func BenchmarkBRJWalkOnly(b *testing.B) {
 	g := brjBenchGraph(20000)
-	opts := Options{Ratio: 0.10, Seed: 7}.withDefaults()
-	seeds := topOutDegreeSeeds(g, opts.SeedFraction)
+	opts := Options{Ratio: 0.10, Seed: 7}
+	seeds := topOutDegreeSeeds(g)
 	n := g.NumVertices()
 	target := int(float64(n) * opts.Ratio)
 	ws := new(workspace)
@@ -54,7 +54,7 @@ func BenchmarkBRJWalkOnly(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rng := newRNG(opts.Seed)
 		ws.begin(n, target)
-		walkSample(g, target, opts, rng, seeds, ws)
+		walkSample(g, target, rng, seeds, ws)
 		if len(ws.visited) != target {
 			b.Fatalf("walk returned %d vertices, want %d", len(ws.visited), target)
 		}

@@ -46,32 +46,22 @@ func Methods() []Method {
 type Options struct {
 	// Ratio is the target fraction of vertices to sample, in (0, 1].
 	Ratio float64
-	// RestartProb is the walk restart probability; the paper uses 0.15.
-	// Zero selects the default.
-	RestartProb float64
-	// SeedFraction is the fraction of the highest out-degree vertices used
-	// as BRJ restart seeds; the paper uses 0.01 (k = 1% of vertices).
-	// Zero selects the default.
-	SeedFraction float64
 	// Seed drives all randomness; equal seeds give identical samples.
 	Seed uint64
-	// MaxStepFactor bounds the walk length at MaxStepFactor * target
-	// vertices before falling back to uniform fill; zero selects 400.
-	MaxStepFactor int
 }
 
-func (o Options) withDefaults() Options {
-	if o.RestartProb == 0 {
-		o.RestartProb = 0.15
-	}
-	if o.SeedFraction == 0 {
-		o.SeedFraction = 0.01
-	}
-	if o.MaxStepFactor == 0 {
-		o.MaxStepFactor = 400
-	}
-	return o
-}
+// The paper's walk constants (§3.2.1). Every sample behind a pin, a
+// figure or a served prediction was drawn with these.
+const (
+	// restartProb is the walk restart probability p.
+	restartProb = 0.15
+	// seedFraction is the share of the highest out-degree vertices BRJ
+	// restarts from (k = 1% of vertices).
+	seedFraction = 0.01
+	// maxStepFactor bounds a walk at maxStepFactor * target steps before
+	// the uniform fill takes over.
+	maxStepFactor = 400
+)
 
 // newRNG builds the sampling PCG stream for a seed: the second word is a
 // fixed xor-mix of the first, so equal seeds give identical walks.
@@ -108,7 +98,6 @@ type Result struct {
 
 // Sample draws a sample of g using the given method.
 func Sample(g *graph.Graph, method Method, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
 	n := g.NumVertices()
 	if n == 0 {
 		return nil, fmt.Errorf("sampling: empty graph")
@@ -135,11 +124,11 @@ func Sample(g *graph.Graph, method Method, opts Options) (*Result, error) {
 	ws.begin(n, target)
 	switch method {
 	case RandomJump:
-		walkSample(g, target, opts, rng, nil, ws)
+		walkSample(g, target, rng, nil, ws)
 	case BiasedRandomJump:
-		walkSample(g, target, opts, rng, topOutDegreeSeeds(g, opts.SeedFraction), ws)
+		walkSample(g, target, rng, topOutDegreeSeeds(g), ws)
 	case MetropolisHastings:
-		mhrwSample(g, target, opts, rng, ws)
+		mhrwSample(g, target, rng, ws)
 	case UniformVertex:
 		uniformSample(n, target, rng, ws)
 	default:
@@ -168,14 +157,15 @@ func Sample(g *graph.Graph, method Method, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// topOutDegreeSeeds returns the ceil(fraction*n) vertices with the highest
-// out-degrees, ties broken by vertex ID for determinism. The ordering is
-// the graph's memoized degree artifact (counting sort, built once per
-// graph), which reproduces the old per-call sort.Slice total order
-// bit-exactly; the returned prefix is shared and must not be modified.
-func topOutDegreeSeeds(g *graph.Graph, fraction float64) []graph.VertexID {
+// topOutDegreeSeeds returns the round(seedFraction*n) (at least one)
+// vertices with the highest out-degrees, ties broken by vertex ID for
+// determinism. The ordering is the graph's memoized degree artifact
+// (counting sort, built once per graph), which reproduces the old
+// per-call sort.Slice total order bit-exactly; the returned prefix is
+// shared and must not be modified.
+func topOutDegreeSeeds(g *graph.Graph) []graph.VertexID {
 	n := g.NumVertices()
-	k := int(float64(n)*fraction + 0.5)
+	k := int(float64(n)*seedFraction + 0.5)
 	if k < 1 {
 		k = 1
 	}
@@ -188,7 +178,7 @@ func topOutDegreeSeeds(g *graph.Graph, fraction float64) []graph.VertexID {
 // walkSample runs random walks with restarts until target distinct vertices
 // are visited. If seeds is nil, restarts are uniform over all vertices
 // (RJ); otherwise restarts are uniform over seeds (BRJ).
-func walkSample(g *graph.Graph, target int, opts Options, rng *rand.Rand, seeds []graph.VertexID, ws *workspace) {
+func walkSample(g *graph.Graph, target int, rng *rand.Rand, seeds []graph.VertexID, ws *workspace) {
 	n := g.NumVertices()
 	restart := func() graph.VertexID {
 		if seeds != nil {
@@ -199,10 +189,10 @@ func walkSample(g *graph.Graph, target int, opts Options, rng *rand.Rand, seeds 
 
 	cur := restart()
 	ws.add(cur)
-	maxSteps := opts.MaxStepFactor * target
+	maxSteps := maxStepFactor * target
 	for steps := 0; len(ws.visited) < target && steps < maxSteps; steps++ {
 		adj := g.OutNeighbors(cur)
-		if len(adj) == 0 || rng.Float64() < opts.RestartProb {
+		if len(adj) == 0 || rng.Float64() < restartProb {
 			cur = restart()
 		} else {
 			cur = adj[rng.IntN(len(adj))]
@@ -216,14 +206,14 @@ func walkSample(g *graph.Graph, target int, opts Options, rng *rand.Rand, seeds 
 // distribution is uniform over vertices: a proposed move from v to w is
 // accepted with probability min(1, deg(v)/deg(w)). Restarts use the same
 // probability as RJ so the walk cannot stall in a sink region.
-func mhrwSample(g *graph.Graph, target int, opts Options, rng *rand.Rand, ws *workspace) {
+func mhrwSample(g *graph.Graph, target int, rng *rand.Rand, ws *workspace) {
 	n := g.NumVertices()
 	cur := graph.VertexID(rng.IntN(n))
 	ws.add(cur)
-	maxSteps := opts.MaxStepFactor * target
+	maxSteps := maxStepFactor * target
 	for steps := 0; len(ws.visited) < target && steps < maxSteps; steps++ {
 		adj := g.OutNeighbors(cur)
-		if len(adj) == 0 || rng.Float64() < opts.RestartProb {
+		if len(adj) == 0 || rng.Float64() < restartProb {
 			cur = graph.VertexID(rng.IntN(n))
 			ws.add(cur)
 			continue

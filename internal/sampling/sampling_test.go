@@ -106,7 +106,7 @@ func TestBRJPrefersHubs(t *testing.T) {
 	// On a scale-free graph at a small ratio, BRJ samples should include
 	// the very top out-degree hubs (its restart seeds).
 	g := testGraph()
-	top := topOutDegreeSeeds(g, 0.002)
+	top := g.VerticesByOutDegree()[:int(float64(g.NumVertices())*0.002+0.5)]
 	r, err := Sample(g, BiasedRandomJump, Options{Ratio: 0.05, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -168,17 +168,21 @@ func TestMHRWHandlesPath(t *testing.T) {
 }
 
 func TestTopOutDegreeSeedsOrdering(t *testing.T) {
-	g := graph.MustFromEdges(4, [][2]graph.VertexID{
-		{0, 1}, {0, 2}, {0, 3}, // vertex 0: degree 3
-		{1, 2}, {1, 3}, // vertex 1: degree 2
-		{2, 3}, // vertex 2: degree 1
+	// 200 vertices at seedFraction 0.01 is two seeds: the two highest
+	// out-degrees, by degree and not by ID.
+	g := graph.MustFromEdges(200, [][2]graph.VertexID{
+		{7, 1}, {7, 2}, {7, 4}, // vertex 7: degree 3
+		{3, 5}, {3, 6}, // vertex 3: degree 2
+		{0, 9}, // vertex 0: degree 1
 	})
-	seeds := topOutDegreeSeeds(g, 0.5)
-	if len(seeds) != 2 {
-		t.Fatalf("got %d seeds, want 2", len(seeds))
+	seeds := topOutDegreeSeeds(g)
+	if len(seeds) != 2 || seeds[0] != 7 || seeds[1] != 3 {
+		t.Errorf("seeds = %v, want [7 3]", seeds)
 	}
-	if seeds[0] != 0 || seeds[1] != 1 {
-		t.Errorf("seeds = %v, want [0 1]", seeds)
+	// A graph too small for the fraction still restarts from one hub.
+	small := graph.MustFromEdges(4, [][2]graph.VertexID{{1, 0}, {1, 2}, {2, 3}})
+	if seeds := topOutDegreeSeeds(small); len(seeds) != 1 || seeds[0] != 1 {
+		t.Errorf("seeds on 4 vertices = %v, want [1]", seeds)
 	}
 }
 

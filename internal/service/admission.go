@@ -14,6 +14,11 @@ package service
 
 import "sync/atomic"
 
+// shedRetryAfterSeconds is the Retry-After hint on every shed (429/503)
+// and drain response: long enough that a client does not hammer, short
+// enough that a fit-queue slot has usually freed by then.
+const shedRetryAfterSeconds = 1
+
 // gate is a try-acquire counting semaphore with shed accounting. A nil
 // slots channel means unlimited (the gate always admits).
 type gate struct {

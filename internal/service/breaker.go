@@ -4,11 +4,11 @@
 // pathological configuration — would otherwise consume a fit-pool slot on
 // every request that misses the cache, starving cold fits that would have
 // succeeded. The breaker converts repeated doomed fits into immediate
-// 503 + Retry-After answers: after threshold consecutive failures for one
-// model key the breaker opens and requests for that key fast-fail BEFORE
-// touching the fit gate or pool. After a cooldown one probe request is
-// let through (half-open); its success closes the breaker, its failure
-// reopens it for another cooldown.
+// 503 + Retry-After answers: after breakerThreshold consecutive failures
+// for one model key the breaker opens and requests for that key fast-fail
+// BEFORE touching the fit gate or pool. After breakerCooldown one probe
+// request is let through (half-open); its success closes the breaker, its
+// failure reopens it for another cooldown.
 //
 // State is per model key and only failing keys hold state at all: a
 // success deletes the entry, so the steady-state map is empty and the
@@ -19,6 +19,13 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+)
+
+const (
+	// breakerThreshold is how many consecutive fit failures open a key's
+	// breaker; breakerCooldown how long it stays open before a probe.
+	breakerThreshold = 5
+	breakerCooldown  = 5 * time.Second
 )
 
 const (
@@ -36,39 +43,31 @@ type breakerEntry struct {
 
 // breakerSet holds the per-key breakers plus the /stats counters.
 type breakerSet struct {
-	mu        sync.Mutex
-	threshold int // consecutive failures to trip; <= 0 disables
-	cooldown  time.Duration
-	byKey     map[string]*breakerEntry
+	mu    sync.Mutex
+	byKey map[string]*breakerEntry
+	// now is the clock openedAt and the cooldown are read from; tests
+	// advance it instead of sleeping through breakerCooldown.
+	now func() time.Time
 
 	trips     atomic.Int64 // closed/half-open -> open transitions
 	fastFails atomic.Int64 // requests rejected while open
 }
 
-func newBreakerSet(threshold int, cooldown time.Duration) breakerSet {
-	return breakerSet{
-		threshold: threshold,
-		cooldown:  cooldown,
-		byKey:     make(map[string]*breakerEntry),
-	}
+func newBreakerSet() breakerSet {
+	return breakerSet{byKey: make(map[string]*breakerEntry), now: time.Now}
 }
-
-func (b *breakerSet) enabled() bool { return b.threshold > 0 }
 
 // allow reports whether a fit attempt for key may proceed. While open it
 // returns false plus how long the caller should tell the client to wait;
 // when the cooldown has elapsed it admits exactly one probe (half-open).
 func (b *breakerSet) allow(key string) (proceed bool, retryAfter time.Duration) {
-	if !b.enabled() {
-		return true, 0
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	e := b.byKey[key]
 	if e == nil || e.state == breakerClosed {
 		return true, 0
 	}
-	remaining := b.cooldown - time.Since(e.openedAt)
+	remaining := breakerCooldown - b.now().Sub(e.openedAt)
 	if e.state == breakerOpen && remaining <= 0 {
 		e.state = breakerHalfOpen
 	}
@@ -77,7 +76,7 @@ func (b *breakerSet) allow(key string) (proceed bool, retryAfter time.Duration) 
 			// One probe at a time: concurrent requests keep fast-failing
 			// until the in-flight probe settles the state.
 			b.fastFails.Add(1)
-			return false, b.cooldown
+			return false, breakerCooldown
 		}
 		e.probing = true
 		return true, 0
@@ -89,9 +88,6 @@ func (b *breakerSet) allow(key string) (proceed bool, retryAfter time.Duration) 
 // success records a successful fit: the key's breaker closes and its
 // state is dropped entirely.
 func (b *breakerSet) success(key string) {
-	if !b.enabled() {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	delete(b.byKey, key)
@@ -100,9 +96,6 @@ func (b *breakerSet) success(key string) {
 // failure records a failed fit. Consecutive failures reaching the
 // threshold — or any failed half-open probe — open the breaker.
 func (b *breakerSet) failure(key string) {
-	if !b.enabled() {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	e := b.byKey[key]
@@ -113,14 +106,14 @@ func (b *breakerSet) failure(key string) {
 	e.probing = false
 	if e.state == breakerHalfOpen {
 		e.state = breakerOpen
-		e.openedAt = time.Now()
+		e.openedAt = b.now()
 		b.trips.Add(1)
 		return
 	}
 	e.failures++
-	if e.state == breakerClosed && e.failures >= b.threshold {
+	if e.state == breakerClosed && e.failures >= breakerThreshold {
 		e.state = breakerOpen
-		e.openedAt = time.Now()
+		e.openedAt = b.now()
 		b.trips.Add(1)
 	}
 }
@@ -129,9 +122,6 @@ func (b *breakerSet) failure(key string) {
 // used when the attempt was shed by the fit gate before fitting, which
 // says nothing about whether the key's fits still fail.
 func (b *breakerSet) skip(key string) {
-	if !b.enabled() {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if e := b.byKey[key]; e != nil {
@@ -141,9 +131,6 @@ func (b *breakerSet) skip(key string) {
 
 // openCount reports how many model keys are currently open (for /stats).
 func (b *breakerSet) openCount() int {
-	if !b.enabled() {
-		return 0
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	n := 0

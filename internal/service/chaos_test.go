@@ -19,6 +19,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -62,22 +63,23 @@ func getJSON(t *testing.T, url string) (int, map[string]json.RawMessage) {
 // it (503 + Retry-After, no fit consumed while open), a failed half-open
 // probe reopens it, and a successful probe closes it again.
 func TestChaosBreakerTripsAndRecovers(t *testing.T) {
-	const cooldown = 150 * time.Millisecond
 	errFit := errors.New("injected fit failure")
-	// Three injected failures: two trip the breaker, the third fails the
-	// first half-open probe (reopening it); the fourth attempt succeeds.
+	// breakerThreshold injected failures trip the breaker, one more fails
+	// the first half-open probe (reopening it); the next attempt succeeds.
 	in := faultinject.NewInjector(chaosSeed(t), faultinject.Rule{
 		Point: faultinject.PointServiceFit,
-		From:  1, Count: 3,
+		From:  1, Count: breakerThreshold + 1,
 		Err: errFit,
 	})
 	restore := faultinject.Enable(in)
 	defer restore()
 
-	svc, server := newTestServer(t, Config{
-		FitBreakerThreshold: 2,
-		FitBreakerCooldown:  cooldown,
-	})
+	svc, server := newTestServer(t, Config{})
+	// The breaker's clock is the test's: a cooldown passes when the test
+	// says so, not when five wall-clock seconds have.
+	var skew atomic.Int64
+	svc.breakers.now = func() time.Time { return time.Now().Add(time.Duration(skew.Load())) }
+	passCooldown := func() { skew.Add(int64(breakerCooldown + time.Millisecond)) }
 
 	post := func() (int, http.Header, map[string]json.RawMessage) {
 		var body bytes.Buffer
@@ -96,15 +98,15 @@ func TestChaosBreakerTripsAndRecovers(t *testing.T) {
 		return resp.StatusCode, resp.Header, out
 	}
 
-	// Two consecutive fit failures: each is a real (500) failure and
-	// together they trip the breaker.
-	for i := 1; i <= 2; i++ {
+	// breakerThreshold consecutive fit failures: each is a real (500)
+	// failure and together they trip the breaker.
+	for i := 1; i <= breakerThreshold; i++ {
 		if status, _, raw := post(); status != http.StatusInternalServerError {
 			t.Fatalf("failure %d: HTTP %d (%v), want 500", i, status, raw)
 		}
 	}
-	if got := in.Hits(faultinject.PointServiceFit); got != 2 {
-		t.Fatalf("fit attempts after trip = %d, want 2", got)
+	if got := in.Hits(faultinject.PointServiceFit); got != breakerThreshold {
+		t.Fatalf("fit attempts after trip = %d, want %d", got, breakerThreshold)
 	}
 
 	// Open: immediate 503 with a Retry-After hint, and crucially no new
@@ -113,12 +115,13 @@ func TestChaosBreakerTripsAndRecovers(t *testing.T) {
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("open breaker: HTTP %d (%v), want 503", status, raw)
 	}
-	if hdr.Get("Retry-After") == "" {
-		t.Fatal("open breaker response missing Retry-After header")
+	// The hint is the cooldown still to run, rounded up to whole seconds.
+	if got, want := hdr.Get("Retry-After"), strconv.Itoa(int(breakerCooldown/time.Second)); got != want {
+		t.Fatalf("open breaker Retry-After = %q, want %q", got, want)
 	}
 	st := svc.Stats()
-	if got := in.Hits(faultinject.PointServiceFit); got != 2 {
-		t.Fatalf("open breaker consumed a fit attempt: %d, want 2", got)
+	if got := in.Hits(faultinject.PointServiceFit); got != breakerThreshold {
+		t.Fatalf("open breaker consumed a fit attempt: %d, want %d", got, breakerThreshold)
 	}
 	if st.FitQueueDepth != 0 {
 		t.Fatalf("open breaker holds a fit-queue slot: depth = %d", st.FitQueueDepth)
@@ -127,8 +130,8 @@ func TestChaosBreakerTripsAndRecovers(t *testing.T) {
 		t.Fatalf("breaker stats after trip: %+v", st)
 	}
 
-	// Half-open probe #1: the third injected failure reopens the breaker.
-	time.Sleep(cooldown + 20*time.Millisecond)
+	// Half-open probe #1: the last injected failure reopens the breaker.
+	passCooldown()
 	if status, _, _ := post(); status != http.StatusInternalServerError {
 		t.Fatalf("failed probe: HTTP %d, want 500", status)
 	}
@@ -141,7 +144,7 @@ func TestChaosBreakerTripsAndRecovers(t *testing.T) {
 
 	// Half-open probe #2: the schedule is exhausted, the fit succeeds, the
 	// breaker closes and stays closed.
-	time.Sleep(cooldown + 20*time.Millisecond)
+	passCooldown()
 	status, _, raw = post()
 	if status != http.StatusOK {
 		t.Fatalf("successful probe: HTTP %d (%v), want 200", status, raw)
@@ -157,8 +160,8 @@ func TestChaosBreakerTripsAndRecovers(t *testing.T) {
 	if status, _, raw := post(); status != http.StatusOK || !decodePrediction(t, raw).CacheHit {
 		t.Fatalf("warm request after recovery: HTTP %d, %v", status, raw)
 	}
-	if got := in.Fired(faultinject.PointServiceFit); got != 3 {
-		t.Fatalf("injected faults fired = %d, want 3 (%s)", got, in)
+	if got := in.Fired(faultinject.PointServiceFit); got != breakerThreshold+1 {
+		t.Fatalf("injected faults fired = %d, want %d (%s)", got, breakerThreshold+1, in)
 	}
 }
 
@@ -289,12 +292,7 @@ func TestChaosFlakyDatasetLoadRetries(t *testing.T) {
 	if err := graph.WriteSnapshotFile(filepath.Join(dir, "social.snap"), testWikiGraph(t)); err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{
-		DatasetDir:     dir,
-		RetryAttempts:  4,
-		RetryBaseDelay: time.Millisecond,
-		RetryMaxDelay:  4 * time.Millisecond,
-	}
+	cfg := Config{DatasetDir: dir}
 
 	// Two transient failures, then success: the load must succeed on the
 	// third attempt, having recorded two retries.
@@ -338,8 +336,8 @@ func TestChaosFlakyDatasetLoadRetries(t *testing.T) {
 	if !errors.As(err, &se) || se.Status != 500 {
 		t.Fatalf("persistent failure error = %v, want a 500 service error", err)
 	}
-	if got := in.Hits(faultinject.PointGraphLoadFile); got != 4 {
-		t.Fatalf("load attempts = %d, want the full budget of 4 (%s)", got, in)
+	if got := in.Hits(faultinject.PointGraphLoadFile); got != 3 {
+		t.Fatalf("load attempts = %d, want the full budget of 3 (%s)", got, in)
 	}
 
 	// Permanent (non-transient) failure: exactly one attempt.

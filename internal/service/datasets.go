@@ -19,7 +19,6 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -169,13 +168,14 @@ func (s *Service) Datasets() ([]DatasetInfo, error) {
 	return out, nil
 }
 
-// ioRetryPolicy is the dataset I/O transient-failure policy, shaped by
-// Config.Retry* and counting attempts into /stats io_retries.
+// ioRetryPolicy is the dataset I/O transient-failure policy: three
+// attempts, 50 ms doubling to at most 1 s between them, each retry counted
+// into /stats io_retries.
 func (s *Service) ioRetryPolicy() retry.Policy {
 	return retry.Policy{
-		Attempts:  s.cfg.RetryAttempts,
-		BaseDelay: s.cfg.RetryBaseDelay,
-		MaxDelay:  s.cfg.RetryMaxDelay,
+		Attempts:  3,
+		BaseDelay: 50 * time.Millisecond,
+		MaxDelay:  time.Second,
 		OnRetry:   func(int, error, time.Duration) { s.ioRetries.Add(1) },
 	}
 }
@@ -235,15 +235,7 @@ func (s *Service) LoadDataset(ctx context.Context, name string) (*DatasetInfo, b
 	}
 	g, cached, err := s.loadDataset(ctx, name, path, datasetKey(name, fi))
 	if err != nil {
-		if ctx.Err() != nil {
-			return nil, false, &Error{Status: 504, Msg: fmt.Sprintf(
-				"service: request timed out loading dataset %s", name)}
-		}
-		var se *Error
-		if errors.As(err, &se) {
-			return nil, false, se
-		}
-		return nil, false, &Error{Status: 500, Msg: err.Error()}
+		return nil, false, requestError(ctx, "loading dataset "+name, err, 500)
 	}
 	// The response describes the version that was resolved and loaded —
 	// no re-resolve, so a file replaced mid-request cannot mix two

@@ -74,54 +74,58 @@ func (s *Service) requestContext(r *http.Request, timeoutMillis int64) (context.
 	return context.WithTimeout(r.Context(), d)
 }
 
-// shedError is the 429 the in-flight gate answers when MaxInFlight is
-// reached: admission control at the front door, before any body is read.
-func (s *Service) shedError() *Error {
-	return &Error{
-		Status:            http.StatusTooManyRequests,
-		RetryAfterSeconds: ceilSeconds(s.cfg.ShedRetryAfter),
-		Msg: fmt.Sprintf("service: %d requests already in flight; retry later",
-			s.cfg.MaxInFlight),
+// admit is the prologue every prediction-work endpoint shares: POST only;
+// refused while the service drains (503 so the caller retries elsewhere,
+// Connection: close so keep-alive clients and load balancers stop routing
+// to this process instead of queueing behind a closing listener); shed
+// with 429 at the front door, before any body is read, once MaxInFlight
+// requests are being served; counted into the population a supervised
+// drain waits for. It returns the request's pooled codec, which the
+// handler hands back with release — or nil, having answered the request
+// itself. Observability endpoints (/stats, /models, /healthz, /readyz) do
+// not pass through here and keep answering during a drain: the drain
+// supervisor itself polls them.
+func (s *Service) admit(w http.ResponseWriter, r *http.Request) *codec {
+	if r.Method != http.MethodPost {
+		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		return nil
 	}
+	if s.draining.Load() {
+		s.drainRejected.Add(1)
+		w.Header().Set("Connection", "close")
+		writeServiceError(w, &Error{
+			Status:            http.StatusServiceUnavailable,
+			RetryAfterSeconds: shedRetryAfterSeconds,
+			Msg:               "service: draining: shutting down, retry against another replica",
+		})
+		return nil
+	}
+	if !s.reqGate.tryAcquire() {
+		writeServiceError(w, &Error{
+			Status:            http.StatusTooManyRequests,
+			RetryAfterSeconds: shedRetryAfterSeconds,
+			Msg: fmt.Sprintf("service: %d requests already in flight; retry later",
+				s.cfg.MaxInFlight),
+		})
+		return nil
+	}
+	s.activeWork.Add(1)
+	return codecPool.Get().(*codec)
 }
 
-// rejectIfDraining refuses new prediction work while the service drains:
-// 503 so the caller retries elsewhere, Connection: close so keep-alive
-// clients and load balancers stop routing to this process instead of
-// queueing more requests behind a closing listener. Observability
-// endpoints (/stats, /models, /healthz, /readyz) keep answering — the
-// drain supervisor itself polls them.
-func (s *Service) rejectIfDraining(w http.ResponseWriter) bool {
-	if !s.draining.Load() {
-		return false
-	}
-	s.drainRejected.Add(1)
-	w.Header().Set("Connection", "close")
-	writeServiceError(w, &Error{
-		Status:            http.StatusServiceUnavailable,
-		RetryAfterSeconds: ceilSeconds(s.cfg.ShedRetryAfter),
-		Msg:               "service: draining: shutting down, retry against another replica",
-	})
-	return true
+// release undoes a successful admit.
+func (s *Service) release(c *codec) {
+	codecPool.Put(c)
+	s.activeWork.Add(-1)
+	s.reqGate.release()
 }
 
 func (s *Service) handlePredict(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+	c := s.admit(w, r)
+	if c == nil {
 		return
 	}
-	if s.rejectIfDraining(w) {
-		return
-	}
-	if !s.reqGate.tryAcquire() {
-		writeServiceError(w, s.shedError())
-		return
-	}
-	defer s.reqGate.release()
-	s.activeWork.Add(1)
-	defer s.activeWork.Add(-1)
-	c := codecPool.Get().(*codec)
-	defer codecPool.Put(c)
+	defer s.release(c)
 	var req PredictRequest
 	if err := c.decodeJSON(w, r, &req); err != nil {
 		c.writeError(w, http.StatusBadRequest, err.Error())
@@ -142,22 +146,11 @@ func (s *Service) handlePredict(w http.ResponseWriter, r *http.Request) {
 // against a cached model key (the closed-loop feedback path). Unknown
 // keys are 404s — see Service.Observe.
 func (s *Service) handleObserve(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+	c := s.admit(w, r)
+	if c == nil {
 		return
 	}
-	if s.rejectIfDraining(w) {
-		return
-	}
-	if !s.reqGate.tryAcquire() {
-		writeServiceError(w, s.shedError())
-		return
-	}
-	defer s.reqGate.release()
-	s.activeWork.Add(1)
-	defer s.activeWork.Add(-1)
-	c := codecPool.Get().(*codec)
-	defer codecPool.Put(c)
+	defer s.release(c)
 	var req ObserveRequest
 	if err := c.decodeJSON(w, r, &req); err != nil {
 		c.writeError(w, http.StatusBadRequest, err.Error())
@@ -174,22 +167,11 @@ func (s *Service) handleObserve(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+	c := s.admit(w, r)
+	if c == nil {
 		return
 	}
-	if s.rejectIfDraining(w) {
-		return
-	}
-	if !s.reqGate.tryAcquire() {
-		writeServiceError(w, s.shedError())
-		return
-	}
-	defer s.reqGate.release()
-	s.activeWork.Add(1)
-	defer s.activeWork.Add(-1)
-	c := codecPool.Get().(*codec)
-	defer codecPool.Put(c)
+	defer s.release(c)
 	var batch BatchRequest
 	if err := c.decodeJSON(w, r, &batch); err != nil {
 		c.writeError(w, http.StatusBadRequest, err.Error())
@@ -199,9 +181,9 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 		c.writeError(w, http.StatusBadRequest, "service: empty batch")
 		return
 	}
-	if len(batch.Requests) > s.cfg.MaxBatch {
+	if len(batch.Requests) > maxBatch {
 		c.writeError(w, http.StatusBadRequest, fmt.Sprintf(
-			"service: batch of %d exceeds limit %d", len(batch.Requests), s.cfg.MaxBatch))
+			"service: batch of %d exceeds limit %d", len(batch.Requests), maxBatch))
 		return
 	}
 
@@ -211,7 +193,7 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	resp := BatchResponse{Responses: make([]BatchItem, len(batch.Requests))}
 	// Bounded fan-out: a batch of distinct cold requests must not launch
-	// MaxBatch sample pipelines at once.
+	// maxBatch sample pipelines at once.
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for i, req := range batch.Requests {
@@ -283,19 +265,15 @@ func (s *Service) handleDatasets(w http.ResponseWriter, r *http.Request) {
 // registry dataset, pull it into the graph cache (shared single-flight
 // with any concurrent /predict on the same dataset) and report its shape.
 func (s *Service) handleDatasetLoad(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+	c := s.admit(w, r)
+	if c == nil {
 		return
 	}
-	if s.rejectIfDraining(w) {
-		return
-	}
-	s.activeWork.Add(1)
-	defer s.activeWork.Add(-1)
+	defer s.release(c)
 	rest := strings.TrimPrefix(r.URL.Path, "/datasets/")
 	name, ok := strings.CutSuffix(rest, "/load")
 	if !ok || name == "" || strings.Contains(name, "/") {
-		writeError(w, http.StatusNotFound, "service: want POST /datasets/{name}/load")
+		c.writeError(w, http.StatusNotFound, "service: want POST /datasets/{name}/load")
 		return
 	}
 	start := time.Now()
@@ -303,10 +281,10 @@ func (s *Service) handleDatasetLoad(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	info, cached, err := s.LoadDataset(ctx, name)
 	if err != nil {
-		writeServiceError(w, err)
+		c.writeServiceError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	c.writeJSON(w, http.StatusOK, map[string]any{
 		"dataset":        info,
 		"already_loaded": cached,
 		"elapsed_ms":     float64(time.Since(start)) / float64(time.Millisecond),
@@ -378,8 +356,12 @@ func (s *Service) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // maxBodyBytes bounds request bodies so one oversized POST cannot exhaust
-// the long-running server's memory. Generous for the largest legal batch.
-const maxBodyBytes = 8 << 20
+// the long-running server's memory. Generous for the largest legal batch,
+// which is maxBatch requests.
+const (
+	maxBodyBytes = 8 << 20
+	maxBatch     = 256
+)
 
 // codec is one request's pooled JSON machinery: a body read buffer, a
 // bytes.Reader over it, and a write buffer with a json.Encoder bound to

@@ -78,14 +78,13 @@ func TestCheckpointOnFitAndWarmStart(t *testing.T) {
 
 // TestCheckpointCompaction drives the growth-factor trigger: refitting
 // the same keys (evicted by a tiny LRU) appends stale generations until
-// the log doubles its baseline, at which point compaction rewrites it to
-// the newest record per key.
+// the log holds four times its baseline, at which point compaction
+// rewrites it to the newest record per key.
 func TestCheckpointCompaction(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "models.jsonl")
 	svc := New(Config{
-		HistoryPath:            path,
-		MaxModels:              1, // each alternation below evicts and refits
-		CheckpointGrowthFactor: 2,
+		HistoryPath: path,
+		MaxModels:   1, // each alternation below evicts and refits
 	})
 	a := testRequest()
 	b := testRequest()
@@ -99,8 +98,8 @@ func TestCheckpointCompaction(t *testing.T) {
 	if st.CheckpointsWritten != 4 {
 		t.Errorf("checkpoints_written = %d, want 4", st.CheckpointsWritten)
 	}
-	if st.Compactions < 1 {
-		t.Errorf("compactions = %d, want >= 1", st.Compactions)
+	if st.Compactions != 1 {
+		t.Errorf("compactions = %d, want 1 (at the fourth record)", st.Compactions)
 	}
 	if st.CheckpointFailures != 0 {
 		t.Errorf("checkpoint_failures = %d, want 0", st.CheckpointFailures)

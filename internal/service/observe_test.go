@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"path/filepath"
 	"testing"
+
+	"predict/internal/core"
 )
 
 // observeUnknownKeyError produces the live error Observe answers for a
@@ -75,7 +77,7 @@ func TestObserveClosedLoop(t *testing.T) {
 
 	// Feed back runtimes clustered 30% above the estimate.
 	target := base.SuperstepSeconds * 1.3
-	threshold := svc.cfg.BlendThreshold
+	threshold := core.DefaultObservationThreshold
 	offsets := []float64{0.98, 1.01, 0.99, 1.02, 1.0, 0.97, 1.03}
 	for i := 0; i < threshold; i++ {
 		status, obsRaw := postJSON(t, server.URL+"/observe", ObserveRequest{
@@ -234,7 +236,7 @@ func TestObservationsSurviveRestart(t *testing.T) {
 		t.Fatalf("Predict: %v", err)
 	}
 	target := resp.SuperstepSeconds * 1.3
-	for i := 0; i < svc.cfg.BlendThreshold; i++ {
+	for i := 0; i < core.DefaultObservationThreshold; i++ {
 		if _, err := svc.Observe(context.Background(), ObserveRequest{
 			ModelKey: resp.ModelKey, ActualSeconds: target,
 		}); err != nil {
@@ -246,9 +248,9 @@ func TestObservationsSurviveRestart(t *testing.T) {
 	if _, _, err := restarted.WarmFromHistory(histPath); err != nil {
 		t.Fatalf("WarmFromHistory: %v", err)
 	}
-	if got := restarted.Stats().Observations; got != int64(svc.cfg.BlendThreshold) {
+	if got := restarted.Stats().Observations; got != int64(core.DefaultObservationThreshold) {
 		t.Fatalf("restarted service warm-started %d observations, want %d",
-			got, svc.cfg.BlendThreshold)
+			got, core.DefaultObservationThreshold)
 	}
 	warm, err := restarted.Predict(context.Background(), testRequest())
 	if err != nil {

@@ -45,7 +45,6 @@ import (
 	"hash/fnv"
 	"math"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"strconv"
@@ -78,9 +77,6 @@ type Config struct {
 	// DefaultTimeout bounds each request when the request itself does not
 	// set one; zero selects 60s.
 	DefaultTimeout time.Duration
-	// MaxBatch bounds the number of requests in one batch call; zero
-	// selects 256.
-	MaxBatch int
 	// FitParallelism budgets the shared fit pool: across all concurrent
 	// cold-path fits, at most this many sample+profile pipelines execute
 	// at once. Concurrent cache misses for different keys previously
@@ -96,15 +92,12 @@ type Config struct {
 	// bound is shed immediately with 503 + Retry-After instead of queuing
 	// unbounded work, so a burst of cold traffic cannot starve warm cache
 	// hits. Warm hits never consult the gate. Zero selects
-	// 4*FitParallelism; negative disables shedding (unbounded).
+	// 4*FitParallelism.
 	FitQueueDepth int
 	// MaxInFlight bounds concurrently served prediction requests
 	// (/predict and /predict/batch each count one); excess requests are
 	// shed with 429 + Retry-After. Zero or negative means unlimited.
 	MaxInFlight int
-	// ShedRetryAfter is the Retry-After hint attached to shed (429/503)
-	// responses; zero selects 1s.
-	ShedRetryAfter time.Duration
 	// Cluster is the sample-run execution environment. The zero value
 	// selects 8 workers priced by cluster.DefaultOracle() — the repo's
 	// stand-in for the paper's testbed.
@@ -114,22 +107,6 @@ type Config struct {
 	// become named datasets a request can address alongside the generator
 	// prefixes. See datasets.go.
 	DatasetDir string
-	// FitBreakerThreshold is the per-model-key circuit breaker's trip
-	// point: after this many consecutive fit failures for one key, further
-	// requests for it fast-fail with 503 + Retry-After without consuming
-	// fit-pool slots, until a half-open probe succeeds. Zero selects 5;
-	// negative disables the breaker.
-	FitBreakerThreshold int
-	// FitBreakerCooldown is how long an open breaker waits before letting
-	// one probe request through (half-open); zero selects 5s.
-	FitBreakerCooldown time.Duration
-	// RetryAttempts bounds dataset I/O attempts (first try included) for
-	// transient failures; zero selects 3, negative disables retries.
-	RetryAttempts int
-	// RetryBaseDelay/RetryMaxDelay shape the jittered exponential backoff
-	// between dataset I/O retries; zero selects 50ms / 1s.
-	RetryBaseDelay time.Duration
-	RetryMaxDelay  time.Duration
 	// HistoryPath, when set, names the history file the service persists
 	// models to; the readiness probe (Readiness) checks it stays
 	// appendable so operators learn about a read-only or full volume
@@ -138,18 +115,6 @@ type Config struct {
 	// SIGKILL at any instant loses at most the fit in flight, never a
 	// fitted model.
 	HistoryPath string
-	// CheckpointGrowthFactor bounds checkpoint-log growth: when the log
-	// holds at least this many times the records it held after the last
-	// compaction (or warm start), a compaction pass rewrites it keeping
-	// only the newest record per model key. Zero selects 4; negative
-	// disables compaction (the log grows one record per fit, forever).
-	CheckpointGrowthFactor int
-	// BlendThreshold is the closed-loop regime switch: a model key with at
-	// least this many observed actual runtimes answers from the
-	// observation-weighted refit (interpolation) instead of the pure
-	// sample-fit model (extrapolation). Zero selects
-	// core.DefaultObservationThreshold (5, the Ellis density rule).
-	BlendThreshold int
 	// MmapDatasets serves .snap registry datasets from mmap'd pages
 	// (graph.MmapSnapshot) instead of heap copies: loads are O(1), the
 	// kernel page cache shares one physical copy across processes, and a
@@ -157,7 +122,9 @@ type Config struct {
 	// mmap the load silently falls back to the copy-in reader. Mapped
 	// generations are never explicitly unmapped — the LRU eviction drops
 	// the Graph and the mapping's finalizer reclaims the address space,
-	// per the lifetime rules in graph/mmap.go.
+	// per the lifetime rules in graph/mmap.go. It changes what an operator
+	// may do to DatasetDir: a served .snap is replaced by rename, never
+	// overwritten in place (that faults the process; DESIGN.md §11).
 	MmapDatasets bool
 }
 
@@ -171,41 +138,14 @@ func (c Config) withDefaults() Config {
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 60 * time.Second
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
-	}
 	if c.FitParallelism <= 0 {
 		c.FitParallelism = runtime.GOMAXPROCS(0)
 	}
 	if c.FitTimeout <= 0 {
 		c.FitTimeout = 5 * time.Minute
 	}
-	if c.FitQueueDepth == 0 {
+	if c.FitQueueDepth <= 0 {
 		c.FitQueueDepth = 4 * c.FitParallelism
-	}
-	if c.ShedRetryAfter <= 0 {
-		c.ShedRetryAfter = time.Second
-	}
-	if c.FitBreakerThreshold == 0 {
-		c.FitBreakerThreshold = 5
-	}
-	if c.FitBreakerCooldown <= 0 {
-		c.FitBreakerCooldown = 5 * time.Second
-	}
-	if c.RetryAttempts == 0 {
-		c.RetryAttempts = 3
-	}
-	if c.RetryBaseDelay <= 0 {
-		c.RetryBaseDelay = 50 * time.Millisecond
-	}
-	if c.RetryMaxDelay <= 0 {
-		c.RetryMaxDelay = time.Second
-	}
-	if c.CheckpointGrowthFactor == 0 {
-		c.CheckpointGrowthFactor = 4
-	}
-	if c.BlendThreshold <= 0 {
-		c.BlendThreshold = core.DefaultObservationThreshold
 	}
 	if c.Cluster.Oracle == nil {
 		o := cluster.DefaultOracle()
@@ -327,7 +267,7 @@ func New(cfg Config) *Service {
 		reqGate:    newGate(cfg.MaxInFlight),
 		oracleFP:   h.Sum64(),
 		start:      time.Now(),
-		breakers:   newBreakerSet(cfg.FitBreakerThreshold, cfg.FitBreakerCooldown),
+		breakers:   newBreakerSet(),
 		lifeCtx:    lifeCtx,
 		lifeCancel: lifeCancel,
 		histPath:   cfg.HistoryPath,
@@ -664,13 +604,18 @@ func (s *Service) predictInto(ctx context.Context, req PredictRequest, out *Pred
 	return nil
 }
 
+// doing names the request in a timeout message.
+func (r PredictRequest) doing() string {
+	return "predicting " + r.Algorithm + " on dataset " + r.Dataset
+}
+
 // requestError is the *Error a failed cache lookup answers with: 504 when
 // the request's own context ended the wait (the fill it waited on goes
-// on), the fill's typed error when it has one, fallback otherwise.
-func requestError(ctx context.Context, req PredictRequest, err error, fallback int) *Error {
+// on; doing names what the request was doing), the fill's typed error
+// when it has one, fallback otherwise.
+func requestError(ctx context.Context, doing string, err error, fallback int) *Error {
 	if ctx.Err() != nil {
-		return &Error{Status: 504, Msg: fmt.Sprintf(
-			"service: request timed out predicting %s on dataset %s", req.Algorithm, req.Dataset)}
+		return &Error{Status: 504, Msg: "service: request timed out " + doing}
 	}
 	var se *Error
 	if errors.As(err, &se) {
@@ -689,7 +634,7 @@ func requestError(ctx context.Context, req PredictRequest, err error, fallback i
 func (s *Service) computePrediction(ctx context.Context, req PredictRequest, path, registryKey, key string) (*PredictResponse, error) {
 	g, err := s.graphFor(ctx, req, path, registryKey)
 	if err != nil {
-		return nil, requestError(ctx, req, err, 400)
+		return nil, requestError(ctx, req.doing(), err, 400)
 	}
 
 	model, hit, err := s.models.get(ctx, key, func() (*cachedModel, error) {
@@ -699,13 +644,13 @@ func (s *Service) computePrediction(ctx context.Context, req PredictRequest, pat
 		if proceed, wait := s.breakers.allow(key); !proceed {
 			return nil, &Error{Status: 503, RetryAfterSeconds: ceilSeconds(wait), Msg: fmt.Sprintf(
 				"service: circuit breaker open for this model (%d consecutive fit failures); retry later",
-				s.cfg.FitBreakerThreshold)}
+				breakerThreshold)}
 		}
 		if !s.fitGate.tryAcquire() {
 			// A gate shed says nothing about whether this key's fits still
 			// fail — release any half-open probe admission unjudged.
 			s.breakers.skip(key)
-			return nil, &Error{Status: 503, RetryAfterSeconds: ceilSeconds(s.cfg.ShedRetryAfter), Msg: fmt.Sprintf(
+			return nil, &Error{Status: 503, RetryAfterSeconds: shedRetryAfterSeconds, Msg: fmt.Sprintf(
 				"service: fit queue full (%d cold fits outstanding); retry later", s.cfg.FitQueueDepth)}
 		}
 		defer s.fitGate.release()
@@ -719,7 +664,7 @@ func (s *Service) computePrediction(ctx context.Context, req PredictRequest, pat
 		return &cachedModel{fitted: fitted}, nil
 	})
 	if err != nil {
-		return nil, requestError(ctx, req, err, 500)
+		return nil, requestError(ctx, req.doing(), err, 500)
 	}
 
 	// A repeated what-if query is a lookup: the answer assembled for these
@@ -745,7 +690,7 @@ func (s *Service) computePrediction(ctx context.Context, req PredictRequest, pat
 	// to Extrapolate.
 	fitted := model.fitted
 	observed, epoch := s.observationsFor(key)
-	pred, err := fitted.ExtrapolateBlended(g, req.Workers, observed, s.cfg.BlendThreshold)
+	pred, err := fitted.ExtrapolateBlended(g, req.Workers, observed, core.DefaultObservationThreshold)
 	if err != nil {
 		return nil, &Error{Status: 500, Msg: err.Error()}
 	}
@@ -865,25 +810,27 @@ func (s *Service) fit(req PredictRequest, g *graph.Graph) (*core.Fitted, error) 
 }
 
 // checkpoint appends one freshly fitted model to the history log — the
-// continuous-checkpointing path. The append is durable (fsync before
-// close), so once it returns a SIGKILL at any instant loses at most the
-// fit in flight, never a fitted model. When the log has grown past
-// CheckpointGrowthFactor times its post-compaction size, a crash-safe
-// compaction (temp + fsync + rename) rewrites it to the newest record per
-// key. Failures are counted, not fatal: a full or read-only volume
-// degrades persistence, not serving (the readiness probe surfaces it).
+// continuous-checkpointing path. Failures are counted, not fatal: a full
+// or read-only volume degrades persistence, not serving (the readiness
+// probe surfaces it).
 func (s *Service) checkpoint(key string, fitted *core.Fitted) {
 	if s.appendRecord(fitted.Record(key, key)) {
 		s.checkpoints.Add(1)
 	}
 }
 
+// checkpointGrowthFactor bounds checkpoint-log growth: when the log holds
+// this many times the records it held after the last rewrite (or warm
+// start), a compaction keeps only the newest record per model key.
+const checkpointGrowthFactor = 4
+
 // appendRecord durably appends one record to the history log (fsync
-// before close) and runs the growth-triggered crash-safe compaction.
-// Both the continuous model checkpoint and the /observe feedback path
-// land here, so observations ride exactly the persistence machinery —
-// and the compaction cap — the checkpoint log already has. Reports
-// whether the append succeeded; failures are counted, not fatal.
+// before close), so once it returns a SIGKILL at any instant loses at
+// most the fit in flight, and runs the growth-triggered crash-safe
+// compaction. Both the continuous model checkpoint and the /observe
+// feedback path land here, so observations ride exactly the persistence
+// machinery — and the compaction cap — the checkpoint log already has.
+// Reports whether the append succeeded; failures are counted, not fatal.
 func (s *Service) appendRecord(rec history.Record) bool {
 	s.histMu.Lock()
 	defer s.histMu.Unlock()
@@ -895,20 +842,23 @@ func (s *Service) appendRecord(rec history.Record) bool {
 		return false
 	}
 	s.ckptLog++
-	if f := s.cfg.CheckpointGrowthFactor; f > 0 && s.ckptLog >= f*s.ckptBase {
+	if s.ckptLog >= checkpointGrowthFactor*s.ckptBase {
 		kept, err := history.CompactFile(s.histPath)
 		if err != nil {
 			s.checkpointFailures.Add(1)
 			return true // the append itself succeeded
 		}
 		s.compactions.Add(1)
-		s.ckptLog = kept
-		if kept < 1 {
-			kept = 1
-		}
-		s.ckptBase = kept
+		s.resetLogBaseline(kept)
 	}
 	return true
+}
+
+// resetLogBaseline records that the checkpoint log now holds n records
+// and measures growth from there. Callers hold histMu.
+func (s *Service) resetLogBaseline(n int) {
+	s.ckptLog = n
+	s.ckptBase = max(n, 1)
 }
 
 // ObserveRequest reports one observed actual runtime for a previously
@@ -961,7 +911,7 @@ func (s *Service) Observe(ctx context.Context, req ObserveRequest) (*ObserveResp
 	n := s.recordObservation(req.ModelKey, req.ActualSeconds)
 	persisted := s.appendRecord(history.NewObservation(req.ModelKey, req.ActualSeconds, req.Workers))
 	regime := core.RegimeExtrapolation
-	if n >= s.cfg.BlendThreshold {
+	if n >= core.DefaultObservationThreshold {
 		regime = core.RegimeInterpolation
 	}
 	return &ObserveResponse{
@@ -1048,8 +998,7 @@ func (s *Service) RedirectHistory(path string) {
 	s.histMu.Lock()
 	defer s.histMu.Unlock()
 	s.histPath = path
-	s.ckptLog = 0
-	s.ckptBase = 1
+	s.resetLogBaseline(0)
 }
 
 // ModelInfo describes one cached model for the /models inventory.
@@ -1111,8 +1060,8 @@ type Stats struct {
 	// load or a fit another request had already started.
 	Requests  int64 `json:"requests"`
 	Coalesced int64 `json:"coalesced"`
-	// FitQueueCap is the admission bound on outstanding cold fits (0 =
-	// unlimited); FitQueueDepth the slots held right now; Shed the
+	// FitQueueCap is the admission bound on outstanding cold fits;
+	// FitQueueDepth the slots held right now; Shed the
 	// requests rejected by admission control (fit-queue 503s plus
 	// in-flight 429s).
 	FitQueueCap   int   `json:"fit_queue_cap"`
@@ -1250,7 +1199,7 @@ func openFDs() int {
 
 // SaveHistory archives every cached model as a history "model" record,
 // returning the number written. The snapshot replaces the file atomically
-// (temp file + rename), so a crash or full disk mid-write cannot destroy
+// (history.ReplaceFile), so a crash or full disk mid-write cannot destroy
 // the previous snapshot. Together with WarmFromHistory it gives the cache
 // crash/restart durability without re-running sample pipelines.
 func (s *Service) SaveHistory(path string) (int, error) {
@@ -1281,35 +1230,11 @@ func (s *Service) SaveHistory(path string) (int, error) {
 		}
 	}
 	s.obsMu.RUnlock()
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return 0, err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := history.Write(tmp, records...); err != nil {
-		tmp.Close()
-		return 0, err
-	}
-	// Flush to stable storage before the rename makes the file visible:
-	// rename-over-old with an unsynced payload can survive a crash as an
-	// empty file on some filesystems, destroying the previous snapshot.
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return 0, err
-	}
-	if err := tmp.Close(); err != nil {
-		return 0, err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := history.ReplaceFile(path, records...); err != nil {
 		return 0, err
 	}
 	if path == s.histPath {
-		// The rewrite is the new compaction baseline.
-		s.ckptLog = len(records)
-		s.ckptBase = len(records)
-		if s.ckptBase < 1 {
-			s.ckptBase = 1
-		}
+		s.resetLogBaseline(len(records))
 	}
 	return len(records), nil
 }
@@ -1357,11 +1282,7 @@ func (s *Service) WarmFromHistory(path string) (warmed, skipped int, err error) 
 		// The warm-started log is the compaction baseline: growth is
 		// measured against what survived the restart, so a long-lived key
 		// set does not trigger a compaction storm on the first few fits.
-		s.ckptLog = len(records)
-		s.ckptBase = len(records)
-		if s.ckptBase < 1 {
-			s.ckptBase = 1
-		}
+		s.resetLogBaseline(len(records))
 	}
 	s.histMu.Unlock()
 	return warmed, skipped, nil

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -252,6 +253,35 @@ func TestModelCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// TestCacheExactLRUAtDefaultCapacity: at the default 64-model bound the
+// cache holds 64 keys — whichever 64 — before it evicts anything, and
+// then evicts the least recently used one.
+func TestCacheExactLRUAtDefaultCapacity(t *testing.T) {
+	const capacity = 64
+	c := newCache[int](capacity)
+	key := func(i int) string { return "model-" + strconv.Itoa(i) }
+	for i := 0; i < capacity; i++ {
+		c.put(key(i), i)
+	}
+	if _, _, ev := c.counters(); c.len() != capacity || ev != 0 {
+		t.Fatalf("%d keys in a cache of %d: %d cached, %d evicted", capacity, capacity, c.len(), ev)
+	}
+	fill := func() (int, error) { return -1, nil }
+	if v, hit, err := c.get(context.Background(), key(0), fill); v != 0 || !hit || err != nil {
+		t.Fatalf("get(oldest) = %d, %v, %v, want a hit", v, hit, err)
+	}
+	c.put(key(capacity), capacity)
+	if _, ok := c.peek(key(1)); ok {
+		t.Error("the least recently used key survived an insert past the bound")
+	}
+	if _, ok := c.peek(key(0)); !ok {
+		t.Error("the key touched last was evicted in place of the least recently used one")
+	}
+	if _, _, ev := c.counters(); c.len() != capacity || ev != 1 {
+		t.Errorf("after one insert past the bound: %d cached, %d evicted, want %d and 1", c.len(), ev, capacity)
+	}
+}
+
 func TestPredictTimeout(t *testing.T) {
 	_, server := newTestServer(t, Config{})
 	req := testRequest()
@@ -320,6 +350,9 @@ func TestHistoryPersistenceRoundTrip(t *testing.T) {
 	}
 	if n, err := svc1.SaveHistory(path); err != nil || n != 1 {
 		t.Fatalf("SaveHistory = (%d, %v), want (1, nil)", n, err)
+	}
+	if entries, err := os.ReadDir(filepath.Dir(path)); err != nil || len(entries) != 1 {
+		t.Fatalf("after SaveHistory the directory holds %v (err %v), want only the snapshot", entries, err)
 	}
 
 	// A fresh service warms from the file and answers without fitting.

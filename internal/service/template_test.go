@@ -239,7 +239,7 @@ func TestTemplatesBoundedPerModel(t *testing.T) {
 }
 
 // modelOracle is the trivial in-memory model the sequence test holds the
-// service to: which keys the one-shard model LRU caches (most recently
+// service to: which keys the model LRU caches (most recently
 // used first), when each was inserted (a restart re-inserts in that
 // order), and every key's observation window.
 type modelOracle struct {
@@ -343,7 +343,7 @@ func TestTemplateInvalidationSequences(t *testing.T) {
 	svc := New(cfg)
 	oracle := &modelOracle{capacity: cfg.MaxModels, added: map[int]int{}, windows: map[int][]float64{}}
 	compose := func(k, workers int, cached bool) *PredictResponse {
-		pred, err := ref[k].ExtrapolateBlended(g, workers, oracle.windows[k], svc.cfg.BlendThreshold)
+		pred, err := ref[k].ExtrapolateBlended(g, workers, oracle.windows[k], core.DefaultObservationThreshold)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -198,8 +198,7 @@ func TestDocCommandsExist(t *testing.T) {
 // exported although only its own package's tests name it: a whole package
 // directory, or one "<dir>.<Func>".
 var testSupportAPI = map[string]string{
-	"internal/crashtest":         "the process-level crash harness: a package of helpers its own tests drive",
-	"internal/graph.InNeighbors": "how tests read the reverse adjacency EnsureInEdges builds; non-test code reads only its degrees",
+	"internal/crashtest": "the process-level crash harness: a package of helpers its own tests drive",
 }
 
 // TestExportedSurfaceIsReached holds "exported" to "something reaches it":
@@ -287,5 +286,113 @@ func TestExportedSurfaceIsReached(t *testing.T) {
 		if !listed[key] {
 			t.Errorf("testSupportAPI lists %s, which is no package or exported function under internal/", key)
 		}
+	}
+}
+
+// predictdFlags parses cmd/predictd/main.go and returns the name of every
+// flag it registers (flag.String("addr", ...) and friends) and the name of
+// every service.Config field its service.New call assigns.
+func predictdFlags(t *testing.T) (flags, configFields map[string]bool) {
+	t.Helper()
+	file, err := parser.ParseFile(token.NewFileSet(), filepath.Join("cmd", "predictd", "main.go"), nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags, configFields = map[string]bool{}, map[string]bool{}
+	ast.Inspect(file, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			sel, ok := n.Fun.(*ast.SelectorExpr)
+			if !ok || len(n.Args) != 3 {
+				return true
+			}
+			pkg, isIdent := sel.X.(*ast.Ident)
+			name, isLit := n.Args[0].(*ast.BasicLit)
+			if isIdent && pkg.Name == "flag" && isLit && name.Kind == token.STRING {
+				flags[strings.Trim(name.Value, `"`)] = true
+			}
+		case *ast.CompositeLit:
+			if sel, ok := n.Type.(*ast.SelectorExpr); !ok || sel.Sel.Name != "Config" {
+				return true
+			}
+			for _, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					configFields[kv.Key.(*ast.Ident).Name] = true
+				}
+			}
+		}
+		return true
+	})
+	return flags, configFields
+}
+
+// flagTableRow matches one row of the predictd flag table in docs/API.md:
+// a table line whose first cell is a backquoted -flag.
+var flagTableRow = regexp.MustCompile("(?m)^\\| `-([a-z][a-z-]*)` \\|")
+
+// TestPredictdFlagsAreDocumented holds the flag set predictd registers
+// equal to the flag table in docs/API.md, in both directions: a flag is
+// documented when it is added and its row goes when it does.
+func TestPredictdFlagsAreDocumented(t *testing.T) {
+	flags, _ := predictdFlags(t)
+	data, err := os.ReadFile(filepath.Join("docs", "API.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := map[string]bool{}
+	for _, m := range flagTableRow.FindAllStringSubmatch(string(data), -1) {
+		documented[m[1]] = true
+	}
+	if len(flags) == 0 || len(documented) == 0 {
+		t.Fatalf("parsed %d flags from cmd/predictd/main.go and %d rows from docs/API.md — an extraction has regressed", len(flags), len(documented))
+	}
+	for name := range flags {
+		if !documented[name] {
+			t.Errorf("predictd registers -%s but the flag table in docs/API.md has no row for it", name)
+		}
+	}
+	for name := range documented {
+		if !flags[name] {
+			t.Errorf("docs/API.md documents -%s, which predictd does not register", name)
+		}
+	}
+}
+
+// configFieldCount is how many fields service.Config has. The rule that
+// keeps it there (DESIGN.md §10 "Constants, and why they are not flags"):
+// a value is a Config field — and a predictd flag — only if two
+// deployments that exist today set it differently or it is a setting of
+// this host (an address, a path, a capacity); otherwise it is a named
+// constant beside the code that reads it. A new field changes this number
+// in the same commit that says which of the two it is.
+const configFieldCount = 11
+
+// TestConfigFieldsHaveFlags holds every exported service.Config field to
+// an assignment in cmd/predictd/main.go — a field no binary can set is a
+// constant with extra steps — and pins the field count.
+func TestConfigFieldsHaveFlags(t *testing.T) {
+	_, assigned := predictdFlags(t)
+	file, err := parser.ParseFile(token.NewFileSet(), filepath.Join("internal", "service", "service.go"), nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := 0
+	ast.Inspect(file, func(n ast.Node) bool {
+		ts, ok := n.(*ast.TypeSpec)
+		if !ok || ts.Name.Name != "Config" {
+			return true
+		}
+		for _, f := range ts.Type.(*ast.StructType).Fields.List {
+			for _, name := range f.Names {
+				fields++
+				if name.IsExported() && !assigned[name.Name] {
+					t.Errorf("service.Config.%s is assigned by no flag in cmd/predictd/main.go: make it a constant or give it one", name.Name)
+				}
+			}
+		}
+		return false
+	})
+	if fields != configFieldCount {
+		t.Errorf("service.Config has %d fields, pinned at %d: an option is a value two deployments set differently (see configFieldCount)", fields, configFieldCount)
 	}
 }
