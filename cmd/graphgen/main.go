@@ -107,7 +107,7 @@ func build(data, typ, convert string, n int, deg, scale float64, seed uint64) (*
 	case "ba":
 		return gen.BarabasiAlbert(n, int(deg/1.5)+1, 0.5, seed), "barabasi-albert", nil
 	case "rmat":
-		return gen.RMAT(n, deg, gen.DefaultRMAT(), seed), "rmat", nil
+		return gen.RMAT(n, deg, seed), "rmat", nil
 	case "er":
 		return gen.ErdosRenyi(n, deg, seed), "erdos-renyi", nil
 	case "ws":

@@ -86,36 +86,6 @@ func TestPredictModeVariants(t *testing.T) {
 	}
 }
 
-// TestPredictVerticesOnlyExtrapolationDiffers verifies the ablation knob
-// actually changes the extrapolation.
-func TestPredictVerticesOnlyExtrapolationDiffers(t *testing.T) {
-	g := gen.BarabasiAlbert(4000, 6, 0.4, 7)
-	pr := algorithms.NewPageRank()
-	pr.Tau = algorithms.TauForTolerance(0.001, g.NumVertices())
-
-	base := testOptions(0.1)
-	predFull, err := New(base).Predict(pr, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ablate := testOptions(0.1)
-	ablate.ExtrapolateVerticesOnly = true
-	predV, err := New(ablate).Predict(pr, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if predV.Scale.EE != predV.Scale.EV {
-		t.Errorf("VerticesOnly: EE = %v, want EV = %v", predV.Scale.EE, predV.Scale.EV)
-	}
-	// On a hub-biased sample eE > eV is impossible... rather: the two
-	// predictions must differ unless the sample happened to have
-	// identical ratios.
-	if predFull.Scale.EE != predFull.Scale.EV &&
-		predFull.PredictedRemoteMessageBytes == predV.PredictedRemoteMessageBytes {
-		t.Error("ablation had no effect on extrapolated bytes")
-	}
-}
-
 // TestPredictSemiClusteringEndToEnd covers the symmetrizing-algorithm path
 // (share consistency) end to end.
 func TestPredictSemiClusteringEndToEnd(t *testing.T) {

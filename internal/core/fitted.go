@@ -58,8 +58,6 @@ type Fitted struct {
 	SampleWorkers int
 	// Mode is the feature-reduction mode the model was trained under.
 	Mode features.Mode
-	// VerticesOnly records the eV-only extrapolation ablation.
-	VerticesOnly bool
 	// TrainingRows is the flattened training matrix the model was fitted
 	// on (history + main sample run + additional-ratio runs), kept so the
 	// model can be refitted bit-identically after persistence.
@@ -214,11 +212,7 @@ func (p *Predictor) runPipelines(ctx context.Context, alg algorithms.Algorithm, 
 		}
 		// Transform function: adjust convergence parameters to the
 		// sample, then profile the transformed run.
-		runAlg := alg
-		if !p.opts.DisableTransform {
-			runAlg = alg.Transformed(s.VertexRatio)
-		}
-		ri, err := runAlg.Run(s.Graph, p.opts.BSP)
+		ri, err := alg.Transformed(s.VertexRatio).Run(s.Graph, p.opts.BSP)
 		if err != nil {
 			if i == 0 {
 				return fmt.Errorf("core: sample run: %w", err)
@@ -272,7 +266,6 @@ func (p *Predictor) train(alg algorithms.Algorithm, tasks []sampleTask, outcomes
 		SampleRunSeconds:      sampleRun.Profile.TotalSeconds(),
 		SampleWorkers:         workers,
 		Mode:                  p.opts.Mode,
-		VerticesOnly:          p.opts.ExtrapolateVerticesOnly,
 		CostModel:             p.opts.CostModel,
 		Sample:                sample,
 		SampleRun:             sampleRun,
@@ -358,9 +351,6 @@ func (f *Fitted) extrapolationScale(g *graph.Graph, workers int) (scale features
 		g.NumEdges(), f.SampleEdges)
 	if err != nil {
 		return features.Scale{}, 0, 0, fmt.Errorf("core: %w", err)
-	}
-	if f.VerticesOnly {
-		scale = scale.VerticesOnly()
 	}
 
 	// Critical-path adjustment: move vectors from the sample graph's

@@ -33,9 +33,7 @@ func (f *Fitted) Record(key, dataset string) history.Record {
 			SampleRunSeconds:      f.SampleRunSeconds,
 			SampleWorkers:         f.SampleWorkers,
 			Mode:                  int(f.Mode),
-			VerticesOnly:          f.VerticesOnly,
 			RemoteBytesPerIter:    append([]float64(nil), f.RemoteBytesPerIter...),
-			MaxFeatures:           f.CostModel.MaxFeatures,
 			DisableSelection:      f.CostModel.DisableSelection,
 		},
 	}
@@ -66,10 +64,7 @@ func FittedFromRecord(rec history.Record) (*Fitted, error) {
 		return nil, err
 	}
 	meta := rec.Model
-	opts := costmodel.Options{
-		MaxFeatures:      meta.MaxFeatures,
-		DisableSelection: meta.DisableSelection,
-	}
+	opts := costmodel.Options{DisableSelection: meta.DisableSelection}
 	training := rowsToIters(meta.TrainingRows)
 	if len(training) == 0 {
 		training = tr.Iters
@@ -94,7 +89,6 @@ func FittedFromRecord(rec history.Record) (*Fitted, error) {
 		SampleRunSeconds:      meta.SampleRunSeconds,
 		SampleWorkers:         meta.SampleWorkers,
 		Mode:                  features.Mode(meta.Mode),
-		VerticesOnly:          meta.VerticesOnly,
 		TrainingRows:          training,
 		CostModel:             opts,
 	}, nil

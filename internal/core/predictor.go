@@ -53,12 +53,6 @@ type Options struct {
 	// share one parallelism budget. When nil, Fit uses a transient pool
 	// of Parallelism slots.
 	Pool *parallel.Pool
-	// DisableTransform skips the transform function (ablation: the §1.1
-	// example shows why this breaks iteration invariants).
-	DisableTransform bool
-	// ExtrapolateVerticesOnly scales all features by eV (ablation for the
-	// two-factor extrapolator).
-	ExtrapolateVerticesOnly bool
 }
 
 // Predictor runs the PREDIcT methodology for one algorithm on one graph.

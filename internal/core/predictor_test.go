@@ -123,19 +123,17 @@ func TestTransformMattersForPageRank(t *testing.T) {
 	// absolute threshold; on a 10x smaller sample the per-vertex deltas
 	// are 10x larger, so the untransformed run must need MORE iterations
 	// than the transformed one (it starts further above the threshold).
+	// The untransformed run is the plain algorithm on the fit's own sample,
+	// as genexp's transform ablation measures it.
 	g := testGraphBA()
 	pr := algorithms.NewPageRank()
 	pr.Tau = algorithms.TauForTolerance(0.001, g.NumVertices())
 
-	with := New(testOptions(0.1))
-	predWith, err := with.Predict(pr, g)
+	predWith, err := New(testOptions(0.1)).Predict(pr, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	optsNo := testOptions(0.1)
-	optsNo.DisableTransform = true
-	without := New(optsNo)
-	predWithout, err := without.Predict(pr, g)
+	predWithout, err := pr.Run(predWith.Sample.Graph, testEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +158,7 @@ func TestHistoryTrainingIsUsed(t *testing.T) {
 	pr.Tau = algorithms.TauForTolerance(0.001, g.NumVertices())
 
 	// History: an actual run on a different dataset.
-	other := gen.RMAT(4000, 10, gen.DefaultRMAT(), 77)
+	other := gen.RMAT(4000, 10, 77)
 	prOther := algorithms.NewPageRank()
 	prOther.Tau = algorithms.TauForTolerance(0.001, other.NumVertices())
 	otherRun, err := prOther.Run(other, testEnv())

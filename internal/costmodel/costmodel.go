@@ -33,11 +33,13 @@ func FromProfile(source string, p *bsp.Profile, mode features.Mode) TrainingRun 
 
 // Options configures model training.
 type Options struct {
-	// MaxFeatures caps forward selection; zero selects 4.
-	MaxFeatures int
 	// DisableSelection fits all pool features without selection (ablation).
 	DisableSelection bool
 }
+
+// maxFeatures caps forward selection. Every model behind a pin, a golden
+// and a figure was selected under it.
+const maxFeatures = 4
 
 // Model is a fitted per-iteration cost model.
 type Model struct {
@@ -61,16 +63,12 @@ func Train(runs []TrainingRun, opts Options) (*Model, error) {
 	if len(X) == 0 {
 		return nil, ErrNoTrainingData
 	}
-	maxF := opts.MaxFeatures
-	if maxF == 0 {
-		maxF = 4
-	}
 	var fit *regress.Fit
 	var err error
 	if opts.DisableSelection {
 		fit, err = regress.OLS(X, y)
 	} else {
-		fit, err = regress.ForwardSelect(X, y, maxF)
+		fit, err = regress.ForwardSelect(X, y, maxFeatures)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("costmodel: fitting: %w", err)

@@ -59,13 +59,13 @@ func TestTrainRecoversCostFactors(t *testing.T) {
 
 func TestTrainSelectsMessageFeatures(t *testing.T) {
 	run := synthRun(15, 0.1, 3e-5, 2e-6, 1)
-	m, err := Train([]TrainingRun{run}, Options{MaxFeatures: 3})
+	m, err := Train([]TrainingRun{run}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sel := m.SelectedFeatures()
-	if len(sel) == 0 {
-		t.Fatal("no features selected")
+	if len(sel) == 0 || len(sel) > maxFeatures {
+		t.Fatalf("selected %d features %v, want 1..%d", len(sel), sel, maxFeatures)
 	}
 	// RemMsgSize is the dominant driver and must be selected.
 	found := false

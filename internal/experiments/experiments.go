@@ -14,7 +14,6 @@ import (
 
 	"predict/internal/algorithms"
 	"predict/internal/bsp"
-	"predict/internal/cluster"
 	"predict/internal/gen"
 	"predict/internal/graph"
 	"predict/internal/sampling"
@@ -34,8 +33,6 @@ type Config struct {
 	// TrainingRatios are the sample-run ratios used to train cost models
 	// (§5.2 uses 0.05, 0.1, 0.15, 0.2).
 	TrainingRatios []float64
-	// Oracle prices the simulated cluster; nil selects the default.
-	Oracle *cluster.CostOracle
 	// Progress, when non-nil, receives one line per completed step.
 	Progress io.Writer
 }
@@ -55,10 +52,6 @@ func (c Config) withDefaults() Config {
 	}
 	if len(c.TrainingRatios) == 0 {
 		c.TrainingRatios = []float64{0.05, 0.10, 0.15, 0.20}
-	}
-	if c.Oracle == nil {
-		o := cluster.DefaultOracle()
-		c.Oracle = &o
 	}
 	return c
 }
@@ -90,9 +83,9 @@ func (l *Lab) progressf(format string, args ...any) {
 }
 
 // BSP returns the execution environment shared by sample and actual runs
-// (the paper's assumption iii).
+// (the paper's assumption iii), priced by the default cost oracle.
 func (l *Lab) BSP() bsp.Config {
-	return bsp.Config{Workers: l.cfg.Workers, Oracle: l.cfg.Oracle, Seed: l.cfg.Seed}
+	return bsp.Config{Workers: l.cfg.Workers, Seed: l.cfg.Seed}
 }
 
 // Graph returns the stand-in dataset for a paper prefix (LJ, Wiki, TW,

@@ -41,7 +41,7 @@ const (
 	// PointGraphLoadFile fires at graph.LoadFile's entry (the registry's
 	// text/snapshot load path).
 	PointGraphLoadFile = "graph.load_file"
-	// PointGraphReadSnapshot fires at graph.ReadSnapshot/ReadSnapshotFile.
+	// PointGraphReadSnapshot fires at graph.ReadSnapshotFile.
 	PointGraphReadSnapshot = "graph.read_snapshot"
 	// PointGraphOpenSnapshot fires at graph.OpenSnapshot (the mmap-with-
 	// fallback policy layer).

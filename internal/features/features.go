@@ -143,12 +143,6 @@ func NewScale(graphVertices, sampleVertices int, graphEdges, sampleEdges int64) 
 	}, nil
 }
 
-// VerticesOnly returns a copy of s that extrapolates every feature by eV —
-// the ablation showing why message features need the edge factor.
-func (s Scale) VerticesOnly() Scale {
-	return Scale{EV: s.EV, EE: s.EV}
-}
-
 // Apply extrapolates a sample-run feature vector to full-graph scale:
 // vertex-driven features (ActVert, TotVert) scale by eV, message features
 // by eE, and AvgMsgSize is preserved (Table 1's "Extrapolation" column).

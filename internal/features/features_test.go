@@ -111,13 +111,6 @@ func TestScaleApply(t *testing.T) {
 	}
 }
 
-func TestScaleVerticesOnly(t *testing.T) {
-	s := Scale{EV: 10, EE: 20}.VerticesOnly()
-	if s.EE != 10 {
-		t.Errorf("VerticesOnly EE = %v, want 10", s.EE)
-	}
-}
-
 func TestNewScale(t *testing.T) {
 	s, err := NewScale(1000, 100, 50000, 2500)
 	if err != nil {

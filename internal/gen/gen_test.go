@@ -119,7 +119,7 @@ func TestErdosRenyi(t *testing.T) {
 }
 
 func TestRMATShape(t *testing.T) {
-	g := RMAT(4000, 10, DefaultRMAT(), 17)
+	g := RMAT(4000, 10, 17)
 	if g.NumVertices() != 4000 {
 		t.Fatalf("NumVertices = %d, want 4000", g.NumVertices())
 	}

@@ -6,28 +6,23 @@ import (
 	"predict/internal/graph"
 )
 
-// RMATOptions holds the recursive-quadrant probabilities of the RMAT
-// (Kronecker) generator. They must sum to ~1; A is the top-left quadrant.
-// Web-graph-like settings concentrate mass in A (e.g. 0.57/0.19/0.19/0.05),
-// producing tight communities and heavy-tailed degrees.
-type RMATOptions struct {
-	A, B, C, D float64
-	// NoiseFactor perturbs the quadrant probabilities at each recursion
-	// level by up to ±NoiseFactor/2, avoiding artificial staircase degree
-	// distributions. 0.1 is a reasonable default.
-	NoiseFactor float64
-}
-
-// DefaultRMAT returns web-graph-like quadrant probabilities.
-func DefaultRMAT() RMATOptions {
-	return RMATOptions{A: 0.57, B: 0.19, C: 0.19, D: 0.05, NoiseFactor: 0.1}
-}
+// The recursive-quadrant probabilities of every RMAT graph (A is the
+// top-left quadrant) and the per-level noise factor. The mass concentrates
+// in A, as in web graphs, giving tight communities and heavy-tailed
+// degrees; the noise perturbs the probabilities at each recursion level by
+// up to ±rmatNoise/2, avoiding artificial staircase degree distributions.
+// They are typed so that the normalisation below rounds each step to
+// float64: every generated graph depends on those bits.
+const (
+	rmatA, rmatB, rmatC, rmatD float64 = 0.57, 0.19, 0.19, 0.05
+	rmatNoise                  float64 = 0.1
+)
 
 // RMAT builds a directed graph on n vertices with approximately
 // n*avgOutDeg edges using the recursive matrix method. Edges whose
 // endpoints fall outside [0, n) in the padded 2^scale space are
 // rejection-resampled, so the advertised vertex count is exact.
-func RMAT(n int, avgOutDeg float64, opts RMATOptions, seed uint64) *graph.Graph {
+func RMAT(n int, avgOutDeg float64, seed uint64) *graph.Graph {
 	rng := rngFor(seed)
 	scale := 0
 	for (1 << scale) < n {
@@ -36,11 +31,8 @@ func RMAT(n int, avgOutDeg float64, opts RMATOptions, seed uint64) *graph.Graph 
 	target := int64(float64(n) * avgOutDeg)
 	b := graph.NewBuilder(n)
 
-	total := opts.A + opts.B + opts.C + opts.D
-	if total <= 0 {
-		panic("gen: RMAT: non-positive probability mass")
-	}
-	a, bb, c := opts.A/total, opts.B/total, opts.C/total
+	total := rmatA + rmatB + rmatC + rmatD
+	a, bb, c := rmatA/total, rmatB/total, rmatC/total
 
 	var added int64
 	attempts := target * 4 // bail-out guard for degenerate inputs
@@ -49,13 +41,10 @@ func RMAT(n int, avgOutDeg float64, opts RMATOptions, seed uint64) *graph.Graph 
 		src, dst := 0, 0
 		for level := 0; level < scale; level++ {
 			// Perturb quadrant probabilities at each level.
-			na, nb, nc := a, bb, c
-			if opts.NoiseFactor > 0 {
-				mul := 1 - opts.NoiseFactor/2 + opts.NoiseFactor*rng.Float64()
-				na = math.Min(a*mul, 1)
-				nb = math.Min(bb*mul, 1)
-				nc = math.Min(c*mul, 1)
-			}
+			mul := 1 - rmatNoise/2 + rmatNoise*rng.Float64()
+			na := math.Min(a*mul, 1)
+			nb := math.Min(bb*mul, 1)
+			nc := math.Min(c*mul, 1)
 			r := rng.Float64()
 			half := 1 << (scale - level - 1)
 			switch {

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"predict/internal/parallel"
 )
 
 // FuzzReadEdgeList asserts two properties over arbitrary text input:
@@ -52,9 +54,9 @@ func FuzzReadEdgeList(f *testing.F) {
 		}
 		seq, seqErr := ReadEdgeList(strings.NewReader(input))
 		for _, cfg := range []LoadOptions{
-			{Parallelism: 1},
-			{Parallelism: 4, chunkBytes: 3},
-			{Parallelism: 2, chunkBytes: 64},
+			{Pool: parallel.NewPool(1)},
+			{Pool: parallel.NewPool(4), chunkBytes: 3},
+			{Pool: parallel.NewPool(2), chunkBytes: 64},
 		} {
 			par, parErr := LoadEdgeList(strings.NewReader(input), cfg)
 			if (seqErr == nil) != (parErr == nil) {
@@ -90,7 +92,7 @@ func FuzzReadEdgeList(f *testing.F) {
 	})
 }
 
-// FuzzReadSnapshot asserts that ReadSnapshot never panics on arbitrary
+// FuzzReadSnapshot asserts that the snapshot decoder never panics on arbitrary
 // bytes and that accepted inputs are canonical: decode→encode reproduces
 // the exact input bytes (so decode→encode→decode is trivially a
 // fixpoint).
@@ -118,7 +120,7 @@ func FuzzReadSnapshot(f *testing.F) {
 	f.Add(valid[:len(valid)-3])
 	f.Add(bytes.Clone(snapshotMagic[:]))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadSnapshot(bytes.NewReader(data))
+		g, err := decodeSnapshot(data)
 		if err != nil {
 			return
 		}
@@ -167,7 +169,7 @@ func FuzzMmapSnapshot(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		want, readErr := ReadSnapshot(bytes.NewReader(data))
+		want, readErr := decodeSnapshot(data)
 		mg, mmapErr := MmapSnapshot(path)
 		if (readErr == nil) != (mmapErr == nil) {
 			t.Fatalf("readers disagree: copy-in err = %v, mmap err = %v", readErr, mmapErr)

@@ -29,11 +29,9 @@ import (
 
 // LoadOptions configures the parallel text loader.
 type LoadOptions struct {
-	// Parallelism bounds how many shards parse at once; zero selects
-	// GOMAXPROCS. Ignored when Pool is set.
-	Parallelism int
 	// Pool optionally runs the shard parses on an existing worker pool
-	// (sharing its bound with other work) instead of a transient one.
+	// (sharing its bound with other work) instead of a transient one of
+	// GOMAXPROCS slots.
 	Pool *parallel.Pool
 
 	// chunkBytes overrides the shard target size; zero sizes shards
@@ -133,7 +131,7 @@ func parseEdgeListBytes(data []byte, opts LoadOptions) (*Graph, error) {
 	target := opts.chunkBytes
 	pool := opts.Pool
 	if pool == nil {
-		pool = parallel.NewPool(opts.Parallelism)
+		pool = parallel.NewPool(0)
 	}
 	if target <= 0 {
 		target = chunkTarget(len(data), pool.Size())

@@ -46,11 +46,11 @@ func graphsIdentical(a, b *Graph) bool {
 // sweep: single shard, many tiny shards (every line its own shard for
 // small inputs), and realistic multi-shard splits.
 var loadConfigs = []LoadOptions{
-	{Parallelism: 1},
-	{Parallelism: 2, chunkBytes: 1},
-	{Parallelism: 3, chunkBytes: 7},
-	{Parallelism: 8, chunkBytes: 64},
-	{Parallelism: 4, chunkBytes: 4096},
+	{Pool: parallel.NewPool(1)},
+	{Pool: parallel.NewPool(2), chunkBytes: 1},
+	{Pool: parallel.NewPool(3), chunkBytes: 7},
+	{Pool: parallel.NewPool(8), chunkBytes: 64},
+	{Pool: parallel.NewPool(4), chunkBytes: 4096},
 }
 
 // assertLoadMatchesSequential parses input with ReadEdgeList and with the
@@ -197,7 +197,7 @@ func TestLoadEdgeListRoundTripsWrittenGraphs(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertLoadMatchesSequential(t, buf.String())
-		got, err := LoadEdgeList(bytes.NewReader(buf.Bytes()), LoadOptions{Parallelism: 4, chunkBytes: 32})
+		got, err := LoadEdgeList(bytes.NewReader(buf.Bytes()), LoadOptions{Pool: parallel.NewPool(4), chunkBytes: 32})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -242,7 +242,7 @@ func TestLoadEdgeListLineTooLong(t *testing.T) {
 	if _, err := ReadEdgeList(strings.NewReader(input)); err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Errorf("ReadEdgeList long line error = %v, want positional error on line 2", err)
 	}
-	if _, err := LoadEdgeList(strings.NewReader(input), LoadOptions{Parallelism: 2}); err == nil || !strings.Contains(err.Error(), "line 2") {
+	if _, err := LoadEdgeList(strings.NewReader(input), LoadOptions{Pool: parallel.NewPool(2)}); err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Errorf("LoadEdgeList long line error = %v, want positional error on line 2", err)
 	}
 }

@@ -6,7 +6,7 @@
 // the kernel page cache shares one physical copy of the file across every
 // process that maps it. Validation is NOT skipped — the mmap reader runs
 // the same frame (header/size/checksum) and structural CSR checks as
-// ReadSnapshot, so the two readers accept and reject exactly the same
+// ReadSnapshotFile, so the two readers accept and reject exactly the same
 // inputs (FuzzMmapSnapshot pins this). The checks stream through the
 // mapped pages without allocating, which also conveniently pre-faults the
 // file sequentially.

@@ -18,7 +18,7 @@
 //	[-8:)    XXH64 (seed 0) of every preceding byte
 //
 // The encoding is canonical: a valid snapshot re-encodes to the identical
-// byte sequence, which FuzzReadSnapshot asserts. ReadSnapshot verifies
+// byte sequence, which FuzzReadSnapshot asserts. ReadSnapshotFile verifies
 // the checksum and every structural invariant a Graph promises (monotone
 // offsets, in-range and strictly-sorted adjacency), so a corrupted or
 // adversarial file fails loudly instead of producing a Graph that
@@ -144,22 +144,6 @@ func writeFloat32s(w io.Writer, buf []byte, vals []float32) error {
 		vals = vals[k:]
 	}
 	return nil
-}
-
-// ReadSnapshot reads a graph written by WriteSnapshot, verifying the
-// checksum and every CSR structural invariant before returning.
-func ReadSnapshot(r io.Reader) (*Graph, error) {
-	if fault := faultinject.Fire(faultinject.PointGraphReadSnapshot); fault != nil {
-		fault.Sleep()
-		if fault.Err != nil {
-			return nil, fault.Err
-		}
-	}
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return decodeSnapshot(data)
 }
 
 // snapshotFrame is a validated snapshot's shape: the counts and the byte
@@ -322,7 +306,9 @@ func WriteSnapshotFile(path string, g *Graph) error {
 	return nil
 }
 
-// ReadSnapshotFile reads a snapshot from path.
+// ReadSnapshotFile reads a graph written by WriteSnapshot from path,
+// verifying the checksum and every CSR structural invariant before
+// returning.
 func ReadSnapshotFile(path string) (*Graph, error) {
 	if fault := faultinject.Fire(faultinject.PointGraphReadSnapshot); fault != nil {
 		fault.Sleep()

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"predict/internal/parallel"
 )
 
 func buildRandomGraph(t *testing.T, rng *rand.Rand, weighted bool) *Graph {
@@ -42,9 +44,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 30; trial++ {
 		g := buildRandomGraph(t, rng, trial%2 == 0)
-		got, err := ReadSnapshot(bytes.NewReader(snapshotBytes(t, g)))
+		got, err := decodeSnapshot(snapshotBytes(t, g))
 		if err != nil {
-			t.Fatalf("trial %d: ReadSnapshot: %v", trial, err)
+			t.Fatalf("trial %d: decodeSnapshot: %v", trial, err)
 		}
 		if !graphsIdentical(g, got) {
 			t.Fatalf("trial %d: snapshot round trip changed the graph", trial)
@@ -57,7 +59,7 @@ func TestSnapshotRoundTripEmptyGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSnapshot(bytes.NewReader(snapshotBytes(t, g)))
+	got, err := decodeSnapshot(snapshotBytes(t, g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +68,7 @@ func TestSnapshotRoundTripEmptyGraph(t *testing.T) {
 	}
 	// The zero-value Graph (nil offsets) must also snapshot cleanly.
 	var zero Graph
-	got, err = ReadSnapshot(bytes.NewReader(snapshotBytes(t, &zero)))
+	got, err = decodeSnapshot(snapshotBytes(t, &zero))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +86,7 @@ func TestSnapshotPreservesSelfLoopsAndNaNWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	g = withSelfLoops(g, map[VertexID]float32{0: float32(math.NaN())})
-	got, err := ReadSnapshot(bytes.NewReader(snapshotBytes(t, g)))
+	got, err := decodeSnapshot(snapshotBytes(t, g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +110,7 @@ func TestSnapshotCanonicalEncoding(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		g := buildRandomGraph(t, rng, trial%2 == 0)
 		raw := snapshotBytes(t, g)
-		got, err := ReadSnapshot(bytes.NewReader(raw))
+		got, err := decodeSnapshot(raw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,9 +188,9 @@ func TestSnapshotCorruption(t *testing.T) {
 		}), "out-of-range neighbor"},
 	}
 	for _, tc := range cases {
-		_, err := ReadSnapshot(bytes.NewReader(tc.data))
+		_, err := decodeSnapshot(tc.data)
 		if err == nil {
-			t.Errorf("%s: ReadSnapshot succeeded, want error containing %q", tc.name, tc.wantMsg)
+			t.Errorf("%s: decodeSnapshot succeeded, want error containing %q", tc.name, tc.wantMsg)
 			continue
 		}
 		if !strings.Contains(err.Error(), tc.wantMsg) {
@@ -207,7 +209,7 @@ func TestSnapshotUnsortedAdjacencyRejected(t *testing.T) {
 		binary.LittleEndian.PutUint32(b[edgesOff+4:], 1)
 		reseal(b)
 	})
-	if _, err := ReadSnapshot(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "not strictly sorted") {
+	if _, err := decodeSnapshot(bad); err == nil || !strings.Contains(err.Error(), "not strictly sorted") {
 		t.Errorf("unsorted adjacency error = %v, want sorted-adjacency rejection", err)
 	}
 }
@@ -246,7 +248,7 @@ func TestSnapshotFileHelpersAndLoadFileSniffing(t *testing.T) {
 	if err := os.WriteFile(textPath, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err = LoadFile(textPath, LoadOptions{Parallelism: 2, chunkBytes: 64})
+	got, err = LoadFile(textPath, LoadOptions{Pool: parallel.NewPool(2), chunkBytes: 64})
 	if err != nil {
 		t.Fatalf("LoadFile(text): %v", err)
 	}

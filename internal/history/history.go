@@ -112,8 +112,6 @@ type ModelMeta struct {
 	SampleWorkers int `json:"sample_workers"`
 	// Mode is the feature-reduction mode (features.Mode) the rows encode.
 	Mode int `json:"mode"`
-	// VerticesOnly records the eV-only extrapolation ablation.
-	VerticesOnly bool `json:"vertices_only,omitempty"`
 	// RemoteBytesPerIter holds raw per-iteration remote message bytes for
 	// the Figure 6 remote-bytes prediction.
 	RemoteBytesPerIter []float64 `json:"remote_bytes_per_iter,omitempty"`
@@ -122,9 +120,8 @@ type ModelMeta struct {
 	// The Record's Iterations rows are only the main sample run's, which
 	// double as the extrapolation vectors.
 	TrainingRows []IterationRow `json:"training_rows,omitempty"`
-	// MaxFeatures/DisableSelection reproduce the costmodel.Options the
-	// model was fitted under, so a refit selects the same features.
-	MaxFeatures      int  `json:"max_features,omitempty"`
+	// DisableSelection reproduces the costmodel.Options the model was
+	// fitted under, so a refit selects the same features.
 	DisableSelection bool `json:"disable_selection,omitempty"`
 }
 

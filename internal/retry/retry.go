@@ -41,32 +41,19 @@ type Policy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the exponential growth: no backoff exceeds it.
 	MaxDelay time.Duration
-	// Jitter is the fraction of each delay that is randomized (0..1):
-	// the actual sleep is delay * (1 - Jitter + Jitter*u) for a seeded
-	// uniform u in [0,1). Negative means 0 (deterministic spacing); the
-	// default is 0.5 — enough to decorrelate concurrent retriers without
-	// making the worst case unpredictable.
-	Jitter float64
-	// Seed fixes the jitter sequence for deterministic tests. Zero mixes
-	// in a process-wide counter so concurrent Do calls decorrelate.
-	Seed uint64
 	// OnRetry, when set, observes every retry decision: the attempt that
 	// failed (1-based), its error, and the sleep about to be taken. The
 	// service hangs its /stats retry counter here.
 	OnRetry func(attempt int, err error, sleep time.Duration)
 }
 
-// jitter resolves the Jitter field: zero selects 0.5, the rest clamps
-// to [0, 1].
-func (p Policy) jitter() float64 {
-	if p.Jitter == 0 {
-		return 0.5
-	}
-	return max(0, min(p.Jitter, 1))
-}
+// jitter is the randomized fraction of every backoff: the sleep is
+// delay * (1 - jitter + jitter*u) for a uniform u in [0,1), so it lies in
+// [delay/2, delay] — enough to decorrelate concurrent retriers without
+// making the worst case unpredictable.
+const jitter = 0.5
 
-// doSeq decorrelates the jitter streams of concurrent Do calls that did
-// not pin a Seed.
+// doSeq decorrelates the jitter streams of concurrent Do calls.
 var doSeq atomic.Uint64
 
 // Do runs op up to p.Attempts times, sleeping a jittered exponential
@@ -77,11 +64,7 @@ var doSeq atomic.Uint64
 // op's last error so callers can distinguish "gave up" from "kept
 // failing".
 func (p Policy) Do(ctx context.Context, retryable func(error) bool, op func() error) error {
-	seed := p.Seed
-	if seed == 0 {
-		seed = doSeq.Add(1) * 0x9e3779b97f4a7c15
-	}
-	jitter := p.jitter()
+	seed := doSeq.Add(1) * 0x9e3779b97f4a7c15
 	delay := min(p.BaseDelay, p.MaxDelay)
 	var err error
 	for attempt := 1; ; attempt++ {
@@ -94,12 +77,9 @@ func (p Policy) Do(ctx context.Context, retryable func(error) bool, op func() er
 		if retryable != nil && !retryable(err) {
 			return err
 		}
-		sleep := delay
-		if jitter > 0 {
-			seed = splitmix64(seed)
-			u := float64(seed>>11) / float64(1<<53)
-			sleep = time.Duration(float64(delay) * (1 - jitter + jitter*u))
-		}
+		seed = splitmix64(seed)
+		u := float64(seed>>11) / float64(1<<53)
+		sleep := time.Duration(float64(delay) * (1 - jitter + jitter*u))
 		if p.OnRetry != nil {
 			p.OnRetry(attempt, err, sleep)
 		}

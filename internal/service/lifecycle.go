@@ -25,6 +25,10 @@ import (
 	"time"
 )
 
+// hardStopGrace bounds how long the 503 responses a HardStop produces get
+// to flush before Drain force-closes their connections.
+const hardStopGrace = 2 * time.Second
+
 // ControllerConfig parameterizes a Controller.
 type ControllerConfig struct {
 	// Addr is the serving listen address. ":0" and "127.0.0.1:0" work; the
@@ -41,9 +45,6 @@ type ControllerConfig struct {
 	// DrainTimeout bounds how long a drain waits for in-flight requests
 	// before canceling their fits; zero selects 10s.
 	DrainTimeout time.Duration
-	// HardStopGrace bounds how long the post-HardStop 503 responses get to
-	// flush before connections are force-closed; zero selects 2s.
-	HardStopGrace time.Duration
 	// Logf receives progress lines; nil selects log.Printf.
 	Logf func(format string, args ...any)
 }
@@ -51,9 +52,6 @@ type ControllerConfig struct {
 func (c ControllerConfig) withDefaults() ControllerConfig {
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 10 * time.Second
-	}
-	if c.HardStopGrace <= 0 {
-		c.HardStopGrace = 2 * time.Second
 	}
 	if c.Logf == nil {
 		c.Logf = log.Printf
@@ -159,7 +157,7 @@ func (c *Controller) Drain() error {
 		c.svc.HardStop()
 		err = context.DeadlineExceeded
 	}
-	grace, cancel := context.WithTimeout(context.Background(), c.cfg.HardStopGrace)
+	grace, cancel := context.WithTimeout(context.Background(), hardStopGrace)
 	defer cancel()
 	if serr := c.srv.Shutdown(grace); serr != nil {
 		c.srv.Close()

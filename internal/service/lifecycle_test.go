@@ -187,12 +187,11 @@ func TestControllerSupervisedDrain(t *testing.T) {
 
 	svc := New(Config{})
 	ctrl, err := StartController(svc, ControllerConfig{
-		Addr:          "127.0.0.1:0",
-		PprofAddr:     "127.0.0.1:0",
-		PprofHandler:  http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusOK) }),
-		DrainTimeout:  30 * time.Second,
-		HardStopGrace: time.Second,
-		Logf:          t.Logf,
+		Addr:         "127.0.0.1:0",
+		PprofAddr:    "127.0.0.1:0",
+		PprofHandler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusOK) }),
+		DrainTimeout: 30 * time.Second,
+		Logf:         t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -294,10 +293,9 @@ func TestControllerDrainDeadlineHardStops(t *testing.T) {
 
 	svc := New(Config{})
 	ctrl, err := StartController(svc, ControllerConfig{
-		Addr:          "127.0.0.1:0",
-		DrainTimeout:  200 * time.Millisecond,
-		HardStopGrace: 5 * time.Second,
-		Logf:          t.Logf,
+		Addr:         "127.0.0.1:0",
+		DrainTimeout: 200 * time.Millisecond,
+		Logf:         t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)

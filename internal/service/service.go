@@ -337,6 +337,14 @@ func (r PredictRequest) withDefaults() PredictRequest {
 	return r
 }
 
+// maxScale bounds a request's generator scale. At 16× a stand-in has about
+// a million vertices; larger graphs come in through the dataset registry.
+const maxScale = 16
+
+// maxTrainingRatios bounds how many sample pipelines one fit queues (the
+// paper trains on four ratios).
+const maxTrainingRatios = 16
+
 // Validate reports malformed request fields without touching any cache.
 func (r PredictRequest) Validate() error {
 	if r.Dataset == "" {
@@ -353,6 +361,9 @@ func (r PredictRequest) Validate() error {
 	if r.Scale < 0 {
 		return fmt.Errorf("service: negative scale %v", r.Scale)
 	}
+	if r.Scale > maxScale {
+		return fmt.Errorf("service: scale %v exceeds %d", r.Scale, maxScale)
+	}
 	if r.Ratio < 0 || r.Ratio > 1 {
 		return fmt.Errorf("service: sampling ratio %v out of (0, 1]", r.Ratio)
 	}
@@ -364,6 +375,9 @@ func (r PredictRequest) Validate() error {
 		sampling.MetropolisHastings, sampling.UniformVertex:
 	default:
 		return fmt.Errorf("service: unknown sampling method %q", r.Method)
+	}
+	if len(r.TrainingRatios) > maxTrainingRatios {
+		return fmt.Errorf("service: %d training ratios exceed %d", len(r.TrainingRatios), maxTrainingRatios)
 	}
 	for _, tr := range r.TrainingRatios {
 		if tr <= 0 || tr > 1 {

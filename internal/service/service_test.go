@@ -117,6 +117,15 @@ func TestPredictMalformedAndInvalidInput(t *testing.T) {
 		{"bad ratio", func() any { r := testRequest(); r.Ratio = 1.5; return r }(), http.StatusBadRequest},
 		{"bad method", func() any { r := testRequest(); r.Method = "ZZZ"; return r }(), http.StatusBadRequest},
 		{"bad training ratio", func() any { r := testRequest(); r.TrainingRatios = []float64{-0.1}; return r }(), http.StatusBadRequest},
+		{"scale above limit", func() any { r := testRequest(); r.Scale = 1e4; return r }(), http.StatusBadRequest},
+		{"too many training ratios", func() any {
+			r := testRequest()
+			r.TrainingRatios = make([]float64, maxTrainingRatios+1)
+			for i := range r.TrainingRatios {
+				r.TrainingRatios[i] = 0.1
+			}
+			return r
+		}(), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -11,15 +11,20 @@ package predict_test
 // every command or example directory the user-facing documents name to a
 // directory that exists, so deleting a binary cannot leave its
 // invocations behind. A third holds the exported functions under
-// internal/ to ones something outside their own tests names.
+// internal/, and every exported name of the root package, to ones
+// something outside their own tests names; a fourth holds every field of
+// the library's option structs to a non-test caller that sets it.
 
 import (
 	"go/ast"
+	"go/build"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -201,17 +206,27 @@ var testSupportAPI = map[string]string{
 	"internal/crashtest": "the process-level crash harness: a package of helpers its own tests drive",
 }
 
-// TestExportedSurfaceIsReached holds "exported" to "something reaches it":
-// every exported top-level function or method declared in a non-test file
-// under internal/ must be named in a non-test file of this module or of
+// TestExportedSurfaceIsReached holds "exported" to "something reaches it".
+// Under internal/, every exported top-level function or method declared in
+// a non-test file must be named in a non-test file of this module or of
 // benchmark/ (which compiles against internal/), or in a _test.go of
 // another package, or be listed in testSupportAPI. Matching is by bare
 // name, so a dead function that shares its name with a live one is
-// missed; a live one is never reported.
+// missed; a live one is never reported. In the root package, the module's
+// only importable API, every exported func, type, const and var must be
+// selected as predict.X by a file outside the root directory (a command,
+// an example, benchmark/), or be named in the signature of a root function
+// so reached: a type callers hold without naming, like Prediction, counts.
 func TestExportedSurfaceIsReached(t *testing.T) {
 	type decl struct{ dir, name string }
 	var decls []decl
 	declared := map[*ast.Ident]bool{}
+	// rootNames are the root package's exported names, rootSigs the
+	// identifiers in each root function's signature, and rootUsed the
+	// names other directories select from the root package.
+	var rootNames []string
+	rootSigs := map[string][]*ast.Ident{}
+	rootUsed := map[string]bool{}
 	// usedIn[name] is the set of directories naming it: non-test files
 	// under "" (one shared key — any such use reaches), test files under
 	// their own directory.
@@ -242,6 +257,47 @@ func TestExportedSurfaceIsReached(t *testing.T) {
 					declared[fn.Name] = true
 				}
 			}
+		}
+		if !isTest && dir == "." {
+			for _, d := range file.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil && d.Name.IsExported() {
+						rootNames = append(rootNames, d.Name.Name)
+						ast.Inspect(d.Type, func(n ast.Node) bool {
+							if id, ok := n.(*ast.Ident); ok {
+								rootSigs[d.Name.Name] = append(rootSigs[d.Name.Name], id)
+							}
+							return true
+						})
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							if s.Name.IsExported() {
+								rootNames = append(rootNames, s.Name.Name)
+							}
+						case *ast.ValueSpec:
+							for _, id := range s.Names {
+								if id.IsExported() {
+									rootNames = append(rootNames, id.Name)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+		if name := rootImportName(file); name != "" && dir != "." {
+			ast.Inspect(file, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == name {
+						rootUsed[sel.Sel.Name] = true
+					}
+				}
+				return true
+			})
 		}
 		where := dir
 		if !isTest {
@@ -287,6 +343,36 @@ func TestExportedSurfaceIsReached(t *testing.T) {
 			t.Errorf("testSupportAPI lists %s, which is no package or exported function under internal/", key)
 		}
 	}
+
+	if len(rootNames) < 10 {
+		t.Fatalf("found only %d exported names in the root package — has the extraction regressed?", len(rootNames))
+	}
+	reached := map[string]bool{}
+	for name := range rootUsed {
+		reached[name] = true
+		for _, id := range rootSigs[name] {
+			reached[id.Name] = true
+		}
+	}
+	for _, name := range rootNames {
+		if !reached[name] {
+			t.Errorf("predict.%s is exported but no file outside the root package selects it, nor does the signature of a root function one selects name it: unexport it or delete it", name)
+		}
+	}
+}
+
+// rootImportName returns the name file refers to the root package by, or
+// "" when file does not import it.
+func rootImportName(file *ast.File) string {
+	for _, imp := range file.Imports {
+		if path, _ := strconv.Unquote(imp.Path.Value); path == "predict" {
+			if imp.Name != nil {
+				return imp.Name.Name
+			}
+			return path
+		}
+	}
+	return ""
 }
 
 // predictdFlags parses cmd/predictd/main.go and returns the name of every
@@ -395,4 +481,215 @@ func TestConfigFieldsHaveFlags(t *testing.T) {
 	if fields != configFieldCount {
 		t.Errorf("service.Config has %d fields, pinned at %d: an option is a value two deployments set differently (see configFieldCount)", fields, configFieldCount)
 	}
+}
+
+// optionStruct matches the names of the structs TestOptionFieldsAreSet
+// covers.
+var optionStruct = regexp.MustCompile(`(Options|Config|Policy)$`)
+
+// unsetOptionFields lists the option fields TestOptionFieldsAreSet lets
+// stay although no non-test file sets them, one reason each.
+var unsetOptionFields = map[string]string{
+	"internal/experiments.Config.Ratios":         "tinyLab and benchLab shrink the figure sweep so the tier-1 tests stay fast",
+	"internal/experiments.Config.TrainingRatios": "tinyLab and benchLab shrink the training sweep so the tier-1 tests stay fast",
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// checkModuleSources parses and type-checks the non-test files of every
+// package in this module and in benchmark/ (both map a directory d to the
+// import path "predict/d") under this host's build context. Imports from
+// outside the module resolve to empty packages: only the module's own types
+// matter here, so the errors about undefined standard-library names are
+// expected and dropped.
+func checkModuleSources(t *testing.T) (map[string][]*ast.File, map[string]*types.Package, *types.Info) {
+	t.Helper()
+	fset := token.NewFileSet()
+	files := map[string][]*ast.File{}
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == filepath.Join("benchmark", "out") || d.Name() == "testdata" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		dir, name := filepath.Split(path)
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		if match, err := build.Default.MatchFile(dir, name); err != nil || !match {
+			return err
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := "predict"
+		if dir != "" {
+			pkg += "/" + filepath.ToSlash(filepath.Clean(dir))
+		}
+		files[pkg] = append(files[pkg], file)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := &types.Info{
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	pkgs := map[string]*types.Package{}
+	var importer importerFunc
+	importer = func(path string) (*types.Package, error) {
+		if pkg, ok := pkgs[path]; ok {
+			return pkg, nil
+		}
+		var pkg *types.Package
+		if files[path] == nil {
+			pkg = types.NewPackage(path, path[strings.LastIndex(path, "/")+1:])
+			pkg.MarkComplete()
+		} else {
+			conf := types.Config{Importer: importer, Error: func(error) {}}
+			pkg, _ = conf.Check(path, fset, files[path], info)
+		}
+		pkgs[path] = pkg
+		return pkg, nil
+	}
+	for path := range files {
+		_, _ = importer(path)
+	}
+	return files, pkgs, info
+}
+
+// TestOptionFieldsAreSet holds every exported field of every exported
+// struct under internal/ whose name ends in Options, Config or Policy to a
+// caller in a non-test file of this module or of benchmark/ that sets it:
+// as a key of a composite literal of the type, or on the left-hand side
+// of an assignment (o.CostModel.DisableSelection = v sets both fields it
+// selects). An assignment inside a method of a covered type does not
+// count: withDefaults filling its own zero value is not a caller. A field
+// only tests set is a constant with extra steps (DESIGN.md §10,
+// "Constants, and why they are not flags"); unsetOptionFields lists the
+// exceptions.
+func TestOptionFieldsAreSet(t *testing.T) {
+	files, pkgs, info := checkModuleSources(t)
+	fieldKey := map[*types.Var]string{} // covered field → "<dir>.<Type>.<Field>"
+	covered := map[*types.TypeName]bool{}
+	for path, pkg := range pkgs {
+		if !strings.HasPrefix(path, "predict/internal/") || files[path] == nil {
+			continue
+		}
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() || !optionStruct.MatchString(name) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			covered[tn] = true
+			for i := range st.NumFields() {
+				if f := st.Field(i); f.Exported() {
+					fieldKey[f] = strings.TrimPrefix(path, "predict/") + "." + name + "." + f.Name()
+				}
+			}
+		}
+	}
+	if len(fieldKey) < 30 {
+		t.Fatalf("found only %d option fields under internal/ — is the test running outside the repo root?", len(fieldKey))
+	}
+
+	set := map[string]bool{}
+	mark := func(obj types.Object) {
+		if f, ok := obj.(*types.Var); ok && fieldKey[f] != "" {
+			set[fieldKey[f]] = true
+		}
+	}
+	assigned := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.SelectorExpr:
+				if sel := info.Selections[x]; sel != nil {
+					mark(sel.Obj())
+				}
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.ParenExpr:
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	for _, pkgFiles := range files {
+		for _, file := range pkgFiles {
+			for _, decl := range file.Decls {
+				own := false // a method of a covered type
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv != nil {
+					if m, ok := info.Defs[fn.Name].(*types.Func); ok {
+						recv := m.Type().(*types.Signature).Recv().Type()
+						if p, ok := recv.(*types.Pointer); ok {
+							recv = p.Elem()
+						}
+						if named, ok := recv.(*types.Named); ok {
+							own = covered[named.Obj()]
+						}
+					}
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CompositeLit:
+						for _, elt := range n.Elts {
+							if kv, ok := elt.(*ast.KeyValueExpr); ok {
+								if key, ok := kv.Key.(*ast.Ident); ok {
+									mark(info.Uses[key])
+								}
+							}
+						}
+					case *ast.AssignStmt:
+						if !own {
+							for _, lhs := range n.Lhs {
+								assigned(lhs)
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+
+	keys := make([]string, 0, len(fieldKey))
+	for _, key := range fieldKey {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	known := map[string]bool{}
+	for _, key := range keys {
+		known[key] = true
+		_, listed := unsetOptionFields[key]
+		switch {
+		case set[key] && listed:
+			t.Errorf("%s is set outside the tests: drop it from unsetOptionFields", key)
+		case !set[key] && !listed:
+			t.Errorf("%s is set by no non-test file: make it a constant beside the code that reads it, or delete it", key)
+		}
+	}
+	for key := range unsetOptionFields {
+		if !known[key] {
+			t.Errorf("unsetOptionFields lists %s, which is no exported field of an option struct under internal/", key)
+		}
+	}
+	t.Logf("checked %d option fields of %d structs", len(keys), len(covered))
 }

@@ -57,15 +57,8 @@ import (
 	"predict/internal/sampling"
 )
 
-// Core graph types.
-type (
-	// Graph is an immutable directed graph in CSR form.
-	Graph = graph.Graph
-	// VertexID identifies a vertex (dense 0..n-1).
-	VertexID = graph.VertexID
-	// GraphBuilder accumulates edges and builds immutable Graphs.
-	GraphBuilder = graph.Builder
-)
+// Graph is an immutable directed graph in CSR form.
+type Graph = graph.Graph
 
 // Prediction pipeline types.
 type (
@@ -78,10 +71,6 @@ type (
 	Prediction = core.Prediction
 	// Evaluation holds the paper's error metrics for one prediction.
 	Evaluation = core.Evaluation
-	// Distribution is a prediction's uncertainty summary: mean, spread,
-	// p50/p95 and the closed-loop blend regime. Prediction.Runtime holds
-	// one; ProbabilityWithin answers SLA-deadline questions.
-	Distribution = core.Distribution
 	// Algorithm is the plug-in interface for predictable algorithms.
 	Algorithm = algorithms.Algorithm
 	// RunInfo is a profiled algorithm run.
@@ -92,38 +81,17 @@ type (
 type (
 	// ClusterConfig parameterizes the BSP engine (workers, oracle, seed).
 	ClusterConfig = bsp.Config
-	// CostOracle prices simulated cluster time; it stands in for the
-	// paper's physical testbed.
-	CostOracle = cluster.CostOracle
 	// SamplingMethod selects RJ, BRJ, MHRW or UNI.
 	SamplingMethod = sampling.Method
-	// SamplingOptions carries ratio, restart probability and seed.
+	// SamplingOptions carries the sampling ratio and seed.
 	SamplingOptions = sampling.Options
 	// DatasetSpec is a registered stand-in for a paper dataset.
 	DatasetSpec = gen.Dataset
 )
 
-// Algorithm configuration types.
-type (
-	// PageRankConfig is the PageRank algorithm (§4.1).
-	PageRankConfig = algorithms.PageRank
-	// SemiClusteringConfig is parallel semi-clustering (§4.2).
-	SemiClusteringConfig = algorithms.SemiClustering
-	// TopKRankingConfig is top-k ranking over PageRank output (§4.3).
-	TopKRankingConfig = algorithms.TopKRanking
-	// ConnectedComponentsConfig is HashMin label propagation.
-	ConnectedComponentsConfig = algorithms.ConnectedComponents
-	// NeighborhoodEstimationConfig is FM-sketch neighborhood estimation.
-	NeighborhoodEstimationConfig = algorithms.NeighborhoodEstimation
-)
-
-// Sampling methods (§3.2.1, §5.3).
-const (
-	RandomJump         = sampling.RandomJump
-	BiasedRandomJump   = sampling.BiasedRandomJump
-	MetropolisHastings = sampling.MetropolisHastings
-	UniformVertex      = sampling.UniformVertex
-)
+// PageRankConfig is the PageRank algorithm (§4.1). The other paper
+// algorithms are constructed by name with AlgorithmByName.
+type PageRankConfig = algorithms.PageRank
 
 // NewPredictor returns a Predictor with the given options.
 func NewPredictor(opts Options) *Predictor { return core.New(opts) }
@@ -136,21 +104,6 @@ func Evaluate(pred *Prediction, actual *RunInfo) Evaluation {
 
 // NewPageRank returns PageRank with the paper's defaults (d = 0.85).
 func NewPageRank() PageRankConfig { return algorithms.NewPageRank() }
-
-// NewSemiClustering returns semi-clustering with the paper's base settings
-// (CMax=1, SMax=1, VMax=10, fB=0.1, τ=0.001).
-func NewSemiClustering() SemiClusteringConfig { return algorithms.NewSemiClustering() }
-
-// NewTopKRanking returns top-k ranking with K=10, τ=0.001.
-func NewTopKRanking() TopKRankingConfig { return algorithms.NewTopKRanking() }
-
-// NewConnectedComponents returns HashMin connected components.
-func NewConnectedComponents() ConnectedComponentsConfig { return algorithms.NewConnectedComponents() }
-
-// NewNeighborhoodEstimation returns FM-sketch neighborhood estimation.
-func NewNeighborhoodEstimation() NeighborhoodEstimationConfig {
-	return algorithms.NewNeighborhoodEstimation()
-}
 
 // AlgorithmByName constructs a paper algorithm from its name or short tag
 // (PR, SC, TOPK, CC, NH).
@@ -187,28 +140,13 @@ func Dataset(prefix string) DatasetSpec {
 // Datasets lists the four stand-ins in the paper's Table 2 order.
 func Datasets() []DatasetSpec { return gen.StandIns() }
 
-// Sample draws a sample of g with the given method, returning the induced
-// subgraph and achieved ratios.
-func Sample(g *Graph, method SamplingMethod, opts SamplingOptions) (*sampling.Result, error) {
-	return sampling.Sample(g, method, opts)
-}
-
-// NewGraphBuilder returns a builder for a graph with n vertices.
-func NewGraphBuilder(n int) *GraphBuilder { return graph.NewBuilder(n) }
-
 // ReadGraph parses the edge-list format produced by WriteGraph. It reads
-// all of r into memory before parsing (it is LoadGraph at GOMAXPROCS).
+// all of r into memory, then parses it in parallel at GOMAXPROCS; the
+// Graph is bit-identical at any parallelism.
 func ReadGraph(r io.Reader) (*Graph, error) { return graph.LoadEdgeList(r, graph.LoadOptions{}) }
 
 // WriteGraph writes g as a plain-text edge list.
 func WriteGraph(w io.Writer, g *Graph) error { return graph.WriteEdgeList(w, g) }
-
-// LoadGraph parses the edge-list format in parallel (chunked at line
-// boundaries, shards parsed concurrently); the Graph is bit-identical at
-// any parallelism. parallelism <= 0 selects GOMAXPROCS.
-func LoadGraph(r io.Reader, parallelism int) (*Graph, error) {
-	return graph.LoadEdgeList(r, graph.LoadOptions{Parallelism: parallelism})
-}
 
 // LoadGraphFile loads a graph from disk, auto-detecting binary CSR
 // snapshots (by magic number) and plain-text edge lists.
@@ -218,12 +156,9 @@ func LoadGraphFile(path string) (*Graph, error) {
 
 // WriteGraphSnapshot writes g in the binary CSR snapshot format: a
 // versioned, checksummed image of the CSR arrays that reloads in O(bytes)
-// with no parsing. See DESIGN.md §9 for the wire layout.
+// with no parsing (LoadGraphFile reads it back). See DESIGN.md §9 for the
+// wire layout.
 func WriteGraphSnapshot(w io.Writer, g *Graph) error { return graph.WriteSnapshot(w, g) }
-
-// ReadGraphSnapshot reads a graph written by WriteGraphSnapshot, verifying
-// its checksum and structural invariants.
-func ReadGraphSnapshot(r io.Reader) (*Graph, error) { return graph.ReadSnapshot(r) }
 
 // FormatPrediction renders a prediction as a short human-readable report.
 func FormatPrediction(p *Prediction) string {

@@ -2,7 +2,9 @@ package predict_test
 
 import (
 	"bytes"
+	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -71,13 +73,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 }
 
 func TestFacadeGraphRoundTrip(t *testing.T) {
-	b := predict.NewGraphBuilder(3)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := predict.Dataset("Wiki").Generate(0.02, 1)
 	var buf bytes.Buffer
 	if err := predict.WriteGraph(&buf, g); err != nil {
 		t.Fatal(err)
@@ -86,63 +82,39 @@ func TestFacadeGraphRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g2.NumEdges() != 2 {
-		t.Errorf("round trip edges = %d, want 2", g2.NumEdges())
+	if g2.NumVertices() != g.NumVertices() || g2.NumEdges() != g.NumEdges() {
+		t.Errorf("round trip gave %v, want %v", g2, g)
 	}
 }
 
+// TestFacadeSnapshotAndParallelLoad: LoadGraphFile reads back both forms
+// the facade writes — a binary snapshot and a text edge list, which it
+// parses in parallel.
 func TestFacadeSnapshotAndParallelLoad(t *testing.T) {
-	b := predict.NewGraphBuilder(4)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	b.AddEdge(3, 0)
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var snap bytes.Buffer
-	if err := predict.WriteGraphSnapshot(&snap, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := predict.ReadGraphSnapshot(&snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumVertices() != 4 || g2.NumEdges() != 3 {
-		t.Errorf("snapshot round trip gave %v", g2)
-	}
-
-	var text bytes.Buffer
-	if err := predict.WriteGraph(&text, g); err != nil {
-		t.Fatal(err)
-	}
-	g3, err := predict.LoadGraph(&text, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g3.NumVertices() != 4 || g3.NumEdges() != 3 {
-		t.Errorf("parallel load gave %v", g3)
-	}
-
+	g := predict.Dataset("UK").Generate(0.02, 2)
 	dir := t.TempDir()
-	path := dir + "/g.snap"
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := predict.WriteGraphSnapshot(f, g); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	g4, err := predict.LoadGraphFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g4.NumEdges() != 3 {
-		t.Errorf("LoadGraphFile gave %v", g4)
+	for name, write := range map[string]func(io.Writer, *predict.Graph) error{
+		"g.snap": predict.WriteGraphSnapshot,
+		"g.txt":  predict.WriteGraph,
+	} {
+		path := filepath.Join(dir, name)
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := write(f, g); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := predict.LoadGraphFile(path)
+		if err != nil {
+			t.Fatalf("LoadGraphFile(%s): %v", name, err)
+		}
+		if got.NumVertices() != g.NumVertices() || got.NumEdges() != g.NumEdges() {
+			t.Errorf("%s round trip gave %v, want %v", name, got, g)
+		}
 	}
 }
 
@@ -151,17 +123,6 @@ func TestFacadeAlgorithmByName(t *testing.T) {
 		if _, err := predict.AlgorithmByName(name); err != nil {
 			t.Errorf("AlgorithmByName(%s): %v", name, err)
 		}
-	}
-}
-
-func TestFacadeSample(t *testing.T) {
-	g := predict.Dataset("TW").Generate(0.02, 9)
-	s, err := predict.Sample(g, predict.BiasedRandomJump, predict.SamplingOptions{Ratio: 0.1, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Graph.NumVertices() == 0 {
-		t.Error("empty sample")
 	}
 }
 
