@@ -102,7 +102,7 @@ func main() {
 	if *saveHist && *histFile != "" {
 		rec := history.FromRun(ri, fmt.Sprintf("%s scale=%g", *data, *scale), "actual",
 			features.ModeCriticalShare)
-		if err := history.AppendFile(*histFile, rec); err != nil {
+		if err := history.AppendFileSync(*histFile, rec); err != nil {
 			fail(err)
 		}
 		fmt.Printf("\narchived actual run to %s\n", *histFile)

@@ -70,15 +70,20 @@ func PartitionStats(g *graph.Graph, workers int) (vertices, outEdges []int64) {
 // outbound edges under the engine's hash partitioning of g across workers.
 // The paper locates the critical-path worker once, piggybacked on the
 // read phase (§3.4); likewise the O(n) walk runs once per (graph, clamped
-// worker count) and is remembered on the graph itself
-// (graph.MemoizedCriticalShare), so a what-if sweep over a cached graph
-// pays lookups, not graph scans.
+// worker count) and is remembered on the graph itself (graph.Memo, at
+// most graph.MemoFamilyLimit worker counts; past that a share is walked
+// per call), so a what-if sweep over a cached graph pays lookups, not
+// graph scans.
 func CriticalShareOf(g *graph.Graph, workers int) float64 {
-	return g.MemoizedCriticalShare(clampWorkers(g.NumVertices(), workers), hashCriticalShare)
+	workers = clampWorkers(g.NumVertices(), workers)
+	// Cannot fail: the walk returns no error.
+	v, _, _ := g.Memo(shareMemo{}).Do(shareMemo{}, workers, func() (any, error) {
+		_, outEdges := PartitionStats(g, workers)
+		return maxEdgeShare(outEdges), nil
+	})
+	return v.(float64)
 }
 
-// hashCriticalShare is the uncached walk behind CriticalShareOf.
-func hashCriticalShare(g *graph.Graph, workers int) float64 {
-	_, outEdges := PartitionStats(g, workers)
-	return maxEdgeShare(outEdges)
-}
+// shareMemo names the memo a graph keeps critical shares in, and their
+// one family: every worker count's share is the same kind of value.
+type shareMemo struct{}

@@ -1,7 +1,9 @@
 package bsp
 
 import (
+	"errors"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"predict/internal/graph"
@@ -122,6 +124,72 @@ func TestCriticalShareOfMemoMatchesWalk(t *testing.T) {
 			if got, want := CriticalShareOf(g, w), maxEdgeShare(edges); got != want {
 				t.Fatalf("pass %d: CriticalShareOf(g, %d) = %v, walk gives %v", pass, w, got, want)
 			}
+		}
+	}
+}
+
+// remembered reports whether g's share memo holds a share for the clamped
+// worker count w, without storing one when it does not.
+func remembered(g *graph.Graph, w int) bool {
+	_, reused, _ := g.Memo(shareMemo{}).Do(shareMemo{}, w, func() (any, error) {
+		return nil, errors.New("not remembered")
+	})
+	return reused
+}
+
+// TestMemoizedCriticalShareConcurrent is the -race regression for the
+// per-graph share memo: concurrent what-if predictions on one cached
+// graph race first touches and hits over a few worker counts. Every call
+// must return the walk's value, and once a count is remembered it is
+// never computed again.
+func TestMemoizedCriticalShareConcurrent(t *testing.T) {
+	g := skewedGraph(400)
+	want := make([]float64, 9)
+	for w := 1; w <= 8; w++ {
+		_, edges := PartitionStats(g, w)
+		want[w] = maxEdgeShare(edges)
+	}
+
+	const goroutines = 16
+	var wg sync.WaitGroup
+	wg.Add(goroutines)
+	for i := 0; i < goroutines; i++ {
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < 200; j++ {
+				w := 1 + (i+j)%8
+				if got := CriticalShareOf(g, w); got != want[w] {
+					t.Errorf("share at %d workers = %v, want %v", w, got, want[w])
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	for w := 1; w <= 8; w++ {
+		if !remembered(g, w) {
+			t.Errorf("share at %d workers not remembered", w)
+		}
+	}
+}
+
+// TestMemoizedCriticalShareBounded pins the bound: past
+// graph.MemoFamilyLimit distinct worker counts the memo stops growing
+// and the overflow is walked per call — still the walk's value — while
+// the remembered counts keep hitting.
+func TestMemoizedCriticalShareBounded(t *testing.T) {
+	g := skewedGraph(400)
+	for pass := 0; pass < 2; pass++ {
+		for w := 1; w <= 2*graph.MemoFamilyLimit; w++ {
+			_, edges := PartitionStats(g, w)
+			if got, want := CriticalShareOf(g, w), maxEdgeShare(edges); got != want {
+				t.Fatalf("pass %d: share at %d workers = %v, walk gives %v", pass, w, got, want)
+			}
+		}
+	}
+	for w := 1; w <= 2*graph.MemoFamilyLimit; w++ {
+		if got, want := remembered(g, w), w <= graph.MemoFamilyLimit; got != want {
+			t.Errorf("share at %d workers remembered = %v, want %v", w, got, want)
 		}
 	}
 }

@@ -1,7 +1,5 @@
 package graph
 
-import "sync"
-
 // Per-graph derived artifacts, built lazily — and concurrency-safely — the
 // first time any consumer asks, then shared read-only by every subsequent
 // consumer. The sampling→subgraph pipeline re-runs on the *same* base graph
@@ -135,50 +133,4 @@ func sortedFromCounts(counts []int, n int) []int {
 		}
 	}
 	return sorted
-}
-
-// maxMemoizedShares bounds how many worker counts one graph memoizes a
-// placement share for. A what-if sweep asks about a handful of cluster
-// sizes; past the bound a share is recomputed per call, never evicted,
-// so an adversarial stream of distinct worker counts costs time, not
-// memory.
-const maxMemoizedShares = 64
-
-// shareMemo holds a graph's critical-path shares by worker count.
-type shareMemo struct {
-	mu     sync.Mutex
-	shares map[int]float64
-}
-
-// MemoizedCriticalShare returns the graph's critical-path share at the
-// given worker count under the engine's vertex placement, computing it
-// with compute on first use and remembering it for at most
-// maxMemoizedShares distinct worker counts. The placement function lives
-// in internal/bsp (which imports this package), so the caller supplies
-// it; compute must be a pure function of (g, workers), and callers pass
-// the clamped worker count so equivalent requests share one entry.
-//
-// The memo belongs to the Graph, like the degree artifacts: it is freed
-// with the graph (an evicted service graph, a finished fit's sample) and
-// nothing global ever references a graph through it. Safe for concurrent
-// use; two first touches of one worker count may both compute, and store
-// the same value.
-func (g *Graph) MemoizedCriticalShare(workers int, compute func(g *Graph, workers int) float64) float64 {
-	m := &g.shares
-	m.mu.Lock()
-	share, ok := m.shares[workers]
-	m.mu.Unlock()
-	if ok {
-		return share
-	}
-	share = compute(g, workers)
-	m.mu.Lock()
-	if m.shares == nil {
-		m.shares = make(map[int]float64)
-	}
-	if len(m.shares) < maxMemoizedShares {
-		m.shares[workers] = share
-	}
-	m.mu.Unlock()
-	return share
 }

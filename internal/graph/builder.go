@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Builder accumulates edges and produces an immutable Graph. Edges may be
@@ -119,7 +120,7 @@ func finishCSR(n int, offsets []int64, edges []VertexID, weights []float32) *Gra
 			wbucket = weights[lo:hi]
 			pairScratch = sortPairsStable(bucket, wbucket, pairScratch)
 		} else {
-			sortDual(bucket, nil)
+			slices.Sort(bucket)
 		}
 		var prev VertexID = -1
 		for i, dst := range bucket {

@@ -38,10 +38,6 @@ type Graph struct {
 	inDegOnce   sync.Once
 	sortedInDeg []int
 
-	// shares memoizes the placement critical share per worker count; see
-	// MemoizedCriticalShare in artifacts.go.
-	shares shareMemo
-
 	// Symmetric closure, built once by Undirected.
 	undOnce sync.Once
 	und     *Graph

@@ -14,9 +14,8 @@ var errMemoAbandoned = errors.New("graph: memo: the computing call did not retur
 
 // Memo remembers values derived from one Graph: a keyed, single-flight,
 // bounded memo that lives on the graph (see Graph.Memo) and is freed with
-// it, the same ownership as the degree artifacts and the critical-share
-// memo. Nothing global ever references a graph, or anything computed from
-// one, through it.
+// it, the same ownership as the degree artifacts. Nothing global ever
+// references a graph, or anything computed from one, through it.
 //
 // A Memo holds one family at a time: the values of the most recent family
 // asked for, at most MemoFamilyLimit of them. Asking for another family

@@ -33,8 +33,8 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 
+	"predict/internal/atomicfile"
 	"predict/internal/faultinject"
 )
 
@@ -265,45 +265,11 @@ func decodeSnapshot(data []byte) (*Graph, error) {
 	return &Graph{offsets: offsets, edges: edges, weights: weights}, nil
 }
 
-// WriteSnapshotFile writes g's snapshot to path atomically (temp file +
-// rename), so a crash mid-write cannot leave a truncated snapshot behind
-// the registry's back.
+// WriteSnapshotFile writes g's snapshot to path atomically
+// (atomicfile.Replace), so a crash mid-write cannot leave a truncated
+// snapshot behind the registry's back.
 func WriteSnapshotFile(path string, g *Graph) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".snap-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := WriteSnapshot(tmp, g); err != nil {
-		tmp.Close()
-		return err
-	}
-	// Flush to stable storage before the rename becomes visible, so a
-	// crash cannot publish the new name with unwritten data blocks
-	// (which would also have destroyed any previous good snapshot).
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	// CreateTemp's 0600 is right for a scratch file, not for a dataset
-	// artifact other processes (and operators) read.
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	// Best effort: sync the directory so the rename itself survives a
-	// crash. Some filesystems reject fsync on directories; the data blocks
-	// are already durable, so that is not worth failing the write over.
-	if dir, err := os.Open(filepath.Dir(path)); err == nil {
-		_ = dir.Sync()
-		dir.Close()
-	}
-	return nil
+	return atomicfile.Replace(path, func(w io.Writer) error { return WriteSnapshot(w, g) }, nil)
 }
 
 // ReadSnapshotFile reads a graph written by WriteSnapshot from path,

@@ -41,102 +41,21 @@ func (t *EpochTable) Bump() {
 func (t *EpochTable) Mark(v VertexID)        { t.stamp[v] = t.epoch }
 func (t *EpochTable) Marked(v VertexID) bool { return t.stamp[v] == t.epoch }
 
-// sortDual sorts dsts ascending in place, permuting ws in lockstep when it
-// is non-nil. It replaces the old sortPairs, which materialized a fresh
-// []pair per adjacency bucket and sorted it through reflect-based
-// sort.Slice — one short-lived allocation (plus closure boxing) per vertex
-// per subgraph induction, which dominated the allocation profile of the
-// sampling pipeline. The weighted path is a hand-rolled quicksort (median-
-// of-three pivot, recursion on the smaller half, insertion sort below a
-// small threshold) so the whole sort is allocation-free.
-//
-// The weighted sort is NOT stable: equal keys may come out in any order.
-// That is fine for subgraph induction, whose buckets cannot contain
-// duplicate keys (a built Graph's adjacency is deduplicated and the
-// relabeling is injective). Builder.Build, whose buckets can contain
-// parallel edges and whose dedup contract is "first weight seen wins",
-// uses the stable sortPairsStable instead.
-func sortDual(dsts []VertexID, ws []float32) {
-	if len(dsts) < 2 {
-		return
-	}
-	if ws == nil {
-		slices.Sort(dsts) // non-reflect pdqsort, allocation-free
-		return
-	}
-	quickDual(dsts, ws)
-}
-
-// insertionThreshold is the bucket size below which insertion sort beats
-// quicksort's partitioning overhead.
-const insertionThreshold = 12
-
-func quickDual(d []VertexID, w []float32) {
-	for len(d) > insertionThreshold {
-		p := partitionDual(d, w)
-		// Recurse into the smaller half, loop on the larger: stack depth
-		// stays O(log n) even on adversarial inputs.
-		if p < len(d)-p-1 {
-			quickDual(d[:p], w[:p])
-			d, w = d[p+1:], w[p+1:]
-		} else {
-			quickDual(d[p+1:], w[p+1:])
-			d, w = d[:p], w[:p]
-		}
-	}
-	for i := 1; i < len(d); i++ {
-		for j := i; j > 0 && d[j] < d[j-1]; j-- {
-			d[j], d[j-1] = d[j-1], d[j]
-			w[j], w[j-1] = w[j-1], w[j]
-		}
-	}
-}
-
-// partitionDual partitions around a median-of-three pivot and returns its
-// final index.
-func partitionDual(d []VertexID, w []float32) int {
-	mid, last := len(d)/2, len(d)-1
-	if d[mid] < d[0] {
-		swapDual(d, w, 0, mid)
-	}
-	if d[last] < d[0] {
-		swapDual(d, w, 0, last)
-	}
-	if d[last] < d[mid] {
-		swapDual(d, w, mid, last)
-	}
-	swapDual(d, w, mid, last) // pivot (the median) to the end
-	pivot := d[last]
-	i := 0
-	for j := 0; j < last; j++ {
-		if d[j] < pivot {
-			swapDual(d, w, i, j)
-			i++
-		}
-	}
-	swapDual(d, w, i, last)
-	return i
-}
-
-func swapDual(d []VertexID, w []float32, i, j int) {
-	d[i], d[j] = d[j], d[i]
-	w[i], w[j] = w[j], w[i]
-}
-
-// dstWeight pairs a destination with its weight for the Builder's stable
-// weighted bucket sort.
+// dstWeight pairs a destination with its weight for the stable weighted
+// bucket sort.
 type dstWeight struct {
 	d VertexID
 	w float32
 }
 
 // sortPairsStable sorts dsts ascending, permuting ws in lockstep and
-// keeping equal keys in their incoming order. Stability is what makes
-// Build's "first weight seen wins" dedup contract actually hold: buckets
-// arrive in edge-insertion order (the counting-sort scatter preserves it),
-// so after a stable sort the first entry of an equal-key run is the first
-// edge added. (The old reflect-based sort.Slice was unstable, so the
-// contract was only honored by accident of pdqsort's permutation.) The
+// keeping equal keys in their incoming order. It is the one weighted
+// adjacency sort: Builder.Build and InducedSubgraph both use it (unweighted
+// buckets go to slices.Sort). Stability is what makes Build's "first
+// weight seen wins" dedup contract actually hold: buckets arrive in
+// edge-insertion order (the counting-sort scatter preserves it), so after
+// a stable sort the first entry of an equal-key run is the first edge
+// added; an induced bucket has no equal keys, so there it is moot. The
 // pair scratch is reused across buckets — one amortized allocation per
 // Build, none per bucket; the possibly-grown scratch is returned for the
 // next call.

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -10,37 +11,7 @@ import (
 type Mapping struct {
 	// ToOriginal maps a subgraph vertex ID to the original graph vertex ID.
 	ToOriginal []VertexID
-	// originalN is the original graph's vertex count, kept so the reverse
-	// table can be materialized on demand.
-	originalN int
-	// toSample maps an original vertex ID to the subgraph vertex ID, or -1
-	// if the vertex was not sampled. It is built lazily — most samples are
-	// drawn, profiled and discarded without a single reverse lookup, so the
-	// O(n) table would be wasted work on the sampling hot path.
-	sampleOnce sync.Once
-	toSample   []VertexID
 }
-
-// SampleOf returns the subgraph ID of original vertex v and whether v is in
-// the subgraph. The first call materializes the reverse table; it is safe
-// for concurrent use.
-func (m *Mapping) SampleOf(v VertexID) (VertexID, bool) {
-	m.sampleOnce.Do(func() {
-		ts := make([]VertexID, m.originalN)
-		for i := range ts {
-			ts[i] = -1
-		}
-		for i, orig := range m.ToOriginal {
-			ts[orig] = VertexID(i)
-		}
-		m.toSample = ts
-	})
-	s := m.toSample[v]
-	return s, s >= 0
-}
-
-// Len reports the number of sampled vertices.
-func (m *Mapping) Len() int { return len(m.ToOriginal) }
 
 // subgraphScratch is the reusable induction workspace: an epoch-stamped
 // membership table (see EpochTable) with a parallel relabel array, sized
@@ -50,7 +21,8 @@ func (m *Mapping) Len() int { return len(m.ToOriginal) }
 // call. Pooled because fit pipelines run concurrently.
 type subgraphScratch struct {
 	in       EpochTable
-	sampleID []VertexID // valid only where in.Marked(v)
+	sampleID []VertexID  // valid only where in.Marked(v)
+	pairs    []dstWeight // sortPairsStable's scratch for weighted buckets
 }
 
 var subgraphScratchPool = sync.Pool{New: func() any { return new(subgraphScratch) }}
@@ -129,12 +101,12 @@ func InducedSubgraph(g *Graph, vertices []VertexID) (*Graph, *Mapping, error) {
 			pos++
 		}
 		if weights != nil {
-			sortDual(edges[offsets[i]:pos], weights[offsets[i]:pos])
+			sc.pairs = sortPairsStable(edges[offsets[i]:pos], weights[offsets[i]:pos], sc.pairs)
 		} else {
-			sortDual(edges[offsets[i]:pos], nil)
+			slices.Sort(edges[offsets[i]:pos])
 		}
 	}
 
 	sub := &Graph{offsets: offsets, edges: edges, weights: weights}
-	return sub, &Mapping{ToOriginal: toOriginal, originalN: n}, nil
+	return sub, &Mapping{ToOriginal: toOriginal}, nil
 }

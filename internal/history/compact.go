@@ -1,16 +1,16 @@
 // Log compaction. Continuous checkpointing appends one "model" record per
 // fitted model, so a long-lived service's history file accumulates stale
 // generations of the same model key. CompactFile rewrites the log keeping
-// only the newest record per key — crash-safely (replaceFile): any
+// only the newest record per key — crash-safely (atomicfile.Replace): any
 // instant of death leaves either the old log or the new one, both of
 // which warm-start to exactly the same model set.
 package history
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
+	"io"
 
+	"predict/internal/atomicfile"
 	"predict/internal/faultinject"
 )
 
@@ -64,16 +64,16 @@ func CompactRecords(records []Record) []Record {
 // CompactFile rewrites the log at path to its compacted form, returning
 // how many records the compacted log holds. A torn trailing record (crash
 // mid-append) is dropped by the rewrite — it was never a complete record.
-// The rewrite is atomic (replaceFile): a crash at any point, including
-// the injected one between durability and rename, leaves a log that
-// warm-starts to the same model set.
+// The rewrite is atomic (atomicfile.Replace): a crash at any point,
+// including the injected one between durability and rename, leaves a log
+// that warm-starts to the same model set.
 func CompactFile(path string) (kept int, err error) {
 	records, _, err := LoadFile(path)
 	if err != nil {
 		return 0, fmt.Errorf("history: compacting %s: %w", path, err)
 	}
 	records = CompactRecords(records)
-	err = replaceFile(path, records, func() error {
+	err = atomicfile.Replace(path, writeRecords(records), func() error {
 		fault := faultinject.Fire(faultinject.PointHistoryCompact)
 		if fault == nil {
 			return nil
@@ -93,47 +93,10 @@ func CompactFile(path string) (kept int, err error) {
 // ReplaceFile atomically replaces the file at path with records: any
 // instant of death leaves either the old file or the new one whole.
 func ReplaceFile(path string, records ...Record) error {
-	return replaceFile(path, records, nil)
+	return atomicfile.Replace(path, writeRecords(records), nil)
 }
 
-// replaceFile is the one atomic rewrite of a history file: temp file in
-// the same directory, fsync, rename, directory fsync. durable, when
-// non-nil, runs in the window where the new payload is on disk but not
-// yet published; its error abandons the rewrite with the old file intact.
-func replaceFile(path string, records []Record, durable func() error) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := Write(tmp, records...); err != nil {
-		tmp.Close()
-		return err
-	}
-	// The payload must be durable before the rename publishes it:
-	// rename-over-old with unsynced data can survive a crash as an empty
-	// file on some filesystems, destroying every record the old one held.
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if durable != nil {
-		if err := durable(); err != nil {
-			return err
-		}
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	// Best effort: sync the directory so the rename itself survives a
-	// crash. Some filesystems reject fsync on directories; the data blocks
-	// are already durable, so that is not worth failing the rewrite over.
-	if dir, err := os.Open(filepath.Dir(path)); err == nil {
-		_ = dir.Sync()
-		dir.Close()
-	}
-	return nil
+// writeRecords is the payload of a history rewrite.
+func writeRecords(records []Record) func(io.Writer) error {
+	return func(w io.Writer) error { return Write(w, records...) }
 }

@@ -110,10 +110,10 @@ func TestChaosCompactionEquivalence(t *testing.T) {
 		key := keys[next(len(keys))]
 		gens[key]++
 		rec := modelRecord(key, gens[key])
-		if err := AppendFile(compacted, rec); err != nil {
+		if err := AppendFileSync(compacted, rec); err != nil {
 			t.Fatal(err)
 		}
-		if err := AppendFile(reference, rec); err != nil {
+		if err := AppendFileSync(reference, rec); err != nil {
 			t.Fatal(err)
 		}
 		// Compact the log at seed-chosen points — roughly every third op.
@@ -136,7 +136,7 @@ func TestChaosCompactionEquivalence(t *testing.T) {
 		Err:          errors.New("injected crash"),
 		PartialBytes: 21,
 	}))
-	err := AppendFile(compacted, modelRecord("k0", 999))
+	err := AppendFileSync(compacted, modelRecord("k0", 999))
 	restore()
 	if err == nil {
 		t.Fatal("torn append reported success")
@@ -159,6 +159,37 @@ func TestChaosCompactionEquivalence(t *testing.T) {
 	}
 }
 
+// TestRewritesPublishMode0644: a compaction or a whole-file replacement
+// publishes the log readable by other users and operator tools, as the
+// append that created it did — not with the temp file's 0600.
+func TestRewritesPublishMode0644(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log.jsonl")
+	if err := AppendFileSync(path, modelRecord("a", 1), modelRecord("a", 2)); err != nil {
+		t.Fatal(err)
+	}
+	requireMode := func(after string) {
+		t.Helper()
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := info.Mode().Perm(); got != 0o644 {
+			t.Errorf("after %s the log has mode %v, want -rw-r--r--", after, got)
+		}
+	}
+	if _, err := CompactFile(path); err != nil {
+		t.Fatal(err)
+	}
+	requireMode("CompactFile")
+	if err := os.Chmod(path, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := ReplaceFile(path, modelRecord("b", 1)); err != nil {
+		t.Fatal(err)
+	}
+	requireMode("ReplaceFile")
+}
+
 // TestChaosCompactionCrashLeavesLogIntact injects a crash into the
 // window between the compacted temp file becoming durable and the rename
 // publishing it: the original log must survive byte-identically, and the
@@ -166,7 +197,7 @@ func TestChaosCompactionEquivalence(t *testing.T) {
 func TestChaosCompactionCrashLeavesLogIntact(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log.jsonl")
 	for gen := 1; gen <= 3; gen++ {
-		if err := AppendFile(path, modelRecord("a", gen), modelRecord("b", gen)); err != nil {
+		if err := AppendFileSync(path, modelRecord("a", gen), modelRecord("b", gen)); err != nil {
 			t.Fatal(err)
 		}
 	}

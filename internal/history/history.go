@@ -209,23 +209,13 @@ func Read(r io.Reader) ([]Record, error) {
 	}
 }
 
-// AppendFile appends records to a JSON-lines file, creating it if needed.
-// The close error is propagated: on many filesystems a full disk only
-// surfaces at close, and an append that reports success while dropping the
-// record would silently starve future warm-starts.
-func AppendFile(path string, records ...Record) error {
-	return appendFile(path, false, records...)
-}
-
-// AppendFileSync is AppendFile with an fsync before close — the record is
-// durable against power loss when it returns. The extra fsync costs one
-// disk flush per append; services persisting models they cannot cheaply
-// refit opt in, profiling runs that can be repeated stay with AppendFile.
+// AppendFileSync appends records to a JSON-lines file, creating it (mode
+// 0644) if needed, and fsyncs it before close: the record is durable
+// against power loss when it returns. The close error is propagated: on
+// many filesystems a full disk only surfaces at close, and an append that
+// reports success while dropping the record would silently starve future
+// warm-starts.
 func AppendFileSync(path string, records ...Record) error {
-	return appendFile(path, true, records...)
-}
-
-func appendFile(path string, durable bool, records ...Record) error {
 	// Encode before opening the file: an encoding error must not leave a
 	// half-written record behind, and a single Write keeps the torn-write
 	// window (and the injectable partial-write surface) to one syscall.
@@ -269,7 +259,7 @@ func appendFile(path string, durable bool, records ...Record) error {
 		faultinject.RaiseKill()
 	}
 	var serr error
-	if durable && werr == nil {
+	if werr == nil {
 		serr = f.Sync()
 	}
 	cerr := f.Close()

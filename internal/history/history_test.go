@@ -68,11 +68,11 @@ func TestFileAppendAndLoad(t *testing.T) {
 	ri := profiledRun(t)
 	path := filepath.Join(t.TempDir(), "history.jsonl")
 	rec := FromRun(ri, "d1", "actual", features.ModeCriticalShare)
-	if err := AppendFile(path, rec); err != nil {
+	if err := AppendFileSync(path, rec); err != nil {
 		t.Fatal(err)
 	}
 	rec2 := FromRun(ri, "d2", "sample", features.ModeCriticalShare)
-	if err := AppendFile(path, rec2); err != nil {
+	if err := AppendFileSync(path, rec2); err != nil {
 		t.Fatal(err)
 	}
 	got, torn, err := LoadFile(path)

@@ -89,7 +89,7 @@ func TestCompactRecordsCapsObservationsPerKey(t *testing.T) {
 func TestCompactFileDropsStaleObservations(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "history.jsonl")
 	for i := 0; i < MaxObservationsPerKey+5; i++ {
-		if err := AppendFile(path, NewObservation("k", float64(i), 0)); err != nil {
+		if err := AppendFileSync(path, NewObservation("k", float64(i), 0)); err != nil {
 			t.Fatalf("append: %v", err)
 		}
 	}

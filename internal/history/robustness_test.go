@@ -145,10 +145,10 @@ func TestInjectedTornAppend(t *testing.T) {
 	}))
 	defer restore()
 
-	if err := AppendFile(path, FromRun(ri, "d1", "actual", features.ModeCriticalShare)); err != nil {
+	if err := AppendFileSync(path, FromRun(ri, "d1", "actual", features.ModeCriticalShare)); err != nil {
 		t.Fatalf("first append: %v", err)
 	}
-	err := AppendFile(path, FromRun(ri, "d2", "actual", features.ModeCriticalShare))
+	err := AppendFileSync(path, FromRun(ri, "d2", "actual", features.ModeCriticalShare))
 	if !errors.Is(err, errCrash) {
 		t.Fatalf("second append err = %v, want injected crash", err)
 	}
@@ -174,7 +174,7 @@ func TestInjectedAppendErrorNothingWritten(t *testing.T) {
 		Err:   errors.New("disk full"),
 	}))
 	defer restore()
-	if err := AppendFile(path, FromRun(ri, "d1", "actual", features.ModeCriticalShare)); err == nil {
+	if err := AppendFileSync(path, FromRun(ri, "d1", "actual", features.ModeCriticalShare)); err == nil {
 		t.Fatal("injected append error swallowed")
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
@@ -185,7 +185,7 @@ func TestInjectedAppendErrorNothingWritten(t *testing.T) {
 func TestInjectedLoadError(t *testing.T) {
 	ri := profiledRun(t)
 	path := filepath.Join(t.TempDir(), "h.jsonl")
-	if err := AppendFile(path, FromRun(ri, "d1", "actual", features.ModeCriticalShare)); err != nil {
+	if err := AppendFileSync(path, FromRun(ri, "d1", "actual", features.ModeCriticalShare)); err != nil {
 		t.Fatal(err)
 	}
 	errIO := errors.New("injected read error")

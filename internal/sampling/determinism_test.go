@@ -80,11 +80,7 @@ func sampleFingerprint(r *Result) string {
 		for _, wt := range r.Graph.OutWeights(id) {
 			wu(uint64(math.Float32bits(wt)))
 		}
-		orig := r.Mapping.ToOriginal[id]
-		wu(uint64(orig))
-		if s, ok := r.Mapping.SampleOf(orig); !ok || s != id {
-			wu(^uint64(0)) // poison: mapping is not an inverse pair
-		}
+		wu(uint64(r.Vertices[id]))
 	}
 	wu(uint64(int64(r.VertexRatio * 1e15)))
 	wu(uint64(int64(r.EdgeRatio * 1e15)))

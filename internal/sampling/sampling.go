@@ -5,8 +5,8 @@
 // an ablation baseline.
 //
 // All methods return the subgraph induced by the visited vertex set,
-// together with the vertex mapping and the achieved vertex/edge ratios
-// that drive feature extrapolation.
+// together with the visit order (which is the vertex mapping) and the
+// achieved vertex/edge ratios that drive feature extrapolation.
 package sampling
 
 import (
@@ -85,10 +85,11 @@ func DeriveSeed(base, stream uint64) uint64 {
 // Result is a sample: the induced subgraph, the vertex mapping back to the
 // original graph, and the achieved ratios.
 type Result struct {
-	Method   Method
-	Vertices []graph.VertexID // original-graph IDs in visit order
-	Graph    *graph.Graph     // subgraph induced by Vertices
-	Mapping  *graph.Mapping
+	Method Method
+	// Vertices holds the original-graph IDs in visit order, which is also
+	// the mapping back: sample vertex i is original vertex Vertices[i].
+	Vertices []graph.VertexID
+	Graph    *graph.Graph // subgraph induced by Vertices
 	// VertexRatio is |V_S| / |V_G|; EdgeRatio is |E_S| / |E_G|. The
 	// extrapolator scales vertex-driven features by 1/VertexRatio and
 	// edge-driven features by 1/EdgeRatio (§3.4).
@@ -139,16 +140,14 @@ func Sample(g *graph.Graph, method Method, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sampling: inducing subgraph: %w", err)
 	}
-	// Vertices is a private copy of the visit sequence: the workspace
-	// buffer returns to the pool, and Mapping.ToOriginal must stay
-	// unaliased so a caller reordering Vertices cannot corrupt the
-	// mapping's relabeling.
-	visited := append([]graph.VertexID(nil), ws.visited...)
+	// The mapping's ToOriginal is InducedSubgraph's own copy of the visit
+	// sequence (sample vertex i is the i-th visited), so it outlives the
+	// workspace buffer returning to the pool.
+	visited := mapping.ToOriginal
 	res := &Result{
 		Method:      method,
 		Vertices:    visited,
 		Graph:       sub,
-		Mapping:     mapping,
 		VertexRatio: float64(len(visited)) / float64(n),
 	}
 	if ge := g.NumEdges(); ge > 0 {

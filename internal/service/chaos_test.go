@@ -189,7 +189,7 @@ func TestChaosTornHistoryWarmStart(t *testing.T) {
 		}))
 		defer restore()
 		rec := svc1.models.snapshot()[0].val.fitted.Record("torn-key", "torn-dataset")
-		if err := history.AppendFile(path, rec); err == nil {
+		if err := history.AppendFileSync(path, rec); err == nil {
 			t.Fatal("torn append reported success")
 		}
 	}()

@@ -287,7 +287,7 @@ type PredictRequest struct {
 	// Algorithm names the algorithm: PR, SC, TOPK, CC, NH (or long names).
 	Algorithm string `json:"algorithm"`
 	// Epsilon is the PageRank tolerance (tau = eps/N) for PR and TOPK;
-	// zero selects 0.001.
+	// zero selects 0.001, any other value must lie in (0, 1).
 	Epsilon float64 `json:"epsilon,omitempty"`
 	// Ratio is the main sampling ratio; zero selects 0.10.
 	Ratio float64 `json:"ratio,omitempty"`
@@ -363,6 +363,12 @@ func (r PredictRequest) Validate() error {
 	}
 	if r.Scale > maxScale {
 		return fmt.Errorf("service: scale %v exceeds %d", r.Scale, maxScale)
+	}
+	// Zero is unset (withDefaults selects 0.001). A tolerance of 1 or more
+	// converges at once; a negative one never does, so every sample run
+	// would go to the superstep cap and the fit would fail.
+	if !(r.Epsilon >= 0 && r.Epsilon < 1) {
+		return fmt.Errorf("service: epsilon %v out of (0, 1)", r.Epsilon)
 	}
 	if r.Ratio < 0 || r.Ratio > 1 {
 		return fmt.Errorf("service: sampling ratio %v out of (0, 1]", r.Ratio)

@@ -115,6 +115,8 @@ func TestPredictMalformedAndInvalidInput(t *testing.T) {
 		{"unknown dataset", PredictRequest{Dataset: "XX", Algorithm: "PR"}, http.StatusBadRequest},
 		{"unknown algorithm", PredictRequest{Dataset: "Wiki", Algorithm: "FOO"}, http.StatusBadRequest},
 		{"bad ratio", func() any { r := testRequest(); r.Ratio = 1.5; return r }(), http.StatusBadRequest},
+		{"negative epsilon", func() any { r := testRequest(); r.Epsilon = -1; return r }(), http.StatusBadRequest},
+		{"epsilon not below 1", func() any { r := testRequest(); r.Epsilon = 5; return r }(), http.StatusBadRequest},
 		{"bad method", func() any { r := testRequest(); r.Method = "ZZZ"; return r }(), http.StatusBadRequest},
 		{"bad training ratio", func() any { r := testRequest(); r.TrainingRatios = []float64{-0.1}; return r }(), http.StatusBadRequest},
 		{"scale above limit", func() any { r := testRequest(); r.Scale = 1e4; return r }(), http.StatusBadRequest},
