@@ -112,7 +112,7 @@ func main() {
 				*histFile, err, svc.HistoryPath())
 		case skipped > 0:
 			svc.RedirectHistory(*histFile + ".recovered")
-			log.Printf("predictd: warmed %d model(s), skipped %d unreadable record(s); will persist to %s to preserve the original",
+			log.Printf("predictd: warmed %d model(s), skipped %d unreadable or out-of-range record(s); will persist to %s to preserve the original",
 				warmed, skipped, svc.HistoryPath())
 		case warmed > 0:
 			log.Printf("predictd: warmed %d model(s) from %s", warmed, *histFile)

@@ -49,18 +49,34 @@ type Algorithm interface {
 	Run(g *graph.Graph, cfg bsp.Config) (*RunInfo, error)
 }
 
+// canonicalNames maps every name ByName accepts to its algorithm's Name().
+var canonicalNames = map[string]string{
+	"PR": "PageRank", "SC": "SemiClustering", "TOPK": "TopKRanking",
+	"CC": "ConnectedComponents", "NH": "NeighborhoodEstimation",
+	"PageRank": "PageRank", "SemiClustering": "SemiClustering", "TopKRanking": "TopKRanking",
+	"ConnectedComponents": "ConnectedComponents", "NeighborhoodEstimation": "NeighborhoodEstimation",
+}
+
+// CanonicalName returns the Name() of the algorithm ByName constructs
+// for name — "PR" and "PageRank" both give "PageRank" — without
+// constructing it, and false for a name ByName does not know.
+func CanonicalName(name string) (string, bool) {
+	canonical, ok := canonicalNames[name]
+	return canonical, ok
+}
+
 // ByName constructs each paper algorithm with its default configuration.
 func ByName(name string) (Algorithm, error) {
-	switch name {
-	case "PageRank", "PR":
+	switch canonicalNames[name] {
+	case "PageRank":
 		return NewPageRank(), nil
-	case "SemiClustering", "SC":
+	case "SemiClustering":
 		return NewSemiClustering(), nil
-	case "TopKRanking", "TOPK":
+	case "TopKRanking":
 		return NewTopKRanking(), nil
-	case "ConnectedComponents", "CC":
+	case "ConnectedComponents":
 		return NewConnectedComponents(), nil
-	case "NeighborhoodEstimation", "NH":
+	case "NeighborhoodEstimation":
 		return NewNeighborhoodEstimation(), nil
 	}
 	return nil, fmt.Errorf("algorithms: unknown algorithm %q", name)

@@ -166,9 +166,15 @@ func TestByName(t *testing.T) {
 		if alg.Name() == "" {
 			t.Errorf("ByName(%s) returned anonymous algorithm", name)
 		}
+		if canonical, ok := CanonicalName(name); !ok || canonical != alg.Name() {
+			t.Errorf("CanonicalName(%s) = %q, %v; ByName's algorithm is named %q", name, canonical, ok, alg.Name())
+		}
 	}
 	if _, err := ByName("nope"); err == nil {
 		t.Error("ByName(nope) succeeded")
+	}
+	if _, ok := CanonicalName("nope"); ok {
+		t.Error("CanonicalName(nope) succeeded")
 	}
 }
 

@@ -20,7 +20,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"predict/internal/costmodel"
 	"predict/internal/features"
@@ -103,28 +103,6 @@ func newDistribution(mean, variance float64, regime string, observations int) Di
 	}
 }
 
-// meanVariance returns the sample mean and unbiased sample variance of
-// xs (zero variance below two points).
-func meanVariance(xs []float64) (mean, variance float64) {
-	n := len(xs)
-	if n == 0 {
-		return 0, 0
-	}
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(n)
-	if n < 2 {
-		return mean, 0
-	}
-	var ss float64
-	for _, x := range xs {
-		d := x - mean
-		ss += d * d
-	}
-	return mean, ss / float64(n-1)
-}
-
 // ExtrapolateBlended is Extrapolate with closed-loop feedback: it prices
 // g like Extrapolate does, then — given the observed actual runtimes of
 // this exact model key — selects a regime. Below threshold observations
@@ -137,66 +115,51 @@ func meanVariance(xs []float64) (mean, variance float64) {
 // Observed totals are spread over iterations in proportion to the
 // sample-fit model's per-iteration shape (uniformly when the shape sums
 // to zero): the observation stream reports end-to-end superstep seconds,
-// but the regression trains on per-iteration rows.
+// but the regression trains on per-iteration rows. Those rows are never
+// built: costmodel.Model.RefitWindow takes the window in closed form, at
+// a cost that does not grow with the number of observations.
 func (f *Fitted) ExtrapolateBlended(g *graph.Graph, workers int, observed []float64, threshold int) (*Prediction, error) {
 	if threshold <= 0 {
 		threshold = DefaultObservationThreshold
 	}
-	// Only the interpolation regime needs the full-scale feature vectors —
-	// one per sample-run iteration, the x side of every observation-derived
-	// row — and it takes them from the same pass that prices the run, so
-	// the extrapolation scale (and the critical-share lookup behind it) is
-	// derived once per call in either regime.
-	var vectors []features.Vector
+	// Only the interpolation regime keeps the full-scale vectors, from the
+	// pass that prices the run: the extrapolation scale (and the
+	// critical-share lookup behind it) is derived once per call.
+	var xs []features.Vector
 	if len(observed) >= threshold {
-		vectors = make([]features.Vector, len(f.IterFeatures))
+		xs = make([]features.Vector, len(f.IterFeatures))
+		flat := make([]float64, len(xs)*features.PoolSize)
+		for i := range xs {
+			xs[i] = flat[i*features.PoolSize : (i+1)*features.PoolSize]
+		}
 	}
-	pred, err := f.price(g, workers, vectors)
+	pred, err := f.price(g, workers, xs)
 	if err != nil {
 		return nil, err
 	}
 	iters := float64(len(pred.PerIterationSeconds))
-	if vectors == nil {
+	if xs == nil {
 		pred.Runtime = newDistribution(pred.SuperstepSeconds,
 			iters*f.Model.ResidualVariance(),
 			RegimeExtrapolation, len(observed))
 		return pred, nil
 	}
 
-	// Interpolation regime: fold the observations into the training set
-	// and refit the already-selected feature subset. Selection is not
-	// re-run — its greedy path is sensitive to single rows, and feedback
-	// must move predictions monotonically toward the observed mean, not
-	// jump between structural hypotheses. The sample-fit per-iteration
-	// shape distributes each observed total.
-	var baseTotal float64
-	for _, s := range pred.PerIterationSeconds {
-		baseTotal += s
-	}
-	obs := append([]float64(nil), observed...)
-	sort.Float64s(obs) // insensitive to arrival order
-	training := make([]costmodel.TrainingRun, 0, len(obs)+1)
-	training = append(training, costmodel.TrainingRun{
-		Source: "sample", Iters: f.TrainingRows,
-	})
-	for _, total := range obs {
-		run := costmodel.TrainingRun{
-			Source: "observed",
-			Iters:  make([]features.IterationFeatures, 0, len(vectors)),
+	// Interpolation regime: refit the already-selected feature subset with
+	// the observations folded in. Selection is not re-run — feedback must
+	// move predictions monotonically toward the observed mean, not jump
+	// between structural hypotheses.
+	shape := make([]float64, len(xs))
+	for i, s := range pred.PerIterationSeconds {
+		shape[i] = 1 / iters
+		if pred.SuperstepSeconds > 0 {
+			shape[i] = s / pred.SuperstepSeconds
 		}
-		for i := range vectors {
-			secs := total / iters
-			if baseTotal > 0 {
-				secs = total * pred.PerIterationSeconds[i] / baseTotal
-			}
-			run.Iters = append(run.Iters, features.IterationFeatures{
-				Vector:  vectors[i],
-				Seconds: secs,
-			})
-		}
-		training = append(training, run)
 	}
-	blended, err := f.Model.Refit(training)
+	obs := slices.Clone(observed)
+	slices.Sort(obs) // insensitive to arrival order
+	window := costmodel.NewWindow(obs)
+	blended, err := f.Model.RefitWindow(f.TrainingRows, xs, shape, window)
 	if err != nil {
 		return nil, fmt.Errorf("core: blending observations: %w", err)
 	}
@@ -204,17 +167,19 @@ func (f *Fitted) ExtrapolateBlended(g *graph.Graph, workers int, observed []floa
 	// Re-price through the blended model.
 	pred.Model = blended
 	pred.SuperstepSeconds = 0
-	for i, v := range vectors {
-		secs := blended.PredictIteration(v)
+	for i, x := range xs {
+		secs := blended.PredictIteration(x)
 		pred.PerIterationSeconds[i] = secs
 		pred.SuperstepSeconds += secs
 	}
 	// Spread: the blended regression's per-iteration noise over the run,
 	// plus the standard error of the observed mean — the two uncertainty
 	// sources feedback cannot eliminate immediately.
-	_, obsVar := meanVariance(obs)
-	variance := iters*blended.ResidualVariance() + obsVar/float64(len(obs))
+	variance := iters * blended.ResidualVariance()
+	if n := float64(window.N); n >= 2 {
+		variance += window.Stt / (n - 1) / n
+	}
 	pred.Runtime = newDistribution(pred.SuperstepSeconds, variance,
-		RegimeInterpolation, len(obs))
+		RegimeInterpolation, window.N)
 	return pred, nil
 }

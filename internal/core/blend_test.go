@@ -5,30 +5,50 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/rand/v2"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"predict/internal/algorithms"
 	"predict/internal/bsp"
 	"predict/internal/cluster"
+	"predict/internal/costmodel"
 	"predict/internal/features"
+	"predict/internal/graph"
 )
 
-// blendTestFitted builds the s5/w1 fit of the engine pins — the blend
-// tests reuse that exact configuration so the below-threshold path can be
-// checked bit-identically against fitPins.
-func blendTestFitted(t *testing.T) *Fitted {
-	t.Helper()
-	g := testGraphBA()
-	pr := algorithms.NewPageRank()
-	pr.Tau = algorithms.TauForTolerance(0.001, g.NumVertices())
+// fitS5W1 fits the named algorithm on g in the s5/w1 configuration of the
+// engine pins, PageRank-based ones at tolerance 0.001.
+func fitS5W1(name string, g *graph.Graph) (*Fitted, error) {
+	alg, err := algorithms.ByName(name)
+	if err != nil {
+		return nil, err
+	}
+	switch a := alg.(type) {
+	case algorithms.PageRank:
+		a.Tau = algorithms.TauForTolerance(0.001, g.NumVertices())
+		alg = a
+	case algorithms.TopKRanking:
+		a.PageRank.Tau = algorithms.TauForTolerance(0.001, g.NumVertices())
+		alg = a
+	}
 	o := cluster.DefaultOracle()
 	o.NoiseStdDev = 0.02
 	o.MemoryBudgetBytes = 0
 	opts := testOptions(0.1)
 	opts.Sampling.Seed = 5
 	opts.BSP = bsp.Config{Workers: 1, Oracle: &o, Seed: 5}
-	fitted, err := New(opts).Fit(pr, g)
+	return New(opts).Fit(alg, g)
+}
+
+// blendTestFitted builds the s5/w1 PageRank fit of the engine pins — the
+// blend tests reuse that exact configuration so the below-threshold path
+// can be checked bit-identically against fitPins.
+func blendTestFitted(t *testing.T) *Fitted {
+	t.Helper()
+	fitted, err := fitS5W1("PR", testGraphBA())
 	if err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
@@ -160,27 +180,179 @@ func TestDistributionShape(t *testing.T) {
 	}
 }
 
+// referenceBlend is the interpolation regime as ExtrapolateBlended
+// computed it before the closed form: every observation joins the training
+// set as one row per sample iteration — n·iterations rows sharing
+// iterations distinct full-scale vectors — and costmodel.Model.Refit
+// refits over all of them. The closed form must agree with it.
+func referenceBlend(t testing.TB, f *Fitted, g *graph.Graph, workers int, observed []float64) (*Prediction, error) {
+	vectors := fullScale(t, f, g, workers)
+	pred, err := f.Extrapolate(g, workers)
+	if err != nil {
+		return nil, err
+	}
+	iters := float64(len(pred.PerIterationSeconds))
+	var baseTotal float64
+	for _, s := range pred.PerIterationSeconds {
+		baseTotal += s
+	}
+	obs := append([]float64(nil), observed...)
+	sort.Float64s(obs)
+	training := []costmodel.TrainingRun{{Source: "sample", Iters: f.TrainingRows}}
+	for _, total := range obs {
+		run := costmodel.TrainingRun{Source: "observed"}
+		for i := range vectors {
+			secs := total / iters
+			if baseTotal > 0 {
+				secs = total * pred.PerIterationSeconds[i] / baseTotal
+			}
+			run.Iters = append(run.Iters, features.IterationFeatures{Vector: vectors[i], Seconds: secs})
+		}
+		training = append(training, run)
+	}
+	blended, err := f.Model.Refit(training)
+	if err != nil {
+		return nil, err
+	}
+	pred.Model = blended
+	pred.SuperstepSeconds = 0
+	for i, v := range vectors {
+		secs := blended.PredictIteration(v)
+		pred.PerIterationSeconds[i] = secs
+		pred.SuperstepSeconds += secs
+	}
+	n := float64(len(obs))
+	var mean, ss float64
+	for _, x := range obs {
+		mean += x
+	}
+	mean /= n
+	for _, x := range obs {
+		ss += (x - mean) * (x - mean)
+	}
+	variance := iters * blended.ResidualVariance()
+	if n >= 2 {
+		variance += ss / (n - 1) / n
+	}
+	pred.Runtime = newDistribution(pred.SuperstepSeconds, variance, RegimeInterpolation, len(obs))
+	return pred, nil
+}
+
+// blendFloat is one float of an interpolation answer, named, with the
+// floor its difference from the reference is measured against.
+type blendFloat struct {
+	name      string
+	got, want float64
+	floor     float64
+}
+
+// blendFloats pairs every float of got's interpolation answer with
+// want's: the fit statistics, the coefficients, every per-iteration price
+// and the runtime distribution. xs are the full-scale vectors both priced.
+//
+// Each is compared relative to the larger of the two magnitudes and its
+// floor. R² lives in [0, 1], so its floor is 1: near zero it is one minus
+// a ratio of two nearly equal sums. A coefficient is compared through the
+// seconds it contributes — its value times its feature summed over xs
+// (one per iteration for the intercept) — with the superstep seconds as
+// floor: alone it can sit near zero by cancellation, or be ill-determined
+// along with a collinear partner (LocMsg and LocMsgSize at a constant
+// message size), and then any two summation orders move it far more than
+// the prices it produces.
+func blendFloats(got, want *Prediction, xs []features.Vector) []blendFloat {
+	out := []blendFloat{
+		{"r2", got.Model.R2(), want.Model.R2(), 1},
+		{"residual variance", got.Model.ResidualVariance(), want.Model.ResidualVariance(), 0},
+		{"superstep seconds", got.SuperstepSeconds, want.SuperstepSeconds, 0},
+		{"remote bytes", got.PredictedRemoteMessageBytes, want.PredictedRemoteMessageBytes, 0},
+		{"critical share", got.CriticalShareFull, want.CriticalShareFull, 0},
+		{"stddev", got.Runtime.StdDevSeconds, want.Runtime.StdDevSeconds, 0},
+		{"p50", got.Runtime.P50Seconds, want.Runtime.P50Seconds, 0},
+		{"p95", got.Runtime.P95Seconds, want.Runtime.P95Seconds, 0},
+	}
+	for i := range got.PerIterationSeconds {
+		out = append(out, blendFloat{fmt.Sprintf("iteration %d", i),
+			got.PerIterationSeconds[i], want.PerIterationSeconds[i], 0})
+	}
+	total := max(math.Abs(got.SuperstepSeconds), math.Abs(want.SuperstepSeconds))
+	gc, gi := got.Model.Coefficients()
+	wc, wi := want.Model.Coefficients()
+	n := float64(len(xs))
+	out = append(out, blendFloat{"intercept", gi * n, wi * n, total})
+	for _, name := range got.Model.SelectedFeatures() {
+		col, _ := features.Index(name)
+		var sum float64
+		for _, x := range xs {
+			sum += math.Abs(x[col])
+		}
+		out = append(out, blendFloat{"coefficient " + string(name), gc[name] * sum, wc[name] * sum, total})
+	}
+	return out
+}
+
+// blendTolerance is how far a float of the closed-form interpolation may
+// sit from the row-expanded reference, relative to its magnitude or floor
+// (see blendFloats): the two sum the same products in different orders.
+const blendTolerance = 1e-9
+
+// agreesWithReference reports the first float of got that differs from
+// want's by more than blendTolerance, and the largest relative difference
+// over all of them.
+func agreesWithReference(got, want *Prediction, xs []features.Vector) (mismatch string, worst float64) {
+	if got.Runtime.Regime != want.Runtime.Regime || got.Runtime.Observations != want.Runtime.Observations ||
+		len(got.PerIterationSeconds) != len(want.PerIterationSeconds) ||
+		!slices.Equal(got.Model.SelectedFeatures(), want.Model.SelectedFeatures()) {
+		return fmt.Sprintf("answers differ in shape: %s/%d vs %s/%d", got.Runtime.Regime,
+			got.Runtime.Observations, want.Runtime.Regime, want.Runtime.Observations), math.Inf(1)
+	}
+	for _, f := range blendFloats(got, want, xs) {
+		var d float64
+		if f.got != f.want {
+			d = math.Abs(f.got-f.want) / max(math.Abs(f.got), math.Abs(f.want), f.floor)
+		}
+		if d > blendTolerance && mismatch == "" {
+			mismatch = fmt.Sprintf("%s: %v vs reference %v (relative %.3g)", f.name, f.got, f.want, d)
+		}
+		worst = max(worst, d)
+	}
+	return mismatch, worst
+}
+
+// fullScale returns the full-scale vectors f prices g with at workers.
+func fullScale(t testing.TB, f *Fitted, g *graph.Graph, workers int) []features.Vector {
+	xs := make([]features.Vector, len(f.IterFeatures))
+	for i := range xs {
+		xs[i] = make(features.Vector, features.PoolSize)
+	}
+	if _, err := f.price(g, workers, xs); err != nil {
+		t.Fatal(err)
+	}
+	return xs
+}
+
 // blendPins freeze the interpolation regime's whole answer — the refitted
 // coefficients, every per-iteration price and the runtime distribution —
 // at the sample cluster's size and at a what-if size, as FNV-1a digests
-// of the exact float64 bits. They were taken before the blend started
-// sharing one extrapolation-scale derivation (and one set of full-scale
-// vectors) between its two passes, so they hold that refactor, and any
-// later one, to bit-identical arithmetic.
-var blendPins = map[int]string{
-	0: "2aca94e144b3768b",
-	4: "24f6102d6b64f1d0",
-}
+// of the exact float64 bits. They were re-taken once, when the refit went
+// from one row per observed iteration to the closed form (the summation
+// order changed in the last digits); referencePins are the digests of
+// the row-expanding refit, which still reproduces them.
+var (
+	blendPins = map[int]string{
+		0: "b614ca4e9d51ee24",
+		4: "1514e3cb75a55223",
+	}
+	referencePins = map[int]string{
+		0: "2aca94e144b3768b",
+		4: "24f6102d6b64f1d0",
+	}
+)
 
 func TestBlendInterpolationPinned(t *testing.T) {
 	fitted := blendTestFitted(t)
 	g := testGraphBA()
 	obs := []float64{40, 44, 38, 46, 42, 41, 43}
-	for _, workers := range []int{0, 4} {
-		pred, err := fitted.ExtrapolateBlended(g, workers, obs, 0)
-		if err != nil {
-			t.Fatalf("ExtrapolateBlended(workers=%d): %v", workers, err)
-		}
+	fingerprint := func(pred *Prediction) string {
 		h := fnv.New64a()
 		var buf [8]byte
 		wf := func(v float64) {
@@ -206,8 +378,164 @@ func TestBlendInterpolationPinned(t *testing.T) {
 		wf(pred.CriticalShareFull)
 		wf(pred.Runtime.StdDevSeconds)
 		wf(pred.Runtime.P95Seconds)
-		if got := fmt.Sprintf("%016x", h.Sum64()); got != blendPins[workers] {
+		return fmt.Sprintf("%016x", h.Sum64())
+	}
+	for _, workers := range []int{0, 4} {
+		pred, err := fitted.ExtrapolateBlended(g, workers, obs, 0)
+		if err != nil {
+			t.Fatalf("ExtrapolateBlended(workers=%d): %v", workers, err)
+		}
+		if got := fingerprint(pred); got != blendPins[workers] {
 			t.Errorf("workers=%d: interpolation fingerprint %s, pinned %s", workers, got, blendPins[workers])
 		}
+		ref, err := referenceBlend(t, fitted, g, workers, obs)
+		if err != nil {
+			t.Fatalf("referenceBlend(workers=%d): %v", workers, err)
+		}
+		if got := fingerprint(ref); got != referencePins[workers] {
+			t.Errorf("workers=%d: reference fingerprint %s, pinned %s", workers, got, referencePins[workers])
+		}
+		mismatch, worst := agreesWithReference(pred, ref, fullScale(t, fitted, g, workers))
+		if mismatch != "" {
+			t.Errorf("workers=%d: %s", workers, mismatch)
+		}
+		t.Logf("workers=%d: largest relative difference from the reference %.3g", workers, worst)
 	}
+}
+
+// TestBlendClosedFormMatchesReference holds the closed-form refit to the
+// row-expanding one across the five algorithms, windows on both sides of
+// the threshold's first multiples up to the window cap, three noise
+// spreads and three cluster sizes.
+func TestBlendClosedFormMatchesReference(t *testing.T) {
+	g := testGraphBA()
+	rng := rand.New(rand.NewPCG(7, 32))
+	var worst float64
+	for _, name := range []string{"PR", "CC", "NH", "TOPK", "SC"} {
+		fitted, err := fitS5W1(name, g)
+		if err != nil {
+			t.Fatalf("%s: Fit: %v", name, err)
+		}
+		base, err := fitted.Extrapolate(g, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{5, 8, 17, 64} {
+			for _, spread := range []float64{0, 0.1, 2} {
+				obs := make([]float64, n)
+				for j := range obs {
+					obs[j] = base.SuperstepSeconds * 1.25 * math.Exp(spread*rng.NormFloat64())
+				}
+				for _, workers := range []int{0, 4, 16} {
+					got, err := fitted.ExtrapolateBlended(g, workers, obs, 0)
+					if err != nil {
+						t.Fatalf("%s n=%d workers=%d: %v", name, n, workers, err)
+					}
+					want, err := referenceBlend(t, fitted, g, workers, obs)
+					if err != nil {
+						t.Fatalf("%s n=%d workers=%d: reference: %v", name, n, workers, err)
+					}
+					mismatch, d := agreesWithReference(got, want, fullScale(t, fitted, g, workers))
+					if mismatch != "" {
+						t.Errorf("%s n=%d spread=%v workers=%d: %s", name, n, spread, workers, mismatch)
+					}
+					worst = max(worst, d)
+				}
+			}
+		}
+	}
+	t.Logf("largest relative difference from the reference: %.3g", worst)
+}
+
+// fuzzFitted is the fixed model FuzzExtrapolateBlended prices with: the
+// s5/w1 PageRank fit, fitted once per process.
+var fuzzFitted = sync.OnceValues(func() (*Fitted, error) { return fitS5W1("PR", fuzzGraph()) })
+
+var fuzzGraph = sync.OnceValue(testGraphBA)
+
+// fuzzWindow turns fuzzed parameters into a window of up to
+// history.MaxObservationsPerKey observed runtimes in (0, 1e9] seconds:
+// all equal, all equal but one outlier, or log-uniform over 300 decades.
+func fuzzWindow(n, mode uint8, seed uint64, base float64) []float64 {
+	clamp := func(x float64) float64 {
+		x = math.Abs(x)
+		switch {
+		case math.IsNaN(x) || x == 0:
+			return 1
+		case x > 1e9:
+			return 1e9
+		}
+		return x
+	}
+	obs := make([]float64, int(n)%65)
+	v := clamp(base)
+	rng := rand.New(rand.NewPCG(seed, 0xb1e4d))
+	for j := range obs {
+		switch mode % 3 {
+		case 0, 1:
+			obs[j] = v
+		case 2:
+			obs[j] = math.Pow(10, 9-300*rng.Float64())
+		}
+	}
+	if mode%3 == 1 && len(obs) > 0 {
+		obs[rng.IntN(len(obs))] = clamp(v * math.Pow(10, 24*rng.Float64()-12))
+	}
+	return obs
+}
+
+// FuzzExtrapolateBlended drives the blend with fuzzed observation windows
+// against a fixed model. Whatever the window, the answer is an error or
+// finite with p50 ≤ p95; below the threshold it is bit-identical to
+// Extrapolate; at or above it the closed form agrees with the row-expanded
+// reference.
+func FuzzExtrapolateBlended(f *testing.F) {
+	f.Add(uint8(0), uint8(0), uint64(1), 40.0, uint8(0))
+	f.Add(uint8(4), uint8(1), uint64(2), 40.0, uint8(1))
+	f.Add(uint8(5), uint8(0), uint64(3), 1e9, uint8(2))
+	f.Add(uint8(8), uint8(1), uint64(4), 1e-300, uint8(0))
+	f.Add(uint8(17), uint8(2), uint64(5), 1.0, uint8(1))
+	f.Add(uint8(64), uint8(2), uint64(6), 1.0, uint8(2))
+	f.Add(uint8(64), uint8(0), uint64(7), 5e-324, uint8(0))
+	f.Fuzz(func(t *testing.T, n, mode uint8, seed uint64, base float64, w uint8) {
+		fitted, err := fuzzFitted()
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := fuzzGraph()
+		workers := []int{0, 4, 16}[int(w)%3]
+		obs := fuzzWindow(n, mode, seed, base)
+		got, err := fitted.ExtrapolateBlended(g, workers, obs, 0)
+		if err != nil {
+			return
+		}
+		xs := fullScale(t, fitted, g, workers)
+		for _, f := range blendFloats(got, got, xs) {
+			if math.IsNaN(f.got) || math.IsInf(f.got, 0) {
+				t.Fatalf("window %v: %s is %v", obs, f.name, f.got)
+			}
+		}
+		if got.Runtime.P50Seconds > got.Runtime.P95Seconds {
+			t.Fatalf("window %v: p50 %v above p95 %v", obs, got.Runtime.P50Seconds, got.Runtime.P95Seconds)
+		}
+		if len(obs) < DefaultObservationThreshold {
+			plain, err := fitted.Extrapolate(g, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Model != plain.Model || got.SuperstepSeconds != plain.SuperstepSeconds ||
+				got.PredictedRemoteMessageBytes != plain.PredictedRemoteMessageBytes ||
+				!slices.Equal(got.PerIterationSeconds, plain.PerIterationSeconds) {
+				t.Fatalf("window of %d below the threshold moved the answer off Extrapolate's", len(obs))
+			}
+			return
+		}
+		want, err := referenceBlend(t, fitted, g, workers, obs)
+		if err != nil {
+			t.Fatalf("window %v: closed form answered, reference failed: %v", obs, err)
+		}
+		if mismatch, _ := agreesWithReference(got, want, xs); mismatch != "" {
+			t.Fatalf("window %v: %s", obs, mismatch)
+		}
+	})
 }

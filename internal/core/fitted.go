@@ -300,12 +300,11 @@ func (f *Fitted) Extrapolate(g *graph.Graph, workers int) (*Prediction, error) {
 }
 
 // price is Extrapolate's body, shared with ExtrapolateBlended: it derives
-// the extrapolation scale once and prices every sample-run iteration
-// through the fitted model. When vectors is non-nil (one slot per
-// IterFeatures entry) it also receives the full-scale feature vector of
-// each iteration — the x side of the interpolation regime's
-// observation-derived rows, which must be exactly the vectors priced here.
-func (f *Fitted) price(g *graph.Graph, workers int, vectors []features.Vector) (*Prediction, error) {
+// the extrapolation scale once and prices every sample-run iteration,
+// scaling its vector into one reused buffer — or, when xs is non-nil
+// (one features.PoolSize slot per IterFeatures entry), into its own slot,
+// which hands the interpolation regime exactly the vectors priced here.
+func (f *Fitted) price(g *graph.Graph, workers int, xs []features.Vector) (*Prediction, error) {
 	if workers <= 0 {
 		workers = f.SampleWorkers
 	}
@@ -325,15 +324,17 @@ func (f *Fitted) price(g *graph.Graph, workers int, vectors []features.Vector) (
 		SampleRunSeconds:    f.SampleRunSeconds,
 		CriticalShareSample: f.ProfiledCriticalShare,
 		CriticalShareFull:   shareG,
-		PerIterationSeconds: make([]float64, 0, len(f.IterFeatures)),
+		PerIterationSeconds: make([]float64, len(f.IterFeatures)),
 	}
+	var buf [features.PoolSize]float64
 	for i, it := range f.IterFeatures {
-		x := scale.Apply(it.Vector).RescaleShare(shareFactor)
-		if vectors != nil {
-			vectors[i] = x
+		x := features.Vector(buf[:])
+		if xs != nil {
+			x = xs[i]
 		}
+		scale.ApplyInto(x, it.Vector, shareFactor)
 		secs := f.Model.PredictIteration(x)
-		pred.PerIterationSeconds = append(pred.PerIterationSeconds, secs)
+		pred.PerIterationSeconds[i] = secs
 		pred.SuperstepSeconds += secs
 		if i < len(f.RemoteBytesPerIter) {
 			pred.PredictedRemoteMessageBytes += f.RemoteBytesPerIter[i] * scale.EE

@@ -98,24 +98,76 @@ func (m *Model) R2() float64 { return m.fit.R2 }
 func (m *Model) ResidualVariance() float64 { return m.fit.ResidualVariance }
 
 // Refit refits the model's coefficients on new training data while
-// keeping the selected feature subset fixed. This is the closed-loop
-// interpolation path: observed runtimes re-weight the coefficients of the
-// structure forward selection chose from sample runs, rather than
-// re-running selection (whose greedy path is sensitive to single added
-// rows and would make feedback non-monotone).
+// keeping the selected feature subset fixed, so new rows re-weight the
+// coefficients of the structure forward selection chose from sample runs
+// instead of re-running selection (whose greedy path is sensitive to
+// single added rows). It is RefitWindow with an empty window.
 func (m *Model) Refit(runs []TrainingRun) (*Model, error) {
-	var X [][]float64
-	var y []float64
+	var rows []features.IterationFeatures
 	for _, r := range runs {
-		for _, it := range r.Iters {
-			X = append(X, it.Vector)
-			y = append(y, it.Seconds)
-		}
+		rows = append(rows, r.Iters...)
 	}
-	if len(X) == 0 {
+	if len(rows) == 0 {
 		return nil, ErrNoTrainingData
 	}
-	fit, err := regress.OLSSubset(X, y, m.fit.FeatureIdx)
+	return m.RefitWindow(rows, nil, nil, Window{})
+}
+
+// Window summarizes n observed end-to-end runtimes t₁…tₙ: their sum T,
+// mean t̄ and centred sum of squares S_tt = Σ(tⱼ − t̄)².
+type Window struct {
+	N              int
+	Sum, Mean, Stt float64
+}
+
+// NewWindow summarizes a non-empty ts, summing in the order given: a
+// caller that wants an answer independent of arrival order sorts ts first.
+func NewWindow(ts []float64) Window {
+	w := Window{N: len(ts)}
+	for _, t := range ts {
+		w.Sum += t
+	}
+	w.Mean = w.Sum / float64(w.N)
+	for _, t := range ts {
+		w.Stt += (t - w.Mean) * (t - w.Mean)
+	}
+	return w
+}
+
+// RefitWindow is Refit over training plus, for every observed total tⱼ of
+// w and every iteration i, the row (xs[i], tⱼ·shape[i]). Those n·len(xs)
+// rows share len(xs) designs dᵢ = [1, xs[i] on the selected features], so
+// they enter the normal equations in closed form, A += n·Σ dᵢdᵢᵀ and
+// c += T·Σ shape[i]·dᵢ, and the sums of squares as
+// Σᵢ [shape[i]²·S_tt + n·(t̄·shape[i] − b·dᵢ)²] (the total with the rows'
+// grand mean in place of b·dᵢ). The cost is bounded by the training rows
+// and the iterations, never by the window.
+func (m *Model) RefitWindow(training []features.IterationFeatures, xs []features.Vector, shape []float64, w Window) (*Model, error) {
+	eq := regress.NewNormal(m.fit.FeatureIdx)
+	var ySum float64
+	for _, it := range training {
+		eq.Add(it.Vector, 1, it.Seconds)
+		ySum += it.Seconds
+	}
+	for i, x := range xs {
+		eq.Add(x, w.N, w.Sum*shape[i])
+		ySum += w.Sum * shape[i]
+	}
+	grand := ySum / float64(len(training)+w.N*len(xs))
+	fit, err := eq.Solve(func(fit *regress.Fit) (ssRes, ssTot float64) {
+		for _, it := range training {
+			r, t := it.Seconds-fit.Predict(it.Vector), it.Seconds-grand
+			ssRes += r * r
+			ssTot += t * t
+		}
+		for i, x := range xs {
+			within := shape[i] * shape[i] * w.Stt
+			r, t := w.Mean*shape[i]-fit.Predict(x), w.Mean*shape[i]-grand
+			ssRes += within + float64(w.N)*r*r
+			ssTot += within + float64(w.N)*t*t
+		}
+		return ssRes, ssTot
+	})
 	if err != nil {
 		return nil, fmt.Errorf("costmodel: refitting: %w", err)
 	}

@@ -31,15 +31,21 @@ const (
 	SpillBytes Name = "SpillBytes"
 )
 
+// pool is the candidate features in canonical column order.
+var pool = [...]Name{ActVert, TotVert, LocMsg, RemMsg, LocMsgSize, RemMsgSize, AvgMsgSize, SpillBytes}
+
+// PoolSize is the length of Pool() and of every Vector.
+const PoolSize = len(pool)
+
 // Pool returns the candidate features for the cost model, in canonical
 // column order.
 func Pool() []Name {
-	return []Name{ActVert, TotVert, LocMsg, RemMsg, LocMsgSize, RemMsgSize, AvgMsgSize, SpillBytes}
+	return append([]Name(nil), pool[:]...)
 }
 
 // Index returns the canonical column index of a feature name.
 func Index(n Name) (int, error) {
-	for i, p := range Pool() {
+	for i, p := range pool {
 		if p == n {
 			return i, nil
 		}
@@ -57,11 +63,6 @@ func (v Vector) Get(n Name) float64 {
 		panic(err)
 	}
 	return v[i]
-}
-
-// Clone returns a copy of v.
-func (v Vector) Clone() Vector {
-	return append(Vector(nil), v...)
 }
 
 // IterationFeatures pairs one iteration's feature vector with that
@@ -109,7 +110,7 @@ func FromProfile(p *bsp.Profile, mode Mode) []IterationFeatures {
 	for i := range p.Supersteps {
 		sp := &p.Supersteps[i]
 		tot := sp.Total()
-		v := make(Vector, len(Pool()))
+		v := make(Vector, PoolSize)
 		v[0] = float64(tot.ActiveVertices) * share
 		v[1] = float64(tot.TotalVertices) * share
 		v[2] = float64(tot.LocalMessages) * share
@@ -143,33 +144,18 @@ func NewScale(graphVertices, sampleVertices int, graphEdges, sampleEdges int64) 
 	}, nil
 }
 
-// Apply extrapolates a sample-run feature vector to full-graph scale:
-// vertex-driven features (ActVert, TotVert) scale by eV, message features
-// by eE, and AvgMsgSize is preserved (Table 1's "Extrapolation" column).
-func (s Scale) Apply(v Vector) Vector {
-	out := v.Clone()
-	out[0] *= s.EV // ActVert
-	out[1] *= s.EV // TotVert
-	out[2] *= s.EE // LocMsg
-	out[3] *= s.EE // RemMsg
-	out[4] *= s.EE // LocMsgSize
-	out[5] *= s.EE // RemMsgSize
-	// out[6] AvgMsgSize: no extrapolation
-	out[7] *= s.EE // SpillBytes
-	return out
-}
-
-// RescaleShare multiplies every load-dependent feature by factor, leaving
-// AvgMsgSize untouched. The predictor uses it to move a vector from the
-// sample graph's critical-path share to the full graph's (both computable
-// in the read phase).
-func (v Vector) RescaleShare(factor float64) Vector {
-	out := v.Clone()
-	for i := range out {
-		if i == 6 { // AvgMsgSize is load-independent
-			continue
-		}
-		out[i] *= factor
-	}
-	return out
+// ApplyInto writes into dst the sample-run vector v extrapolated to
+// full-graph scale: vertex-driven features (ActVert, TotVert) scale by eV,
+// message features by eE, and AvgMsgSize is preserved (Table 1's
+// "Extrapolation" column). share then moves every load-dependent feature
+// from the sample graph's critical-path share to the full graph's.
+func (s Scale) ApplyInto(dst, v Vector, share float64) {
+	dst[0] = v[0] * s.EV * share // ActVert
+	dst[1] = v[1] * s.EV * share // TotVert
+	dst[2] = v[2] * s.EE * share // LocMsg
+	dst[3] = v[3] * s.EE * share // RemMsg
+	dst[4] = v[4] * s.EE * share // LocMsgSize
+	dst[5] = v[5] * s.EE * share // RemMsgSize
+	dst[6] = v[6]                // AvgMsgSize: load-independent, not extrapolated
+	dst[7] = v[7] * s.EE * share // SpillBytes
 }

@@ -98,16 +98,17 @@ func TestFromProfileMeanWorker(t *testing.T) {
 func TestScaleApply(t *testing.T) {
 	s := Scale{EV: 10, EE: 20}
 	v := Vector{1, 2, 3, 4, 5, 6, 7, 8}
-	out := s.Apply(v)
+	out := make(Vector, len(v))
+	s.ApplyInto(out, v, 1)
 	want := Vector{10, 20, 60, 80, 100, 120, 7, 160}
 	for i := range want {
 		if out[i] != want[i] {
-			t.Errorf("Apply[%d] = %v, want %v", i, out[i], want[i])
+			t.Errorf("ApplyInto[%d] = %v, want %v", i, out[i], want[i])
 		}
 	}
 	// Original untouched.
 	if v[0] != 1 {
-		t.Error("Apply mutated its input")
+		t.Error("ApplyInto mutated its input")
 	}
 }
 
@@ -125,14 +126,14 @@ func TestNewScale(t *testing.T) {
 }
 
 func TestRescaleShare(t *testing.T) {
-	v := Vector{1, 1, 1, 1, 1, 1, 9, 1}
-	out := v.RescaleShare(3)
+	out := make(Vector, PoolSize)
+	Scale{EV: 1, EE: 1}.ApplyInto(out, Vector{1, 1, 1, 1, 1, 1, 9, 1}, 3)
 	for i := range out {
 		if i == 6 {
 			continue
 		}
 		if out[i] != 3 {
-			t.Errorf("RescaleShare[%d] = %v, want 3", i, out[i])
+			t.Errorf("ApplyInto(share 3)[%d] = %v, want 3", i, out[i])
 		}
 	}
 	if out[6] != 9 {

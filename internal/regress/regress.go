@@ -66,56 +66,97 @@ func OLSSubset(X [][]float64, y []float64, cols []int) (*Fit, error) {
 	if n != len(y) {
 		return nil, fmt.Errorf("regress: %d rows vs %d targets", n, len(y))
 	}
+	eq := NewNormal(cols)
+	for r := range X {
+		eq.Add(X[r], 1, y[r])
+	}
+	return eq.Solve(func(fit *Fit) (ssRes, ssTot float64) {
+		var mean float64
+		for _, v := range y {
+			mean += v
+		}
+		mean /= float64(n)
+		for i := range y {
+			d := y[i] - fit.Predict(X[i])
+			ssRes += d * d
+			t := y[i] - mean
+			ssTot += t * t
+		}
+		return ssRes, ssTot
+	})
+}
+
+// Normal accumulates the normal equations A b = c, A = DᵀD and c = Dᵀy,
+// over the rows of the design D = [1 | x[cols]]. A repeated row is added
+// once with its multiplicity: the cost is bounded by the distinct rows.
+type Normal struct {
+	cols []int
+	a    [][]float64
+	c    []float64
+	n    int
+	d    []float64 // design-row scratch
+}
+
+// NewNormal returns an empty problem over the given columns.
+func NewNormal(cols []int) *Normal {
 	p := len(cols) + 1 // + intercept
-	if n < p {
-		return nil, fmt.Errorf("%w: %d rows for %d parameters", ErrInsufficientData, n, p)
+	e := &Normal{cols: cols, a: make([][]float64, p), c: make([]float64, p), d: make([]float64, p)}
+	for i := range e.a {
+		e.a[i] = make([]float64, p)
 	}
+	return e
+}
 
-	// Build normal equations A b = c with A = D'D, c = D'y where D is the
-	// design matrix [1 | X[:, cols]].
-	A := make([][]float64, p)
-	for i := range A {
-		A[i] = make([]float64, p)
+// Add accumulates count copies of the design row of the full feature
+// vector x whose targets sum to ySum: A += count·ddᵀ and c += ySum·d.
+func (e *Normal) Add(x []float64, count int, ySum float64) {
+	d := e.d
+	d[0] = 1
+	for j, col := range e.cols {
+		d[j+1] = x[col]
 	}
-	c := make([]float64, p)
-	row := make([]float64, p)
-	for r := 0; r < n; r++ {
-		row[0] = 1
-		for j, col := range cols {
-			row[j+1] = X[r][col]
+	w := float64(count)
+	for i := range d {
+		for j := range d {
+			e.a[i][j] += w * d[i] * d[j]
 		}
-		for i := 0; i < p; i++ {
-			for j := 0; j < p; j++ {
-				A[i][j] += row[i] * row[j]
-			}
-			c[i] += row[i] * y[r]
-		}
+		e.c[i] += ySum * d[i]
 	}
+	e.n += count
+}
 
-	b, err := solve(A, c)
+// Solve fits the coefficients by Gaussian elimination, retrying with a
+// tiny ridge proportional to A's trace when the system is singular (a
+// feature constant across the rows). sums returns the solved fit's
+// residual and total sums of squares over the rows, which its R²,
+// adjusted R² and residual variance follow from.
+func (e *Normal) Solve(sums func(*Fit) (ssRes, ssTot float64)) (*Fit, error) {
+	p := len(e.c)
+	if e.n < p {
+		return nil, fmt.Errorf("%w: %d rows for %d parameters", ErrInsufficientData, e.n, p)
+	}
+	b, err := solve(e.a, e.c)
 	if err != nil {
-		// Singular system (constant/collinear features): retry with a tiny
-		// ridge proportional to the trace.
 		var trace float64
 		for i := 0; i < p; i++ {
-			trace += A[i][i]
+			trace += e.a[i][i]
 		}
 		ridge := 1e-10*trace/float64(p) + 1e-12
 		for i := 0; i < p; i++ {
-			A[i][i] += ridge
+			e.a[i][i] += ridge
 		}
-		b, err = solve(A, c)
+		b, err = solve(e.a, e.c)
 		if err != nil {
 			return nil, fmt.Errorf("regress: singular normal equations: %w", err)
 		}
 	}
-
 	fit := &Fit{
-		FeatureIdx: append([]int(nil), cols...),
+		FeatureIdx: append([]int(nil), e.cols...),
 		Coef:       b[1:],
 		Intercept:  b[0],
 	}
-	fit.R2, fit.AdjustedR2, fit.ResidualVariance = rsquared(X, y, fit)
+	ssRes, ssTot := sums(fit)
+	fit.R2, fit.AdjustedR2, fit.ResidualVariance = quality(ssRes, ssTot, e.n, len(fit.Coef))
 	return fit, nil
 }
 
@@ -123,11 +164,12 @@ func OLSSubset(X [][]float64, y []float64, cols []int) (*Fit, error) {
 // A, returning x with A x = c.
 func solve(A [][]float64, c []float64) ([]float64, error) {
 	p := len(A)
-	// Work on copies.
-	m := make([][]float64, p)
+	// Work on copies: row i is A[i] with c[i] appended.
+	m, flat := make([][]float64, p), make([]float64, p*(p+1))
 	for i := range m {
-		m[i] = append([]float64(nil), A[i]...)
-		m[i] = append(m[i], c[i])
+		m[i] = flat[i*(p+1) : (i+1)*(p+1)]
+		copy(m[i], A[i])
+		m[i][p] = c[i]
 	}
 	for col := 0; col < p; col++ {
 		// Pivot.
@@ -167,22 +209,10 @@ func solve(A [][]float64, c []float64) ([]float64, error) {
 	return x, nil
 }
 
-func rsquared(X [][]float64, y []float64, fit *Fit) (r2, adj, resVar float64) {
-	n := len(y)
-	var mean float64
-	for _, v := range y {
-		mean += v
-	}
-	mean /= float64(n)
-	var ssRes, ssTot float64
-	for i := range y {
-		pred := fit.Predict(X[i])
-		d := y[i] - pred
-		ssRes += d * d
-		t := y[i] - mean
-		ssTot += t * t
-	}
-	p := len(fit.Coef)
+// quality turns the sums of squares of a fit with p coefficients (plus
+// the intercept) over n rows into its R², adjusted R² and residual
+// variance.
+func quality(ssRes, ssTot float64, n, p int) (r2, adj, resVar float64) {
 	df := n - p - 1
 	if df < 1 {
 		df = 1

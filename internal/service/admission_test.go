@@ -587,9 +587,9 @@ func TestStatsUnderConcurrentLoad(t *testing.T) {
 				scrapeErr <- fmt.Errorf("checkpoint counters went backwards: %+v then %+v", prev, st)
 				return
 			}
-			if st.TemplateHits < prev.TemplateHits || st.TemplateMisses < prev.TemplateMisses ||
-				st.TemplateInvalidations < prev.TemplateInvalidations {
-				scrapeErr <- fmt.Errorf("template counters went backwards: %+v then %+v", prev, st)
+			if st.Observations < prev.Observations || st.BlendExtrapolation < prev.BlendExtrapolation ||
+				st.BlendInterpolation < prev.BlendInterpolation {
+				scrapeErr <- fmt.Errorf("feedback counters went backwards: %+v then %+v", prev, st)
 				return
 			}
 			if st.Draining {
@@ -615,7 +615,7 @@ func TestStatsUnderConcurrentLoad(t *testing.T) {
 				if i%3 == 0 { // a third of the traffic is cold
 					r.SampleSeed = uint64(10000 + c*100 + i)
 				}
-				if i%5 == 4 { // feedback keeps the template counters moving
+				if i%5 == 4 { // feedback keeps the observation counters moving
 					resp, _ := postRaw(t, server.URL+"/observe", ObserveRequest{
 						ModelKey: warmed.ModelKey, ActualSeconds: warmed.SuperstepSeconds,
 					})
@@ -651,9 +651,9 @@ func TestStatsUnderConcurrentLoad(t *testing.T) {
 	if st.FitQueueCap != 2 {
 		t.Fatalf("fit queue cap = %d, want 2", st.FitQueueCap)
 	}
-	if st.TemplateHits == 0 || st.TemplateInvalidations == 0 {
-		t.Fatalf("template hits = %d, invalidations = %d: warm traffic with feedback moved neither",
-			st.TemplateHits, st.TemplateInvalidations)
+	if st.Observations == 0 || st.BlendExtrapolation == 0 {
+		t.Fatalf("observations = %d, extrapolation answers = %d: warm traffic with feedback moved neither",
+			st.Observations, st.BlendExtrapolation)
 	}
 	if st.FitQueueDepth != 0 {
 		t.Fatalf("fit queue depth = %d after traffic drained, want 0", st.FitQueueDepth)

@@ -384,7 +384,7 @@ var codecPool = sync.Pool{New: func() any {
 
 // respPool recycles the response structs the /predict handler fills —
 // predictInto overwrites every field, so entries carry no state between
-// requests (the slices they point at belong to immutable templates and
+// requests (model_features points at the cached model's names, which
 // are never written through).
 var respPool = sync.Pool{New: func() any { return new(PredictResponse) }}
 

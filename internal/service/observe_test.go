@@ -1,13 +1,19 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"predict/internal/core"
+	"predict/internal/history"
 )
 
 // observeUnknownKeyError produces the live error Observe answers for a
@@ -37,6 +43,7 @@ func TestObserveValidation(t *testing.T) {
 		{"missing model key", ObserveRequest{ActualSeconds: 1}, http.StatusBadRequest},
 		{"zero actual seconds", ObserveRequest{ModelKey: "k", ActualSeconds: 0}, http.StatusBadRequest},
 		{"negative actual seconds", ObserveRequest{ModelKey: "k", ActualSeconds: -3}, http.StatusBadRequest},
+		{"actual seconds past the bound", ObserveRequest{ModelKey: "k", ActualSeconds: 1e200}, http.StatusBadRequest},
 		{"negative workers", ObserveRequest{ModelKey: "k", ActualSeconds: 1, Workers: -1}, http.StatusBadRequest},
 		{"unknown field", `{"model_key":"k","actual":1}`, http.StatusBadRequest},
 		{"unknown model key", ObserveRequest{ModelKey: "k", ActualSeconds: 1}, http.StatusNotFound},
@@ -262,4 +269,99 @@ func TestObservationsSurviveRestart(t *testing.T) {
 	if warm.BlendRegime != "interpolation" {
 		t.Errorf("restarted service regime %q, want interpolation", warm.BlendRegime)
 	}
+}
+
+// poisonSeconds are six observations the closed loop cannot use: past
+// maxActualSeconds, yet finite. Accepted, they would make the key's next
+// prediction report an infinite stddev and a NaN R², which no JSON
+// encoder writes — every later /predict of the key would be a 500.
+func poisonSeconds() []float64 {
+	out := make([]float64, 6)
+	for i := range out {
+		out[i] = 1e200 * (1 + float64(i)/10)
+	}
+	return out
+}
+
+// assertPredictable fails unless a /predict of req answers 200 with every
+// float of the body finite.
+func assertPredictable(t *testing.T, svc *Service, req PredictRequest) {
+	t.Helper()
+	resp, err := svc.Predict(context.Background(), req)
+	if err != nil {
+		t.Fatalf("Predict: %v", err)
+	}
+	for name, v := range map[string]float64{
+		"superstep_seconds": resp.SuperstepSeconds, "model_r2": resp.ModelR2,
+		"p50_seconds": resp.P50Seconds, "p95_seconds": resp.P95Seconds, "stddev_seconds": resp.StdDevSeconds,
+	} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Errorf("%s = %v after poisoning attempts", name, v)
+		}
+	}
+	rec := httptest.NewRecorder()
+	body, _ := json.Marshal(req)
+	svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Errorf("POST /predict after poisoning attempts: HTTP %d: %s", rec.Code, rec.Body)
+	}
+}
+
+// TestObserveRejectsPoisonedSeconds pins that one client cannot poison a
+// model key through /observe: a runtime past maxActualSeconds is a 400
+// naming the field, and the key keeps answering.
+func TestObserveRejectsPoisonedSeconds(t *testing.T) {
+	svc := New(Config{})
+	ctx := context.Background()
+	first, err := svc.Predict(ctx, testRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, secs := range poisonSeconds() {
+		_, err := svc.Observe(ctx, ObserveRequest{ModelKey: first.ModelKey, ActualSeconds: secs})
+		var se *Error
+		if !errors.As(err, &se) || se.Status != http.StatusBadRequest || !strings.Contains(se.Msg, "actual_seconds") {
+			t.Fatalf("Observe(%v): %v, want a 400 naming actual_seconds", secs, err)
+		}
+	}
+	if _, err := svc.Observe(ctx, ObserveRequest{ModelKey: first.ModelKey, ActualSeconds: maxActualSeconds}); err != nil {
+		t.Fatalf("Observe at the bound: %v", err)
+	}
+	if got := svc.Stats().Observations; got != 1 {
+		t.Fatalf("%d observations recorded, want only the one at the bound", got)
+	}
+	assertPredictable(t, svc, testRequest())
+}
+
+// TestWarmFromHistorySkipsPoisonedSeconds pins the same bound on replay:
+// observation records past maxActualSeconds in a history log — written
+// before the bound existed — are skipped and counted, and the restarted
+// key answers.
+func TestWarmFromHistorySkipsPoisonedSeconds(t *testing.T) {
+	histPath := filepath.Join(t.TempDir(), "history.jsonl")
+	svc := New(Config{HistoryPath: histPath})
+	first, err := svc.Predict(context.Background(), testRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var records []history.Record
+	for _, secs := range poisonSeconds() {
+		records = append(records, history.NewObservation(first.ModelKey, secs, 0))
+	}
+	if err := history.AppendFileSync(histPath, records...); err != nil {
+		t.Fatal(err)
+	}
+
+	restarted := New(Config{HistoryPath: histPath})
+	warmed, skipped, err := restarted.WarmFromHistory(histPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warmed != 1 || skipped != len(records) {
+		t.Errorf("warm start: %d warmed, %d skipped; want 1 and the %d poisoned observations", warmed, skipped, len(records))
+	}
+	if got := restarted.Stats().Observations; got != 0 {
+		t.Errorf("%d poisoned observations replayed into the window", got)
+	}
+	assertPredictable(t, restarted, testRequest())
 }

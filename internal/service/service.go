@@ -46,6 +46,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -228,28 +229,27 @@ type Service struct {
 	// runtimes ever recorded; blendExtrapolation/blendInterpolation tally
 	// which regime answered each prediction (for /stats).
 	obsMu              sync.RWMutex
-	obs                map[string]obsWindow
+	obs                map[string][]float64
 	observations       atomic.Int64
 	blendExtrapolation atomic.Int64
 	blendInterpolation atomic.Int64
-
-	// templateHits/templateMisses count warm predictions answered from a
-	// cachedModel's template set versus assembled afresh;
-	// templateInvalidations counts templates dropped because an
-	// observation superseded the epoch they were computed at.
-	templateHits          atomic.Int64
-	templateMisses        atomic.Int64
-	templateInvalidations atomic.Int64
 }
 
-// obsWindow is one model key's observed runtimes plus the key's
-// observation epoch: a counter bumped by every recorded observation, live
-// or replayed, never reset while the process lives. The window's length
-// cannot stand in for it — at history.MaxObservationsPerKey the window
-// rolls over and changes content at constant length.
-type obsWindow struct {
-	epoch   uint64
-	seconds []float64
+// cachedModel is one model-cache entry: the fitted model and the names of
+// its selected features, which every answer from it reports. It never
+// references a *graph.Graph: the graph cache, not the model cache, decides
+// how long a graph (possibly an mmap region) stays resident.
+type cachedModel struct {
+	fitted   *core.Fitted
+	features []string
+}
+
+func newCachedModel(fitted *core.Fitted) *cachedModel {
+	m := &cachedModel{fitted: fitted}
+	for _, f := range fitted.Model.SelectedFeatures() {
+		m.features = append(m.features, string(f))
+	}
+	return m
 }
 
 // New returns a Service with the given configuration.
@@ -272,7 +272,7 @@ func New(cfg Config) *Service {
 		lifeCancel: lifeCancel,
 		histPath:   cfg.HistoryPath,
 		ckptBase:   1,
-		obs:        make(map[string]obsWindow),
+		obs:        make(map[string][]float64),
 	}
 }
 
@@ -355,8 +355,8 @@ func (r PredictRequest) Validate() error {
 	if r.Algorithm == "" {
 		return fmt.Errorf("service: missing algorithm")
 	}
-	if _, err := algorithms.ByName(r.Algorithm); err != nil {
-		return fmt.Errorf("service: %w", err)
+	if _, ok := algorithms.CanonicalName(r.Algorithm); !ok {
+		return fmt.Errorf("service: algorithms: unknown algorithm %q", r.Algorithm)
 	}
 	if r.Scale < 0 {
 		return fmt.Errorf("service: negative scale %v", r.Scale)
@@ -451,10 +451,9 @@ type PredictResponse struct {
 // so it must not pay fmt's boxing and scratch allocations.
 func (s *Service) appendModelKey(b []byte, r PredictRequest, registryKey string) []byte {
 	name, eps := r.Algorithm, 0.0
-	if alg, err := algorithms.ByName(r.Algorithm); err == nil {
-		name = alg.Name()
-		switch alg.(type) {
-		case algorithms.PageRank, algorithms.TopKRanking:
+	if canonical, ok := algorithms.CanonicalName(r.Algorithm); ok {
+		name = canonical
+		if canonical == "PageRank" || canonical == "TopKRanking" {
 			eps = r.Epsilon
 		}
 	}
@@ -503,11 +502,6 @@ func (s *Service) appendModelKey(b []byte, r PredictRequest, registryKey string)
 	b = append(b, ",o"...)
 	b = strconv.AppendUint(b, s.oracleFP, 16)
 	return b
-}
-
-// modelKey is appendModelKey as a standalone string.
-func (s *Service) modelKey(r PredictRequest, registryKey string) string {
-	return string(s.appendModelKey(nil, r, registryKey))
 }
 
 // graphFor returns the requested dataset graph: the registry file at
@@ -573,8 +567,7 @@ func algorithmFor(name string, eps float64, n int) (algorithms.Algorithm, error)
 // The fit of a cache miss is shared across concurrent identical requests
 // (single-flight) and keeps running to completion even if ctx expires, so
 // the cache still warms; only the response is abandoned. The response's
-// slices are shared with the answer kept on the cached model: read-only to
-// the caller.
+// ModelFeatures is shared with the cached model: read-only to the caller.
 func (s *Service) Predict(ctx context.Context, req PredictRequest) (*PredictResponse, error) {
 	var resp PredictResponse
 	if err := s.predictInto(ctx, req, &resp); err != nil {
@@ -605,13 +598,9 @@ func (s *Service) predictInto(ctx context.Context, req PredictRequest, out *Pred
 	}
 
 	key := string(s.appendModelKey(make([]byte, 0, 192), req, registryKey))
-	tmpl, err := s.computePrediction(ctx, req, path, registryKey, key)
-	if err != nil {
+	if err := s.computePrediction(ctx, req, path, registryKey, key, out); err != nil {
 		return err
 	}
-	*out = *tmpl
-	// The deadline probability is per-request (deadline_seconds is in no
-	// key), derived from the shared template's distribution after the copy.
 	if req.DeadlineSeconds > 0 {
 		d := core.Distribution{
 			MeanSeconds:   out.SuperstepSeconds,
@@ -645,16 +634,16 @@ func requestError(ctx context.Context, doing string, err error, fallback int) *E
 }
 
 // computePrediction is everything past validation and key construction:
-// graph cache, model cache, answer template. It runs on the caller's
+// graph cache, model cache, extrapolation. It runs on the caller's
 // goroutine and waits under ctx; the two caches run their fills (dataset
 // load, fit) detached, so a request that gives up abandons only its
-// response. Every error it returns is an *Error. The response is immutable
-// (callers copy it), with ElapsedMillis left zero for the per-request
-// stamp.
-func (s *Service) computePrediction(ctx context.Context, req PredictRequest, path, registryKey, key string) (*PredictResponse, error) {
+// response. Every error it returns is an *Error. On success it overwrites
+// every field of out, leaving ElapsedMillis and ProbabilityOfDeadline zero
+// for the per-request stamps.
+func (s *Service) computePrediction(ctx context.Context, req PredictRequest, path, registryKey, key string, out *PredictResponse) error {
 	g, err := s.graphFor(ctx, req, path, registryKey)
 	if err != nil {
-		return nil, requestError(ctx, req.doing(), err, 400)
+		return requestError(ctx, req.doing(), err, 400)
 	}
 
 	model, hit, err := s.models.get(ctx, key, func() (*cachedModel, error) {
@@ -681,45 +670,35 @@ func (s *Service) computePrediction(ctx context.Context, req PredictRequest, pat
 		}
 		s.breakers.success(key)
 		s.checkpoint(key, fitted)
-		return &cachedModel{fitted: fitted}, nil
+		return newCachedModel(fitted), nil
 	})
 	if err != nil {
-		return nil, requestError(ctx, req.doing(), err, 500)
+		return requestError(ctx, req.doing(), err, 500)
 	}
 
-	// A repeated what-if query is a lookup: the answer assembled for these
-	// workers stands for as long as the key's observation epoch does. The
-	// epoch is read here, at the lookup, so an /observe acknowledged before
-	// this request was sent is always visible to it. The graph and model
-	// lookups above still ran, so LRU order, hit_ratio and every error path
-	// are what they were without the template.
-	if hit {
-		tmpl, dropped := model.template(req.Workers, s.observationEpoch(key))
-		s.templateInvalidations.Add(int64(dropped))
-		if tmpl != nil {
-			s.templateHits.Add(1)
-			s.countRegime(tmpl.BlendRegime)
-			return tmpl, nil
-		}
-		s.templateMisses.Add(1)
-	}
-
-	// Closed-loop blending: the key's observed actual runtimes (if any)
-	// select the regime and widen or tighten the interval. A key that has
-	// never been observed takes the plain extrapolation path, bit-identical
-	// to Extrapolate.
+	// Closed-loop blending: the key's observed runtimes select the regime.
+	// The window is read under obsMu after the model lookup, so an
+	// /observe acknowledged before this request was sent is always in it.
+	// A key never observed copies nothing and takes the plain
+	// extrapolation path, bit-identical to Extrapolate.
+	s.obsMu.RLock()
+	observed := slices.Clone(s.obs[key])
+	s.obsMu.RUnlock()
 	fitted := model.fitted
-	observed, epoch := s.observationsFor(key)
 	pred, err := fitted.ExtrapolateBlended(g, req.Workers, observed, core.DefaultObservationThreshold)
 	if err != nil {
-		return nil, &Error{Status: 500, Msg: err.Error()}
+		return &Error{Status: 500, Msg: err.Error()}
 	}
-	s.countRegime(pred.Runtime.Regime)
+	if pred.Runtime.Regime == core.RegimeInterpolation {
+		s.blendInterpolation.Add(1)
+	} else {
+		s.blendExtrapolation.Add(1)
+	}
 	workers := req.Workers
 	if workers == 0 {
 		workers = fitted.SampleWorkers
 	}
-	resp := &PredictResponse{
+	*out = PredictResponse{
 		Algorithm:           pred.Algorithm,
 		Dataset:             req.Dataset,
 		Iterations:          pred.Iterations,
@@ -727,6 +706,7 @@ func (s *Service) computePrediction(ctx context.Context, req PredictRequest, pat
 		PerIterationSeconds: pred.PerIterationSeconds,
 		RemoteMessageBytes:  pred.PredictedRemoteMessageBytes,
 		ModelR2:             pred.Model.R2(),
+		ModelFeatures:       model.features,
 		ModelKey:            key,
 		CacheHit:            hit,
 		Workers:             workers,
@@ -737,29 +717,7 @@ func (s *Service) computePrediction(ctx context.Context, req PredictRequest, pat
 		BlendRegime:         pred.Runtime.Regime,
 		Observations:        pred.Runtime.Observations,
 	}
-	for _, f := range pred.Model.SelectedFeatures() {
-		resp.ModelFeatures = append(resp.ModelFeatures, string(f))
-	}
-	// Whoever finds the template finds the model cached, so the copy kept
-	// says cache_hit even when this — the fitting — request's answer must
-	// not.
-	tmpl := resp
-	if !hit {
-		warm := *resp
-		warm.CacheHit = true
-		tmpl = &warm
-	}
-	s.templateInvalidations.Add(int64(model.keep(req.Workers, epoch, tmpl)))
-	return resp, nil
-}
-
-// countRegime tallies one answered prediction under its blend regime.
-func (s *Service) countRegime(regime string) {
-	if regime == core.RegimeInterpolation {
-		s.blendInterpolation.Add(1)
-	} else {
-		s.blendExtrapolation.Add(1)
-	}
+	return nil
 }
 
 // ceilSeconds converts a wait into a whole-second Retry-After hint, at
@@ -915,9 +873,8 @@ func (s *Service) Observe(ctx context.Context, req ObserveRequest) (*ObserveResp
 	if req.ModelKey == "" {
 		return nil, &Error{Status: 400, Msg: "service: missing model_key"}
 	}
-	if req.ActualSeconds <= 0 || math.IsNaN(req.ActualSeconds) || math.IsInf(req.ActualSeconds, 0) {
-		return nil, &Error{Status: 400, Msg: fmt.Sprintf(
-			"service: actual_seconds %v must be a positive finite number", req.ActualSeconds)}
+	if err := checkActualSeconds(req.ActualSeconds); err != nil {
+		return nil, &Error{Status: 400, Msg: err.Error()}
 	}
 	if req.Workers < 0 {
 		return nil, &Error{Status: 400, Msg: fmt.Sprintf("service: negative workers %d", req.Workers)}
@@ -942,46 +899,34 @@ func (s *Service) Observe(ctx context.Context, req ObserveRequest) (*ObserveResp
 	}, nil
 }
 
+// maxActualSeconds bounds an observed runtime at about 31.7 years, far
+// past any real run: accepted, values of ~1e200 s overflow the
+// interpolation refit's sums of squares and make every answer for the
+// key non-finite.
+const maxActualSeconds = 1e9
+
+// checkActualSeconds is the one check live /observe and history replay
+// share, so a log written before the bound cannot bring a value back.
+func checkActualSeconds(secs float64) error {
+	if !(secs > 0 && secs <= maxActualSeconds) {
+		return fmt.Errorf("service: actual_seconds %v out of (0, %g]", secs, float64(maxActualSeconds))
+	}
+	return nil
+}
+
 // recordObservation appends seconds to the key's in-memory observation
 // window, evicting the oldest past history.MaxObservationsPerKey, and
 // returns the window's new size.
 func (s *Service) recordObservation(key string, seconds float64) int {
 	s.obsMu.Lock()
 	defer s.obsMu.Unlock()
-	w := s.obs[key]
-	w.seconds = append(w.seconds, seconds)
-	if len(w.seconds) > history.MaxObservationsPerKey {
-		w.seconds = w.seconds[len(w.seconds)-history.MaxObservationsPerKey:]
+	w := append(s.obs[key], seconds)
+	if len(w) > history.MaxObservationsPerKey {
+		w = w[len(w)-history.MaxObservationsPerKey:]
 	}
-	// The bump is what invalidates the key's answer templates: it happens
-	// under the same lock as the append, before the observation is
-	// acknowledged, so no prediction that starts after the acknowledgement
-	// can find a template from before it.
-	w.epoch++
 	s.obs[key] = w
 	s.observations.Add(1)
-	return len(w.seconds)
-}
-
-// observationsFor returns a copy of the key's observation window (nil
-// when the key has never been observed — the common warm-path case,
-// which must not allocate) and the epoch that window belongs to.
-func (s *Service) observationsFor(key string) ([]float64, uint64) {
-	s.obsMu.RLock()
-	defer s.obsMu.RUnlock()
-	w := s.obs[key]
-	if len(w.seconds) == 0 {
-		return nil, w.epoch
-	}
-	return append([]float64(nil), w.seconds...), w.epoch
-}
-
-// observationEpoch returns the model key's current observation epoch
-// (zero for a key never observed) without copying its window.
-func (s *Service) observationEpoch(key string) uint64 {
-	s.obsMu.RLock()
-	defer s.obsMu.RUnlock()
-	return s.obs[key].epoch
+	return len(w)
 }
 
 // ActiveWork reports how many admitted prediction-work requests are
@@ -1037,18 +982,15 @@ func (s *Service) Models() []ModelInfo {
 	entries := s.models.snapshot()
 	out := make([]ModelInfo, 0, len(entries))
 	for _, e := range entries {
-		info := ModelInfo{
+		out = append(out, ModelInfo{
 			Key:        e.key,
 			Algorithm:  e.val.fitted.Algorithm,
 			Iterations: e.val.fitted.Iterations,
 			R2:         e.val.fitted.Model.R2(),
+			Features:   e.val.features,
 			Hits:       e.hits,
 			AgeSeconds: time.Since(e.added).Seconds(),
-		}
-		for _, f := range e.val.fitted.Model.SelectedFeatures() {
-			info.Features = append(info.Features, string(f))
-		}
-		out = append(out, info)
+		})
 	}
 	return out
 }
@@ -1120,19 +1062,9 @@ type Stats struct {
 	Observations int64 `json:"observations"`
 	ObservedKeys int   `json:"observed_keys"`
 	// BlendExtrapolation/BlendInterpolation tally predictions answered by
-	// each closed-loop regime, template hit or not.
+	// each closed-loop regime.
 	BlendExtrapolation int64 `json:"blend_extrapolation"`
 	BlendInterpolation int64 `json:"blend_interpolation"`
-	// TemplateHits counts warm predictions answered from the answer
-	// template kept on the cached model for (workers, observation epoch);
-	// TemplateMisses the warm predictions that had to assemble one (first
-	// query at a worker count, first after an /observe, or past the
-	// per-model bound); TemplateInvalidations the templates dropped because
-	// an observation superseded their epoch. Cold fits count as neither hit
-	// nor miss.
-	TemplateHits          int64 `json:"template_hits"`
-	TemplateMisses        int64 `json:"template_misses"`
-	TemplateInvalidations int64 `json:"template_invalidations"`
 	// Goroutines and OpenFDs are process-level leak canaries the soak
 	// harness watches; OpenFDs is 0 where /proc is unavailable.
 	Goroutines int `json:"goroutines"`
@@ -1182,10 +1114,6 @@ func (s *Service) Stats() Stats {
 		Observations:       s.observations.Load(),
 		BlendExtrapolation: s.blendExtrapolation.Load(),
 		BlendInterpolation: s.blendInterpolation.Load(),
-
-		TemplateHits:          s.templateHits.Load(),
-		TemplateMisses:        s.templateMisses.Load(),
-		TemplateInvalidations: s.templateInvalidations.Load(),
 
 		Goroutines: runtime.NumGoroutine(),
 		OpenFDs:    openFDs(),
@@ -1245,7 +1173,7 @@ func (s *Service) SaveHistory(path string) (int, error) {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		for _, secs := range s.obs[k].seconds {
+		for _, secs := range s.obs[k] {
 			records = append(records, history.NewObservation(k, secs, 0))
 		}
 	}
@@ -1260,10 +1188,12 @@ func (s *Service) SaveHistory(path string) (int, error) {
 }
 
 // WarmFromHistory loads "model" records from a history file and refits
-// them into the cache (cheap regression refits; no sample runs). Missing
-// files are not an error, and individually unreadable records are skipped
-// rather than aborting the warm-up; the skipped count reports them so
-// operators can decide whether overwriting the file loses data. A torn
+// them into the cache (cheap regression refits; no sample runs), and
+// replays "observation" records into the feedback windows. Missing files
+// are not an error, and individually unreadable records — and
+// observations a live /observe would reject (checkActualSeconds) — are
+// skipped rather than aborting the warm-up; the skipped count reports
+// them so operators can decide whether overwriting the file loses data. A torn
 // trailing record (crash mid-append) is recovered, counted in /stats as
 // torn_records_recovered, and does not prevent the complete records from
 // warming the cache.
@@ -1282,8 +1212,12 @@ func (s *Service) WarmFromHistory(path string) (warmed, skipped int, err error) 
 		if rec.Observation != nil {
 			// Feedback survives restarts: the log's observation records
 			// (already capped per key by compaction) rebuild the in-memory
-			// windows in log order.
-			s.recordObservation(rec.Observation.ModelKey, rec.Observation.ActualSeconds)
+			// windows in log order, under the bound a live /observe checks.
+			if checkActualSeconds(rec.Observation.ActualSeconds) == nil {
+				s.recordObservation(rec.Observation.ModelKey, rec.Observation.ActualSeconds)
+			} else {
+				skipped++
+			}
 			continue
 		}
 		if rec.Model == nil {
@@ -1294,7 +1228,7 @@ func (s *Service) WarmFromHistory(path string) (warmed, skipped int, err error) 
 			skipped++
 			continue
 		}
-		s.models.put(rec.Model.Key, &cachedModel{fitted: fitted})
+		s.models.put(rec.Model.Key, newCachedModel(fitted))
 		warmed++
 	}
 	s.histMu.Lock()

@@ -29,6 +29,11 @@ func testRequest() PredictRequest {
 	}
 }
 
+// modelKey is appendModelKey as a standalone string.
+func (s *Service) modelKey(r PredictRequest, registryKey string) string {
+	return string(s.appendModelKey(nil, r, registryKey))
+}
+
 func newTestServer(t *testing.T, cfg Config) (*Service, *httptest.Server) {
 	t.Helper()
 	svc := New(cfg)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
@@ -22,18 +23,20 @@ import (
 	"predict/internal/history"
 )
 
-// templateHitAllocs is the pinned allocation count of a template-hit
-// Service.Predict (measured: 11). What is left is the request path around
-// the lookup — the model key string, the graph-cache key, the fill
+// warmPredictAllocs is the pinned allocation count of a warm
+// Service.Predict (measured: 11). Every answer is computed from the cached
+// model: the prediction and its per-iteration prices, plus the request
+// path around it — the model key string, the graph-cache key, the fill
 // closures the two cache lookups are handed (each with the request it
-// captures) and the returned response — none of it sized by the graph, the
-// training rows or the iteration count.
-const templateHitAllocs = 11
+// captures) and the returned response. None of it is sized by the graph
+// or the training rows; the full-scale vectors are scaled into one
+// reused buffer.
+const warmPredictAllocs = 11
 
-// TestTemplateHitAllocs pins the allocation cost of a template-hit
+// TestWarmPredictAllocs pins the allocation cost of a warm
 // Service.Predict under predictd's default configuration — the path every
 // repeated what-if query takes in production.
-func TestTemplateHitAllocs(t *testing.T) {
+func TestWarmPredictAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
@@ -45,26 +48,93 @@ func TestTemplateHitAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	const runs = 200
-	before := svc.Stats()
 	allocs := testing.AllocsPerRun(runs, func() {
 		if _, err := svc.Predict(ctx, req); err != nil {
 			t.Fatal(err)
 		}
 	})
-	after := svc.Stats()
-	// AllocsPerRun calls the function once more to warm up.
-	if hits := after.TemplateHits - before.TemplateHits; hits != runs+1 {
-		t.Fatalf("%d of %d measured predictions were template hits", hits, runs+1)
+	if fits := svc.Stats().Fits; fits != 1 {
+		t.Fatalf("%d fits: the measured predictions were not all warm", fits)
 	}
-	if allocs > templateHitAllocs {
-		t.Errorf("template-hit Service.Predict allocates %v times, pinned at %d", allocs, templateHitAllocs)
+	t.Logf("warm Service.Predict: %v allocations", allocs)
+	if allocs > warmPredictAllocs {
+		t.Errorf("warm Service.Predict allocates %v times, pinned at %d", allocs, warmPredictAllocs)
+	}
+}
+
+// TestInterpolatedPredictAllocsFlat pins that an interpolated answer
+// costs the same allocations at any window size: the refit takes the
+// window as sufficient statistics, not as one training row per observed
+// iteration. Each measured prediction is the first after an /observe, so
+// it is computed on the window just extended. A single call is measured
+// at a time, so each size keeps the least of five measurements: whatever
+// else the process allocates meanwhile only adds.
+func TestInterpolatedPredictAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	svc := New(Config{})
+	ctx := context.Background()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const tries = 5
+	// observeAndPredict observes one more runtime on req's key, which
+	// then holds n, and returns the allocations of the next prediction.
+	observeAndPredict := func(req PredictRequest, key string, secs float64, n int) uint64 {
+		if _, err := svc.Observe(ctx, ObserveRequest{ModelKey: key, ActualSeconds: secs}); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp, err := svc.Predict(ctx, req)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.BlendRegime != core.RegimeInterpolation || resp.Observations != n {
+			t.Fatalf("%s regime on %d observations, want interpolation on %d", resp.BlendRegime, resp.Observations, n)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	// Five keys (PageRank at five tolerances, sharing one graph and its
+	// samples) each measured at the threshold, and one of them again
+	// after its window filled and rolled over.
+	low, full := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	var req PredictRequest
+	var key string
+	var secs float64
+	for k := 0; k < tries; k++ {
+		req = testRequest()
+		req.Epsilon = 0.01 * float64(k+1)
+		first, err := svc.Predict(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, secs = first.ModelKey, first.SuperstepSeconds*1.2
+		for n := 1; n < core.DefaultObservationThreshold; n++ {
+			if _, err := svc.Observe(ctx, ObserveRequest{ModelKey: key, ActualSeconds: secs * (1 + 0.01*float64(n))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		low = min(low, observeAndPredict(req, key, secs, core.DefaultObservationThreshold))
+	}
+	for n := core.DefaultObservationThreshold + 1; n < history.MaxObservationsPerKey+tries; n++ {
+		m := observeAndPredict(req, key, secs*(1+0.01*float64(n%7)), min(n, history.MaxObservationsPerKey))
+		if n >= history.MaxObservationsPerKey {
+			full = min(full, m)
+		}
+	}
+	t.Logf("interpolated Service.Predict: %d allocations at %d observations, %d at %d",
+		low, core.DefaultObservationThreshold, full, history.MaxObservationsPerKey)
+	if full != low {
+		t.Errorf("interpolated Service.Predict allocates %d times at %d observations but %d at %d: the cost grows with the window",
+			low, core.DefaultObservationThreshold, full, history.MaxObservationsPerKey)
 	}
 }
 
 // handlerWarmAllocs is the pinned allocation count of a warm POST /predict
 // through Service.Handler() (measured: 30; benchmark/ measures the same
 // call over its mix of warm keys as service.handler_warm_allocs and reads
-// 31.5): the templateHitAllocs of Service.Predict
+// 31.5): the warmPredictAllocs of Service.Predict
 // plus decoding the request body (json.Decoder, its parse stack, the
 // request's strings and training ratios), the request's deadline context
 // with its timer, and the two response header values. The pin sits within
@@ -83,7 +153,7 @@ func (d *discardResponse) WriteHeader(status int)      { d.status = status }
 func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
 
 // TestHandlerWarmAllocs pins the allocation cost of a warm /predict from
-// the handler down — admission gate, pooled codec, template hit, encode —
+// the handler down — admission gate, pooled codec, extrapolation, encode —
 // under predictd's default configuration, with the request, its body and
 // the response writer reused so none of the test's own machinery counts.
 func TestHandlerWarmAllocs(t *testing.T) {
@@ -112,12 +182,9 @@ func TestHandlerWarmAllocs(t *testing.T) {
 	}
 	serve() // cold: fits
 	const runs = 200
-	before := svc.Stats()
 	allocs := testing.AllocsPerRun(runs, serve)
-	after := svc.Stats()
-	// AllocsPerRun calls the function once more to warm up.
-	if hits := after.TemplateHits - before.TemplateHits; hits != runs+1 {
-		t.Fatalf("%d of %d measured requests were template hits", hits, runs+1)
+	if fits := svc.Stats().Fits; fits != 1 {
+		t.Fatalf("%d fits: the measured requests were not all warm", fits)
 	}
 	t.Logf("warm POST /predict: %v allocations", allocs)
 	if allocs > handlerWarmAllocs {
@@ -125,19 +192,17 @@ func TestHandlerWarmAllocs(t *testing.T) {
 	}
 }
 
-// TestTemplateStats pins the /stats bookkeeping around the templates:
-// hits, misses and invalidations count what they say; the blend regime
-// tallies keep counting one per answered prediction, hit or miss; and a
-// template hit is still a model-cache hit that refreshes the model's LRU
-// position, so hit_ratio and eviction order are what they were without
-// templates.
-func TestTemplateStats(t *testing.T) {
+// TestWarmPredictStats pins the /stats bookkeeping of warm answers: the
+// blend regime tallies count one per answered prediction; an observation
+// is in the very next prediction; and a warm prediction is a model-cache
+// hit that refreshes the model's LRU position.
+func TestWarmPredictStats(t *testing.T) {
 	svc := New(Config{MaxModels: 2})
 	ctx := context.Background()
 	a, b, c := testRequest(), testRequest(), testRequest()
 	b.SampleSeed, c.SampleSeed = 2, 3
 
-	first, err := svc.Predict(ctx, a) // cold: fits, and keeps the answer
+	first, err := svc.Predict(ctx, a) // cold: fits
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,14 +213,10 @@ func TestTemplateStats(t *testing.T) {
 	}
 	a16 := a
 	a16.Workers = 16
-	if _, err := svc.Predict(ctx, a16); err != nil { // warm, but a new worker count
+	if _, err := svc.Predict(ctx, a16); err != nil { // warm, at another worker count
 		t.Fatal(err)
 	}
 	st := svc.Stats()
-	if st.TemplateHits != 3 || st.TemplateMisses != 1 || st.TemplateInvalidations != 0 {
-		t.Errorf("templates hits/misses/invalidations = %d/%d/%d, want 3/1/0",
-			st.TemplateHits, st.TemplateMisses, st.TemplateInvalidations)
-	}
 	if st.BlendExtrapolation != 5 || st.BlendInterpolation != 0 {
 		t.Errorf("blend tallies = %d/%d, want one per answered prediction (5/0)",
 			st.BlendExtrapolation, st.BlendInterpolation)
@@ -164,8 +225,6 @@ func TestTemplateStats(t *testing.T) {
 		t.Errorf("model cache hits/misses/ratio = %d/%d/%v, want 4/1/0.8", st.Hits, st.Misses, st.HitRatio)
 	}
 
-	// One observation supersedes both held answers; the next prediction
-	// drops them, misses, and reports the observation.
 	if _, err := svc.Observe(ctx, ObserveRequest{ModelKey: first.ModelKey, ActualSeconds: first.SuperstepSeconds}); err != nil {
 		t.Fatal(err)
 	}
@@ -176,13 +235,8 @@ func TestTemplateStats(t *testing.T) {
 	if after.Observations != 1 {
 		t.Errorf("prediction after an observation reports %d observations, want 1", after.Observations)
 	}
-	st = svc.Stats()
-	if st.TemplateHits != 3 || st.TemplateMisses != 2 || st.TemplateInvalidations != 2 {
-		t.Errorf("after an observation: hits/misses/invalidations = %d/%d/%d, want 3/2/2",
-			st.TemplateHits, st.TemplateMisses, st.TemplateInvalidations)
-	}
 
-	// LRU touch: with a and b cached, a template hit on a makes b the
+	// LRU touch: with a and b cached, a warm prediction on a makes b the
 	// eviction victim when c arrives.
 	if _, err := svc.Predict(ctx, b); err != nil {
 		t.Fatal(err)
@@ -190,51 +244,14 @@ func TestTemplateStats(t *testing.T) {
 	if _, err := svc.Predict(ctx, a); err != nil {
 		t.Fatal(err)
 	}
-	if got := svc.Stats().TemplateHits; got != 4 {
-		t.Fatalf("template hits = %d, want 4", got)
-	}
 	if _, err := svc.Predict(ctx, c); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := svc.models.peek(first.ModelKey); !ok {
-		t.Error("a template hit did not refresh the model's LRU position: the model was evicted")
+		t.Error("a warm prediction did not refresh the model's LRU position: the model was evicted")
 	}
 	if _, ok := svc.models.peek(svc.modelKey(b.withDefaults(), "")); ok {
 		t.Error("the least recently used model survived the eviction")
-	}
-}
-
-// TestTemplatesBoundedPerModel pins the constant bound on distinct worker
-// counts per model: past it predictions are still right, just assembled
-// per request, and the counts already held keep hitting.
-func TestTemplatesBoundedPerModel(t *testing.T) {
-	svc := New(Config{})
-	ctx := context.Background()
-	req := testRequest()
-	answers := map[int]float64{}
-	for pass := 0; pass < 2; pass++ {
-		for w := 1; w <= maxTemplatesPerModel+8; w++ {
-			req.Workers = w
-			resp, err := svc.Predict(ctx, req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pass == 0 {
-				answers[w] = resp.SuperstepSeconds
-			} else if resp.SuperstepSeconds != answers[w] {
-				t.Fatalf("workers=%d: second answer %v differs from the first %v", w, resp.SuperstepSeconds, answers[w])
-			}
-		}
-	}
-	m, ok := svc.models.peek(svc.modelKey(req.withDefaults(), ""))
-	if !ok {
-		t.Fatal("model not cached")
-	}
-	if n := len(m.templates); n != maxTemplatesPerModel {
-		t.Errorf("model holds %d templates, want the bound %d", n, maxTemplatesPerModel)
-	}
-	if st := svc.Stats(); st.TemplateHits != maxTemplatesPerModel {
-		t.Errorf("template hits = %d, want %d (the held counts on the second pass)", st.TemplateHits, maxTemplatesPerModel)
 	}
 }
 
@@ -292,16 +309,16 @@ func (o *modelOracle) restart() {
 	}
 }
 
-// TestTemplateInvalidationSequences is the model-based test of the answer
-// templates: seeded random sequences of predict, observe, LRU eviction
-// with refit, and SaveHistory + WarmFromHistory restarts over 3 keys x 4
-// worker counts. Every response must equal — apart from elapsed_ms — the
-// answer composed directly from Fitted.ExtrapolateBlended on the key's
-// current observation window, through the threshold crossing at 5 and
-// the window rolling over at 64. A template served one observation late,
-// or surviving an eviction or a restart it should not, shows up as a
+// TestPredictSequencesMatchBlend is the model-based test of the warm
+// path: seeded random sequences of predict, observe, LRU eviction with
+// refit, and SaveHistory + WarmFromHistory restarts over 3 keys x 4 worker
+// counts. Every response must equal — apart from elapsed_ms — the answer
+// composed directly from Fitted.ExtrapolateBlended on the key's current
+// observation window, through the threshold crossing at 5 and the window
+// rolling over at 64. An answer computed one observation late, or a
+// window surviving an eviction or a restart it should not, shows up as a
 // field mismatch.
-func TestTemplateInvalidationSequences(t *testing.T) {
+func TestPredictSequencesMatchBlend(t *testing.T) {
 	seed := chaosSeed(t)
 	rng := rand.New(rand.NewPCG(seed, 0x7e3a))
 	ctx := context.Background()
@@ -386,7 +403,7 @@ func TestTemplateInvalidationSequences(t *testing.T) {
 		return 2
 	}
 	var restarts, observed404 int
-	var carried Stats // counters of the services already restarted away
+	var evictions int64 // summed over the services restarted away
 	const steps = 1500
 	for step := 0; step < steps; step++ {
 		switch r := rng.IntN(100); {
@@ -428,11 +445,7 @@ func TestTemplateInvalidationSequences(t *testing.T) {
 			if _, err := svc.SaveHistory(histPath); err != nil {
 				t.Fatalf("step %d: SaveHistory: %v", step, err)
 			}
-			st := svc.Stats()
-			carried.TemplateHits += st.TemplateHits
-			carried.TemplateMisses += st.TemplateMisses
-			carried.TemplateInvalidations += st.TemplateInvalidations
-			carried.Evictions += st.Evictions
+			evictions += svc.Stats().Evictions
 			svc = New(cfg)
 			if _, skipped, err := svc.WarmFromHistory(histPath); err != nil || skipped != 0 {
 				t.Fatalf("step %d: WarmFromHistory: %d skipped, %v", step, skipped, err)
@@ -443,14 +456,10 @@ func TestTemplateInvalidationSequences(t *testing.T) {
 	}
 
 	// The sequence must have reached the states it exists to test.
-	st := svc.Stats()
-	hits := carried.TemplateHits + st.TemplateHits
-	misses := carried.TemplateMisses + st.TemplateMisses
-	invalidations := carried.TemplateInvalidations + st.TemplateInvalidations
-	evictions := carried.Evictions + st.Evictions
-	if hits == 0 || misses == 0 || invalidations == 0 || evictions == 0 || restarts == 0 || observed404 == 0 {
-		t.Errorf("seed %d left a state unvisited: %d template hits, %d misses, %d invalidations, %d evictions, %d restarts, %d observes on evicted keys",
-			seed, hits, misses, invalidations, evictions, restarts, observed404)
+	evictions += svc.Stats().Evictions
+	if evictions == 0 || restarts == 0 || observed404 == 0 {
+		t.Errorf("seed %d left a state unvisited: %d evictions, %d restarts, %d observes on evicted keys",
+			seed, evictions, restarts, observed404)
 	}
 	if n := len(oracle.windows[0]); n != history.MaxObservationsPerKey {
 		t.Errorf("seed %d: key 0's window holds %d observations, want it rolled over at %d",
@@ -458,11 +467,11 @@ func TestTemplateInvalidationSequences(t *testing.T) {
 	}
 }
 
-// TestObserveVisibleToNextPredict is the -race test of the invalidation
+// TestObserveVisibleToNextPredict is the -race test of the request-path
 // ordering: with observers and predictors hammering one key, a predict
 // sent after an /observe was acknowledged never reports fewer
-// observations than that acknowledgement — no template from before the
-// acknowledgement may answer it.
+// observations than that acknowledgement — it reads the window under the
+// lock the acknowledged append released.
 func TestObserveVisibleToNextPredict(t *testing.T) {
 	svc := New(Config{})
 	ctx := context.Background()
@@ -552,26 +561,23 @@ func collected(done <-chan struct{}) bool {
 	return false
 }
 
-// TestTemplatesDieWithTheirOwners pins who owns what. The templates live
-// on the model-cache entry, so a model the LRU evicts is collectable with
-// every answer assembled from it — nothing at service level references
-// either. And a template holds numbers and strings only: a graph the
-// graph LRU evicts is collectable while the answers computed on it are
-// still being served.
-func TestTemplatesDieWithTheirOwners(t *testing.T) {
+// TestEvictedModelsAndGraphsAreCollectable pins who owns what. A model
+// the model LRU evicts is collectable — nothing at service level
+// references it. And an answer holds numbers and strings only: a graph
+// the graph LRU evicts is collectable while the models fitted on it keep
+// answering for other graphs.
+func TestEvictedModelsAndGraphsAreCollectable(t *testing.T) {
 	svc := New(Config{MaxModels: 1, MaxGraphs: 1})
 	ctx := context.Background()
 	wiki := testRequest()
+	var answers []*PredictResponse // held, as a client would
 	for _, workers := range []int{0, 4, 8} {
 		wiki.Workers = workers
-		for i := 0; i < 2; i++ { // the second is served from the template
-			if _, err := svc.Predict(ctx, wiki); err != nil {
-				t.Fatal(err)
-			}
+		resp, err := svc.Predict(ctx, wiki)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if hits := svc.Stats().TemplateHits; hits != 3 {
-		t.Fatalf("%d template hits, want 3", hits)
+		answers = append(answers, resp)
 	}
 
 	key := svc.modelKey(wiki.withDefaults(), "")
@@ -590,8 +596,7 @@ func TestTemplatesDieWithTheirOwners(t *testing.T) {
 		runtime.SetFinalizer(g, func(any) { close(graphGone) })
 	}()
 
-	// A request on another dataset evicts the graph; the wiki model and
-	// its templates stay, and keep answering without it.
+	// A request on another dataset evicts the graph; the wiki model stays.
 	lj := testRequest()
 	lj.Dataset = "LJ"
 	other := New(Config{}) // fits LJ elsewhere, so this service's model LRU is untouched
@@ -602,7 +607,7 @@ func TestTemplatesDieWithTheirOwners(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !collected(graphGone) {
-		t.Error("the evicted graph is still reachable while its model's templates are cached")
+		t.Error("the evicted graph is still reachable while its model and answers are held")
 	}
 
 	// Fitting LJ here evicts the wiki model.
@@ -613,6 +618,7 @@ func TestTemplatesDieWithTheirOwners(t *testing.T) {
 		t.Fatal("wiki model survived a MaxModels=1 eviction")
 	}
 	if !collected(modelGone) {
-		t.Error("the evicted model is still reachable: something outside the model cache references it or its templates")
+		t.Error("the evicted model is still reachable: something outside the model cache references it")
 	}
+	runtime.KeepAlive(answers)
 }
