@@ -30,51 +30,51 @@ import (
 //
 // and paste the printed table (then justify the change in DESIGN.md §7).
 var determinismPins = map[string]string{
-	"CC/s1/w1":         "4ed1ceb8116842ce 74b4429a2fdd70e5",
-	"CC/s1/w2":         "9bf0126c8e66965d 74b4429a2fdd70e5",
-	"CC/s1/w7":         "07bfb2452008971a 74b4429a2fdd70e5",
-	"CC/s1234567/w1":   "6aa7b0a05e3941d8 74b4429a2fdd70e5",
-	"CC/s1234567/w2":   "9d8d69461e1446c8 74b4429a2fdd70e5",
-	"CC/s1234567/w7":   "1bca454b9d57aa6a 74b4429a2fdd70e5",
-	"CC/s42/w1":        "39240f85f1add252 74b4429a2fdd70e5",
-	"CC/s42/w2":        "70b4a65ee9276090 74b4429a2fdd70e5",
-	"CC/s42/w7":        "6d8d07209140fb7e 74b4429a2fdd70e5",
-	"NH/s1/w1":         "a73142289e57dc3e e52c8fc29dc7c331",
-	"NH/s1/w2":         "8c3e433f7a759dad e52c8fc29dc7c331",
-	"NH/s1/w7":         "55c43afb003a184b e52c8fc29dc7c331",
-	"NH/s1234567/w1":   "6125ea8394185708 e52c8fc29dc7c331",
-	"NH/s1234567/w2":   "394b93ab4eff4206 e52c8fc29dc7c331",
-	"NH/s1234567/w7":   "cb19c6e18b134714 e52c8fc29dc7c331",
-	"NH/s42/w1":        "2df239d262fbb07e e52c8fc29dc7c331",
-	"NH/s42/w2":        "fa1ba7cf432b2691 e52c8fc29dc7c331",
-	"NH/s42/w7":        "eda86d03b7f659b8 e52c8fc29dc7c331",
-	"PR/s1/w1":         "c119de650239e956 78ae1f8c95e0f6d1",
-	"PR/s1/w2":         "804763f1f1d1824f f804fa24c1ec6ac2",
-	"PR/s1/w7":         "ba49b940ca4b29db e71462b81cef4823",
-	"PR/s1234567/w1":   "d8fb9d89ec3a2f17 78ae1f8c95e0f6d1",
-	"PR/s1234567/w2":   "949b5d95cb7d748b f804fa24c1ec6ac2",
-	"PR/s1234567/w7":   "71ecfe2567424f5b e71462b81cef4823",
-	"PR/s42/w1":        "c0a4ae52ab8a503f 78ae1f8c95e0f6d1",
-	"PR/s42/w2":        "0c5d108757255e0e f804fa24c1ec6ac2",
-	"PR/s42/w7":        "4d7a53461551e711 e71462b81cef4823",
-	"SC/s1/w1":         "4724a5a2fc1f111f 0b56ce85454aec8b",
-	"SC/s1/w2":         "da303a2561822ef6 0b56ce85454aec8b",
-	"SC/s1/w7":         "90f847eb97f6e6d4 0b56ce85454aec8b",
-	"SC/s1234567/w1":   "e855f8ede6910828 0b56ce85454aec8b",
-	"SC/s1234567/w2":   "c2555fefcab6acdd 0b56ce85454aec8b",
-	"SC/s1234567/w7":   "b0e438ba63b77db0 0b56ce85454aec8b",
-	"SC/s42/w1":        "45a12c542c54e035 0b56ce85454aec8b",
-	"SC/s42/w2":        "3e78d518b8d0e0b7 0b56ce85454aec8b",
-	"SC/s42/w7":        "9af6a4cfb809550a 0b56ce85454aec8b",
-	"TOPK/s1/w1":       "0bb5f9fde6007f22 1abcded29a76d4c5",
-	"TOPK/s1/w2":       "8e7726f1a4c5db26 6016d63752edb3e5",
-	"TOPK/s1/w7":       "59448f7401d7ceb0 0f32e2e3cb06eb05",
-	"TOPK/s1234567/w1": "ca18ffa64d6ab713 1abcded29a76d4c5",
-	"TOPK/s1234567/w2": "f54bfbc37004c711 6016d63752edb3e5",
-	"TOPK/s1234567/w7": "d40eb8205fdc48c1 0f32e2e3cb06eb05",
-	"TOPK/s42/w1":      "8b621d55b5dcc34b 1abcded29a76d4c5",
-	"TOPK/s42/w2":      "8e1b35b5cf084fd1 6016d63752edb3e5",
-	"TOPK/s42/w7":      "82c6b66f0e804b36 0f32e2e3cb06eb05",
+	"CC/s1/w1":         "4b3cc7b4dc572d8e 74b4429a2fdd70e5",
+	"CC/s1/w2":         "fb3a9adeb6d7211d 74b4429a2fdd70e5",
+	"CC/s1/w7":         "9623dbbd4e29a67a 74b4429a2fdd70e5",
+	"CC/s1234567/w1":   "a1df3e6b50c1b298 74b4429a2fdd70e5",
+	"CC/s1234567/w2":   "cf8f35cc5b780688 74b4429a2fdd70e5",
+	"CC/s1234567/w7":   "9b40dacc81ceac0a 74b4429a2fdd70e5",
+	"CC/s42/w1":        "df37ad9f236a87f2 74b4429a2fdd70e5",
+	"CC/s42/w2":        "5981b6f773ead9d0 74b4429a2fdd70e5",
+	"CC/s42/w7":        "b57beae676359bde 74b4429a2fdd70e5",
+	"NH/s1/w1":         "34bf128e1d9fdefe e52c8fc29dc7c331",
+	"NH/s1/w2":         "3bb86d93cc4df3ad e52c8fc29dc7c331",
+	"NH/s1/w7":         "d72d8c1e0ef243ab e52c8fc29dc7c331",
+	"NH/s1234567/w1":   "9b2ed66ffb452ae8 e52c8fc29dc7c331",
+	"NH/s1234567/w2":   "5d11360274930046 e52c8fc29dc7c331",
+	"NH/s1234567/w7":   "828bcbfba56b08d4 e52c8fc29dc7c331",
+	"NH/s42/w1":        "749870fff7cbec9e e52c8fc29dc7c331",
+	"NH/s42/w2":        "3b3eddb2da1440d1 e52c8fc29dc7c331",
+	"NH/s42/w7":        "e10e32c870230c38 e52c8fc29dc7c331",
+	"PR/s1/w1":         "d7244763ff9f27f6 78ae1f8c95e0f6d1",
+	"PR/s1/w2":         "4157537a747a130f f804fa24c1ec6ac2",
+	"PR/s1/w7":         "c359a29cf636af1b e71462b81cef4823",
+	"PR/s1234567/w1":   "9dc07d6820ad3437 78ae1f8c95e0f6d1",
+	"PR/s1234567/w2":   "1e9fde83f6abcccb f804fa24c1ec6ac2",
+	"PR/s1234567/w7":   "465564194cc7d87b e71462b81cef4823",
+	"PR/s42/w1":        "105170606c7dc21f 78ae1f8c95e0f6d1",
+	"PR/s42/w2":        "f70335a1142dbe8e f804fa24c1ec6ac2",
+	"PR/s42/w7":        "c4a582465af72871 e71462b81cef4823",
+	"SC/s1/w1":         "f84ef1343b9b7fbf 0b56ce85454aec8b",
+	"SC/s1/w2":         "3b6810590d7939d6 0b56ce85454aec8b",
+	"SC/s1/w7":         "cfcf650f12a43294 0b56ce85454aec8b",
+	"SC/s1234567/w1":   "e8d18c4d1aa29bc8 0b56ce85454aec8b",
+	"SC/s1234567/w2":   "452e7e94000397bd 0b56ce85454aec8b",
+	"SC/s1234567/w7":   "fc94d6f87cd09690 0b56ce85454aec8b",
+	"SC/s42/w1":        "39c08b258a4214f5 0b56ce85454aec8b",
+	"SC/s42/w2":        "8b74e8f3583dc2d7 0b56ce85454aec8b",
+	"SC/s42/w7":        "e0360629d43bb24a 0b56ce85454aec8b",
+	"TOPK/s1/w1":       "a204cd653dd16682 1abcded29a76d4c5",
+	"TOPK/s1/w2":       "306a7c68c2f09ac6 6016d63752edb3e5",
+	"TOPK/s1/w7":       "2b19a4ccc5dfd9d0 0f32e2e3cb06eb05",
+	"TOPK/s1234567/w1": "d001170f2de81433 1abcded29a76d4c5",
+	"TOPK/s1234567/w2": "2d3d40652f87bd71 6016d63752edb3e5",
+	"TOPK/s1234567/w7": "1167ed2dcf8b0021 0f32e2e3cb06eb05",
+	"TOPK/s42/w1":      "c88bdeca229a00eb 1abcded29a76d4c5",
+	"TOPK/s42/w2":      "9857c75063b1aab1 6016d63752edb3e5",
+	"TOPK/s42/w7":      "9cadb4d1028dcc56 0f32e2e3cb06eb05",
 }
 
 // determinismGraph builds a fixed 150-vertex graph with mixed degrees: a

@@ -28,8 +28,6 @@ type NeighborhoodEstimation struct {
 	Tau float64
 	// MaxIterations caps the run; zero selects 100.
 	MaxIterations int
-	// HashSeed perturbs the per-vertex sketch initialization.
-	HashSeed uint64
 }
 
 // NewNeighborhoodEstimation returns the default configuration (τ=0.001).
@@ -67,7 +65,7 @@ func (n NeighborhoodEstimation) RunEstimates(g *graph.Graph, cfg bsp.Config) (*R
 	} else if cfg.MaxSupersteps == 0 {
 		cfg.MaxSupersteps = 100
 	}
-	prog := &nhProgram{seed: n.HashSeed}
+	prog := &nhProgram{}
 	eng := bsp.NewEngine[nhValue, nhMsg](g.Reverse(), prog, cfg)
 	// A vertex needs only the union of the Flajolet–Martin sketches it
 	// was sent.
@@ -100,9 +98,7 @@ func (n NeighborhoodEstimation) RunEstimates(g *graph.Graph, cfg bsp.Config) (*R
 
 const aggNHChanged = "nh.changed"
 
-type nhProgram struct {
-	seed uint64
-}
+type nhProgram struct{}
 
 // splitmix64 is the standard avalanche mixer used for per-vertex hashes.
 func splitmix64(x uint64) uint64 {
@@ -115,7 +111,7 @@ func splitmix64(x uint64) uint64 {
 func (np *nhProgram) Init(_ *graph.Graph, id bsp.VertexID) nhValue {
 	var v nhValue
 	for s := 0; s < nhSketches; s++ {
-		h := splitmix64(uint64(id)<<8 | uint64(s) ^ np.seed)
+		h := splitmix64(uint64(id)<<8 | uint64(s))
 		// Geometric bit position: trailing zeros gives P(pos = k) = 2^-(k+1).
 		pos := bits.TrailingZeros64(h)
 		if pos > 62 {

@@ -252,17 +252,12 @@ func (e *Engine[V, M]) Run() (*Result[V], error) {
 		loads := make([]cluster.WorkerLoad, W)
 		workerSecs := make([]float64, W)
 		var total cluster.WorkerLoad
-		var msgBytesInMemory int64
+		var msgBytes int64
 		for w := 0; w < W; w++ {
 			loads[w] = contexts[w].load
 			// Serialized footprint: payload plus a fixed per-message
-			// envelope. Anything over the spill threshold goes to disk.
-			footprint := loads[w].MessageBytes() + 16*loads[w].Messages()
-			if t := oracle.SpillThresholdBytes; t > 0 && footprint > t {
-				loads[w].SpilledBytes = footprint - t
-				footprint = t
-			}
-			msgBytesInMemory += footprint
+			// envelope.
+			msgBytes += loads[w].MessageBytes() + 16*loads[w].Messages()
 			workerSecs[w] = oracle.WorkerSeconds(loads[w], rng)
 			total.Add(loads[w])
 		}
@@ -285,8 +280,7 @@ func (e *Engine[V, M]) Run() (*Result[V], error) {
 					valueBytes += int64(sizer.ValueBytes(values[i]))
 				}
 			}
-			// Spilled bytes live on disk, not in memory.
-			est := graphBytes + valueBytes + 2*msgBytesInMemory
+			est := graphBytes + valueBytes + 2*msgBytes
 			if est > oracle.MemoryBudgetBytes {
 				return &Result[V]{Values: values, Supersteps: step + 1, Profile: profile},
 					fmt.Errorf("%w: superstep %d needs ~%d MiB, budget %d MiB",

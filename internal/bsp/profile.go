@@ -134,7 +134,6 @@ func (p *Profile) Fingerprint() string {
 			wi(l.RemoteMessages)
 			wi(l.LocalMessageBytes)
 			wi(l.RemoteMessageBytes)
-			wi(l.SpilledBytes)
 		}
 		for _, s := range sp.WorkerSeconds {
 			wf(s)

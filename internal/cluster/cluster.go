@@ -35,11 +35,6 @@ type WorkerLoad struct {
 	// byte counts.
 	LocalMessageBytes  int64
 	RemoteMessageBytes int64
-	// SpilledBytes counts message bytes written to disk when the
-	// worker's in-memory message buffer overflows (§3.3: a candidate
-	// feature "if spilling occurs"; Giraph 0.1.0 could not spill, so the
-	// default oracle disables it).
-	SpilledBytes int64
 }
 
 // Add accumulates o into l.
@@ -50,7 +45,6 @@ func (l *WorkerLoad) Add(o WorkerLoad) {
 	l.RemoteMessages += o.RemoteMessages
 	l.LocalMessageBytes += o.LocalMessageBytes
 	l.RemoteMessageBytes += o.RemoteMessageBytes
-	l.SpilledBytes += o.SpilledBytes
 }
 
 // Messages returns total messages sent by the worker this superstep.
@@ -89,13 +83,6 @@ type CostOracle struct {
 	ReadPerEdge   float64
 	// WritePerVertex prices writing the output back.
 	WritePerVertex float64
-	// SpillThresholdBytes is the per-worker in-memory message buffer; a
-	// superstep whose message bytes exceed it spills the excess to disk
-	// at PerSpillByte seconds per byte. Zero disables spilling (Giraph
-	// 0.1.0 behaviour: it runs out of memory instead, see
-	// MemoryBudgetBytes).
-	SpillThresholdBytes int64
-	PerSpillByte        float64
 	// NoiseStdDev is the relative standard deviation of multiplicative
 	// noise applied to each worker's superstep time.
 	NoiseStdDev float64
@@ -144,8 +131,7 @@ func (o CostOracle) WorkerSeconds(l WorkerLoad, rng *rand.Rand) float64 {
 		o.PerLocalMessage*float64(l.LocalMessages) +
 		o.PerLocalByte*float64(l.LocalMessageBytes) +
 		o.PerRemoteMessage*float64(l.RemoteMessages) +
-		o.PerRemoteByte*float64(l.RemoteMessageBytes) +
-		o.PerSpillByte*float64(l.SpilledBytes)
+		o.PerRemoteByte*float64(l.RemoteMessageBytes)
 	if rng != nil && o.NoiseStdDev > 0 {
 		mul := 1 + o.NoiseStdDev*rng.NormFloat64()
 		if mul < 0.5 {

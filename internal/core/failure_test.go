@@ -71,7 +71,7 @@ func TestPredictModeVariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []features.Mode{
-		features.ModeCriticalShare, features.ModeMeanWorker, features.ModeTotals,
+		features.ModeCriticalShare, features.ModeMeanWorker,
 	} {
 		opts := testOptions(0.15)
 		opts.Mode = mode

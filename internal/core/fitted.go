@@ -31,9 +31,9 @@ type Fitted struct {
 	// IterFeatures holds the sample run's per-iteration feature vectors,
 	// mode-reduced at sample scale — the vectors Extrapolate scales up.
 	IterFeatures []features.IterationFeatures
-	// RemoteBytesPerIter holds the sample run's raw (ModeTotals) remote
-	// message bytes per iteration, extrapolated by eE for the Figure 6
-	// remote-bytes prediction.
+	// RemoteBytesPerIter holds the sample run's graph-level remote message
+	// bytes per iteration (not mode-reduced), extrapolated by eE for the
+	// Figure 6 remote-bytes prediction.
 	RemoteBytesPerIter []float64
 	// SampleVertices/SampleEdges are the sample graph's size, the
 	// denominators of the extrapolation factors eV and eE.

@@ -13,15 +13,11 @@ import (
 // full training matrix. key is the caller's canonical cache key, dataset a
 // free-form input label.
 func (f *Fitted) Record(key, dataset string) history.Record {
-	names := make([]string, len(features.Pool()))
-	for i, n := range features.Pool() {
-		names[i] = string(n)
-	}
 	rec := history.Record{
 		Algorithm:    f.Algorithm,
 		Dataset:      dataset,
 		Kind:         "model",
-		FeatureNames: names,
+		FeatureNames: features.Pool(),
 		Model: &history.ModelMeta{
 			Key:                   key,
 			SampleVertices:        f.SampleVertices,
@@ -64,6 +60,11 @@ func FittedFromRecord(rec history.Record) (*Fitted, error) {
 		return nil, err
 	}
 	meta := rec.Model
+	mode := features.Mode(meta.Mode)
+	if mode != features.ModeCriticalShare && mode != features.ModeMeanWorker {
+		return nil, fmt.Errorf("core: persisted model %q has feature mode %d, this build knows %d and %d",
+			meta.Key, meta.Mode, features.ModeCriticalShare, features.ModeMeanWorker)
+	}
 	opts := costmodel.Options{DisableSelection: meta.DisableSelection}
 	training := rowsToIters(meta.TrainingRows)
 	if len(training) == 0 {
@@ -88,7 +89,7 @@ func FittedFromRecord(rec history.Record) (*Fitted, error) {
 		ProfiledCriticalShare: meta.ProfiledCriticalShare,
 		SampleRunSeconds:      meta.SampleRunSeconds,
 		SampleWorkers:         meta.SampleWorkers,
-		Mode:                  features.Mode(meta.Mode),
+		Mode:                  mode,
 		TrainingRows:          training,
 		CostModel:             opts,
 	}, nil

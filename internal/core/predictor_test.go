@@ -249,7 +249,7 @@ func TestSignedRelativeError(t *testing.T) {
 // nothing: a second fit on the same graph reuses its sample family and
 // would flatter the number, so the graphs are generated (and their degree
 // artifacts warmed, as the service does at load) before measuring.
-// Measured ~1,660 (it was ~7,500 when sampling re-derived its seeds and
+// Measured ~1,170 (it was ~7,500 when sampling re-derived its seeds and
 // built subgraphs through a Builder, DESIGN.md §8): the ceiling catches a
 // per-vertex or per-edge allocation returning to sampling, induction or
 // the engine's setup, not a handful of new slices.

@@ -23,16 +23,10 @@ const (
 	LocMsgSize Name = "LocMsgSize" // bytes of local messages
 	RemMsgSize Name = "RemMsgSize" // bytes of remote messages
 	AvgMsgSize Name = "AvgMsgSize" // average message size (not extrapolated)
-	// SpillBytes counts message bytes spilled to disk. Giraph 0.1.0 could
-	// not spill (the paper's experiments therefore exclude it, §3.3), but
-	// the simulated cluster optionally can; the feature joins the pool so
-	// cost models remain valid under spilling — the paper's suggested
-	// extension.
-	SpillBytes Name = "SpillBytes"
 )
 
 // pool is the candidate features in canonical column order.
-var pool = [...]Name{ActVert, TotVert, LocMsg, RemMsg, LocMsgSize, RemMsgSize, AvgMsgSize, SpillBytes}
+var pool = [...]Name{ActVert, TotVert, LocMsg, RemMsg, LocMsgSize, RemMsgSize, AvgMsgSize}
 
 // PoolSize is the length of Pool() and of every Vector.
 const PoolSize = len(pool)
@@ -82,23 +76,17 @@ const (
 	ModeCriticalShare Mode = iota
 	// ModeMeanWorker scales totals by 1/workers, ignoring skew (ablation).
 	ModeMeanWorker
-	// ModeTotals uses raw graph-level totals (ablation).
-	ModeTotals
 )
 
 // shareFor returns the scaling factor a mode applies to totals.
 func shareFor(mode Mode, p *bsp.Profile) float64 {
-	switch mode {
-	case ModeCriticalShare:
+	if mode == ModeCriticalShare {
 		return p.CriticalShare()
-	case ModeMeanWorker:
-		if p.NumWorkers == 0 {
-			return 1
-		}
-		return 1 / float64(p.NumWorkers)
-	default:
+	}
+	if p.NumWorkers == 0 {
 		return 1
 	}
+	return 1 / float64(p.NumWorkers)
 }
 
 // FromProfile extracts one IterationFeatures per superstep of a profiled
@@ -120,7 +108,6 @@ func FromProfile(p *bsp.Profile, mode Mode) []IterationFeatures {
 		if msgs := tot.Messages(); msgs > 0 {
 			v[6] = float64(tot.MessageBytes()) / float64(msgs) // not share-scaled
 		}
-		v[7] = float64(tot.SpilledBytes) * share
 		out[i] = IterationFeatures{Vector: v, Seconds: sp.Seconds}
 	}
 	return out
@@ -157,5 +144,4 @@ func (s Scale) ApplyInto(dst, v Vector, share float64) {
 	dst[4] = v[4] * s.EE * share // LocMsgSize
 	dst[5] = v[5] * s.EE * share // RemMsgSize
 	dst[6] = v[6]                // AvgMsgSize: load-independent, not extrapolated
-	dst[7] = v[7] * s.EE * share // SpillBytes
 }

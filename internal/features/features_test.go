@@ -29,7 +29,7 @@ func sampleProfile() *bsp.Profile {
 }
 
 func TestPoolOrderStable(t *testing.T) {
-	want := []Name{ActVert, TotVert, LocMsg, RemMsg, LocMsgSize, RemMsgSize, AvgMsgSize, SpillBytes}
+	want := []Name{ActVert, TotVert, LocMsg, RemMsg, LocMsgSize, RemMsgSize, AvgMsgSize}
 	got := Pool()
 	if len(got) != len(want) {
 		t.Fatalf("Pool size %d, want %d", len(got), len(want))
@@ -51,30 +51,6 @@ func TestIndex(t *testing.T) {
 	}
 }
 
-func TestFromProfileTotalsMode(t *testing.T) {
-	fs := FromProfile(sampleProfile(), ModeTotals)
-	if len(fs) != 1 {
-		t.Fatalf("got %d iterations, want 1", len(fs))
-	}
-	v := fs[0].Vector
-	if v.Get(ActVert) != 100 {
-		t.Errorf("ActVert = %v, want 100", v.Get(ActVert))
-	}
-	if v.Get(RemMsg) != 400 {
-		t.Errorf("RemMsg = %v, want 400", v.Get(RemMsg))
-	}
-	if v.Get(RemMsgSize) != 3200 {
-		t.Errorf("RemMsgSize = %v, want 3200", v.Get(RemMsgSize))
-	}
-	// AvgMsgSize = total bytes / total msgs = 4800/600 = 8.
-	if v.Get(AvgMsgSize) != 8 {
-		t.Errorf("AvgMsgSize = %v, want 8", v.Get(AvgMsgSize))
-	}
-	if fs[0].Seconds != 2.5 {
-		t.Errorf("Seconds = %v, want 2.5", fs[0].Seconds)
-	}
-}
-
 func TestFromProfileCriticalShare(t *testing.T) {
 	p := sampleProfile()
 	fs := FromProfile(p, ModeCriticalShare)
@@ -90,17 +66,36 @@ func TestFromProfileCriticalShare(t *testing.T) {
 
 func TestFromProfileMeanWorker(t *testing.T) {
 	fs := FromProfile(sampleProfile(), ModeMeanWorker)
-	if got := fs[0].Vector.Get(ActVert); got != 50 {
+	if len(fs) != 1 {
+		t.Fatalf("got %d iterations, want 1", len(fs))
+	}
+	// Graph-level totals (ActVert 100, RemMsg 400, RemMsgSize 3200) over
+	// two workers.
+	v := fs[0].Vector
+	if got := v.Get(ActVert); got != 50 {
 		t.Errorf("ActVert = %v, want 50 (= 100/2)", got)
+	}
+	if got := v.Get(RemMsg); got != 200 {
+		t.Errorf("RemMsg = %v, want 200 (= 400/2)", got)
+	}
+	if got := v.Get(RemMsgSize); got != 1600 {
+		t.Errorf("RemMsgSize = %v, want 1600 (= 3200/2)", got)
+	}
+	// AvgMsgSize = total bytes / total msgs = 4800/600 = 8, not scaled.
+	if got := v.Get(AvgMsgSize); got != 8 {
+		t.Errorf("AvgMsgSize = %v, want 8", got)
+	}
+	if fs[0].Seconds != 2.5 {
+		t.Errorf("Seconds = %v, want 2.5", fs[0].Seconds)
 	}
 }
 
 func TestScaleApply(t *testing.T) {
 	s := Scale{EV: 10, EE: 20}
-	v := Vector{1, 2, 3, 4, 5, 6, 7, 8}
+	v := Vector{1, 2, 3, 4, 5, 6, 7}
 	out := make(Vector, len(v))
 	s.ApplyInto(out, v, 1)
-	want := Vector{10, 20, 60, 80, 100, 120, 7, 160}
+	want := Vector{10, 20, 60, 80, 100, 120, 7}
 	for i := range want {
 		if out[i] != want[i] {
 			t.Errorf("ApplyInto[%d] = %v, want %v", i, out[i], want[i])

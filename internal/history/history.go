@@ -36,9 +36,10 @@ type Record struct {
 	// records carry a fitted cache entry and "observation" records carry
 	// one observed actual runtime fed back through POST /observe.
 	Kind string `json:"kind"`
-	// FeatureNames fixes the column order of Iterations vectors, guarding
-	// against pool changes between writer and reader versions.
-	FeatureNames []string `json:"feature_names"`
+	// FeatureNames fixes the column order of Iterations vectors
+	// (features.Pool() at write time). A record whose names differ from
+	// this build's pool is refused, never migrated.
+	FeatureNames []features.Name `json:"feature_names"`
 	// Iterations holds one row per superstep: the feature vector followed
 	// by the simulated seconds.
 	Iterations []IterationRow `json:"iterations"`
@@ -134,15 +135,11 @@ type IterationRow struct {
 // FromRun converts a profiled run into a Record under the given feature
 // mode.
 func FromRun(ri *algorithms.RunInfo, dataset, kind string, mode features.Mode) Record {
-	names := make([]string, len(features.Pool()))
-	for i, n := range features.Pool() {
-		names[i] = string(n)
-	}
 	rec := Record{
 		Algorithm:    ri.Algorithm,
 		Dataset:      dataset,
 		Kind:         kind,
-		FeatureNames: names,
+		FeatureNames: features.Pool(),
 	}
 	for _, it := range features.FromProfile(ri.Profile, mode) {
 		rec.Iterations = append(rec.Iterations, IterationRow{
@@ -163,7 +160,7 @@ func (r Record) TrainingRun() (costmodel.TrainingRun, error) {
 			r.Dataset, len(r.FeatureNames), len(pool))
 	}
 	for i, n := range r.FeatureNames {
-		if n != string(pool[i]) {
+		if n != pool[i] {
 			return costmodel.TrainingRun{}, fmt.Errorf(
 				"history: record %q feature %d is %q, expected %q", r.Dataset, i, n, pool[i])
 		}

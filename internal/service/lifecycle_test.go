@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -73,6 +74,77 @@ func TestCheckpointOnFitAndWarmStart(t *testing.T) {
 	}
 	if warm.Stats().Fits != 0 {
 		t.Fatalf("warm-started service ran %d fits, want 0", warm.Stats().Fits)
+	}
+}
+
+// fittedModelRecord fits testRequest once and returns the model record
+// its checkpoint wrote.
+func fittedModelRecord(t *testing.T) history.Record {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "models.jsonl")
+	if _, err := New(Config{HistoryPath: path}).Predict(t.Context(), testRequest()); err != nil {
+		t.Fatal(err)
+	}
+	records, _, err := history.LoadFile(path)
+	if err != nil || len(records) != 1 || records[0].Model == nil {
+		t.Fatalf("checkpoint log holds %+v (err %v), want one model record", records, err)
+	}
+	return records[0]
+}
+
+// warmFrom writes records to a fresh log and warm-starts a service from it.
+func warmFrom(t *testing.T, records ...history.Record) (warmed, skipped int) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "models.jsonl")
+	if err := history.AppendFileSync(path, records...); err != nil {
+		t.Fatal(err)
+	}
+	warmed, skipped, err := New(Config{}).WarmFromHistory(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return warmed, skipped
+}
+
+// TestWarmFromHistoryRefusesEarlierSchema: a model record from a build
+// whose feature pool still ended in the always-zero SpillBytes column (8
+// names, 8-wide rows) is refused, not migrated: it warms nothing and is
+// counted as skipped, and its schema error names both widths.
+func TestWarmFromHistoryRefusesEarlierSchema(t *testing.T) {
+	rec := fittedModelRecord(t)
+	rec.FeatureNames = append(rec.FeatureNames, "SpillBytes")
+	for _, rows := range [][]history.IterationRow{rec.Iterations, rec.Model.TrainingRows} {
+		for i := range rows {
+			rows[i].Features = append(rows[i].Features, 0)
+		}
+	}
+	if warmed, skipped := warmFrom(t, rec); warmed != 0 || skipped != 1 {
+		t.Errorf("warm start from an 8-wide record: %d warmed, %d skipped; want 0 and 1", warmed, skipped)
+	}
+	_, err := rec.TrainingRun()
+	if err == nil || !strings.Contains(err.Error(), "8 features, this build expects 7") {
+		t.Errorf("TrainingRun of an 8-wide record: %v, want an error naming both widths", err)
+	}
+}
+
+// TestWarmFromHistoryRefusesUnknownMode: a persisted feature mode outside
+// the two this build has (critical share 0, mean worker 1) is skipped and
+// counted rather than warmed into a model that answers with share 1.
+func TestWarmFromHistoryRefusesUnknownMode(t *testing.T) {
+	rec := fittedModelRecord(t)
+	var records []history.Record
+	for _, mode := range []int{2, 7} {
+		meta := *rec.Model
+		meta.Mode = mode
+		r := rec
+		r.Model = &meta
+		records = append(records, r)
+	}
+	if warmed, skipped := warmFrom(t, records...); warmed != 0 || skipped != 2 {
+		t.Errorf("warm start from modes 2 and 7: %d warmed, %d skipped; want 0 and 2", warmed, skipped)
+	}
+	if warmed, skipped := warmFrom(t, rec); warmed != 1 || skipped != 0 {
+		t.Errorf("warm start from the unmodified record: %d warmed, %d skipped; want 1 and 0", warmed, skipped)
 	}
 }
 

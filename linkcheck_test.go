@@ -484,8 +484,21 @@ func TestConfigFieldsHaveFlags(t *testing.T) {
 }
 
 // optionStruct matches the names of the structs TestOptionFieldsAreSet
-// covers.
+// covers by name; parameterStructs lists the others it covers.
 var optionStruct = regexp.MustCompile(`(Options|Config|Policy)$`)
+
+// parameterStructs are the structs whose fields are settings without an
+// option name: the simulated cluster's prices, the per-worker counters the
+// engine fills, and each paper algorithm's parameters.
+var parameterStructs = map[string]bool{
+	"internal/cluster.CostOracle":                true,
+	"internal/cluster.WorkerLoad":                true,
+	"internal/algorithms.PageRank":               true,
+	"internal/algorithms.ConnectedComponents":    true,
+	"internal/algorithms.NeighborhoodEstimation": true,
+	"internal/algorithms.TopKRanking":            true,
+	"internal/algorithms.SemiClustering":         true,
+}
 
 // unsetOptionFields lists the option fields TestOptionFieldsAreSet lets
 // stay although no non-test file sets them, one reason each.
@@ -569,18 +582,21 @@ func checkModuleSources(t *testing.T) (map[string][]*ast.File, map[string]*types
 }
 
 // TestOptionFieldsAreSet holds every exported field of every exported
-// struct under internal/ whose name ends in Options, Config or Policy to a
-// caller in a non-test file of this module or of benchmark/ that sets it:
-// as a key of a composite literal of the type, or on the left-hand side
-// of an assignment (o.CostModel.DisableSelection = v sets both fields it
-// selects). An assignment inside a method of a covered type does not
-// count: withDefaults filling its own zero value is not a caller. A field
-// only tests set is a constant with extra steps (DESIGN.md §10,
-// "Constants, and why they are not flags"); unsetOptionFields lists the
-// exceptions.
+// struct under internal/ whose name ends in Options, Config or Policy, and
+// of each of parameterStructs, to a caller in a non-test file of this
+// module or of benchmark/ that sets it: as a key of a composite literal of
+// the type, on the left-hand side of an assignment (o.CostModel.
+// DisableSelection = v sets both fields it selects), or as the operand of
+// ++ or --. An assignment inside a method of a covered type does not count
+// for that type's own fields: withDefaults filling its own zero value is
+// not a caller, but an algorithm's method setting bsp.Config.MaxSupersteps
+// is. A field only tests set is a constant with extra steps (DESIGN.md
+// §10, "Constants, and why they are not flags"); unsetOptionFields lists
+// the exceptions.
 func TestOptionFieldsAreSet(t *testing.T) {
 	files, pkgs, info := checkModuleSources(t)
-	fieldKey := map[*types.Var]string{} // covered field → "<dir>.<Type>.<Field>"
+	fieldKey := map[*types.Var]string{}       // covered field → "<dir>.<Type>.<Field>"
+	owner := map[*types.Var]*types.TypeName{} // covered field → its struct
 	covered := map[*types.TypeName]bool{}
 	for path, pkg := range pkgs {
 		if !strings.HasPrefix(path, "predict/internal/") || files[path] == nil {
@@ -588,7 +604,8 @@ func TestOptionFieldsAreSet(t *testing.T) {
 		}
 		for _, name := range pkg.Scope().Names() {
 			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
-			if !ok || !tn.Exported() || tn.IsAlias() || !optionStruct.MatchString(name) {
+			typeKey := strings.TrimPrefix(path, "predict/") + "." + name
+			if !ok || !tn.Exported() || tn.IsAlias() || !(optionStruct.MatchString(name) || parameterStructs[typeKey]) {
 				continue
 			}
 			st, ok := tn.Type().Underlying().(*types.Struct)
@@ -598,7 +615,8 @@ func TestOptionFieldsAreSet(t *testing.T) {
 			covered[tn] = true
 			for i := range st.NumFields() {
 				if f := st.Field(i); f.Exported() {
-					fieldKey[f] = strings.TrimPrefix(path, "predict/") + "." + name + "." + f.Name()
+					fieldKey[f] = typeKey + "." + f.Name()
+					owner[f] = tn
 				}
 			}
 		}
@@ -608,17 +626,19 @@ func TestOptionFieldsAreSet(t *testing.T) {
 	}
 
 	set := map[string]bool{}
-	mark := func(obj types.Object) {
-		if f, ok := obj.(*types.Var); ok && fieldKey[f] != "" {
+	// mark records obj as set unless it is a field of recv, the covered
+	// type whose method the setter is in (nil outside such methods).
+	mark := func(obj types.Object, recv *types.TypeName) {
+		if f, ok := obj.(*types.Var); ok && fieldKey[f] != "" && owner[f] != recv {
 			set[fieldKey[f]] = true
 		}
 	}
-	assigned := func(e ast.Expr) {
+	assigned := func(e ast.Expr, recv *types.TypeName) {
 		for {
 			switch x := e.(type) {
 			case *ast.SelectorExpr:
 				if sel := info.Selections[x]; sel != nil {
-					mark(sel.Obj())
+					mark(sel.Obj(), recv)
 				}
 				e = x.X
 			case *ast.IndexExpr:
@@ -635,15 +655,15 @@ func TestOptionFieldsAreSet(t *testing.T) {
 	for _, pkgFiles := range files {
 		for _, file := range pkgFiles {
 			for _, decl := range file.Decls {
-				own := false // a method of a covered type
+				var recv *types.TypeName // the covered type this is a method of
 				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv != nil {
 					if m, ok := info.Defs[fn.Name].(*types.Func); ok {
-						recv := m.Type().(*types.Signature).Recv().Type()
-						if p, ok := recv.(*types.Pointer); ok {
-							recv = p.Elem()
+						t := m.Type().(*types.Signature).Recv().Type()
+						if p, ok := t.(*types.Pointer); ok {
+							t = p.Elem()
 						}
-						if named, ok := recv.(*types.Named); ok {
-							own = covered[named.Obj()]
+						if named, ok := t.(*types.Named); ok && covered[named.Obj()] {
+							recv = named.Obj()
 						}
 					}
 				}
@@ -653,16 +673,16 @@ func TestOptionFieldsAreSet(t *testing.T) {
 						for _, elt := range n.Elts {
 							if kv, ok := elt.(*ast.KeyValueExpr); ok {
 								if key, ok := kv.Key.(*ast.Ident); ok {
-									mark(info.Uses[key])
+									mark(info.Uses[key], nil)
 								}
 							}
 						}
 					case *ast.AssignStmt:
-						if !own {
-							for _, lhs := range n.Lhs {
-								assigned(lhs)
-							}
+						for _, lhs := range n.Lhs {
+							assigned(lhs, recv)
 						}
+					case *ast.IncDecStmt:
+						assigned(n.X, recv)
 					}
 					return true
 				})
