@@ -17,9 +17,8 @@ import (
 // an epoch stamp instead of being reallocated or cleared. SendToNeighbors
 // and AddToAggregate are therefore allocation-free in the steady state.
 type Context[M any] struct {
-	g       *graph.Graph
-	worker  int
-	numVert int64
+	g      *graph.Graph
+	worker int
 
 	superstep int
 	epoch     int // superstep+1; stamps broadcasts and aggregates as live
@@ -58,9 +57,6 @@ type Context[M any] struct {
 
 // Superstep returns the current 0-based superstep index.
 func (c *Context[M]) Superstep() int { return c.superstep }
-
-// NumVertices returns the number of vertices in the graph.
-func (c *Context[M]) NumVertices() int64 { return c.numVert }
 
 // Graph returns the input graph (read-only by convention).
 func (c *Context[M]) Graph() *graph.Graph { return c.g }

@@ -177,7 +177,6 @@ func (e *Engine[V, M]) Run() (*Result[V], error) {
 		contexts[w] = &Context[M]{
 			g:          e.g,
 			worker:     w,
-			numVert:    int64(n),
 			prog:       e.prog,
 			fixedBytes: fixedBytes,
 			combiner:   e.combiner,

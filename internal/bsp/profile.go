@@ -94,9 +94,6 @@ func (p *Profile) TotalSeconds() float64 {
 	return p.SetupSeconds + p.ReadSeconds + p.SuperstepPhaseSeconds() + p.WriteSeconds
 }
 
-// Iterations is the number of executed supersteps.
-func (p *Profile) Iterations() int { return len(p.Supersteps) }
-
 // Fingerprint digests every simulation-visible bit of the profile into a
 // short hex string: partitioning, per-superstep per-worker counters,
 // worker seconds, superstep seconds and aggregates (exact float64 bits),

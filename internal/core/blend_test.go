@@ -17,6 +17,7 @@ import (
 	"predict/internal/costmodel"
 	"predict/internal/features"
 	"predict/internal/graph"
+	"predict/internal/history"
 )
 
 // fitS5W1 fits the named algorithm on g in the s5/w1 configuration of the
@@ -447,9 +448,69 @@ func TestBlendClosedFormMatchesReference(t *testing.T) {
 	t.Logf("largest relative difference from the reference: %.3g", worst)
 }
 
-// fuzzFitted is the fixed model FuzzExtrapolateBlended prices with: the
-// s5/w1 PageRank fit, fitted once per process.
-var fuzzFitted = sync.OnceValues(func() (*Fitted, error) { return fitS5W1("PR", fuzzGraph()) })
+// fuzzModels are the models FuzzExtrapolateBlended prices with, built once
+// per process: the s5/w1 PageRank fit, and two degenerate models rebuilt
+// from records — the same fit trained on its main sample run alone (one
+// training ratio), and zeroResidualRecord's. A record determines its
+// model, so no engine runs inside the fuzz loop.
+var fuzzModels = sync.OnceValues(func() ([]*Fitted, error) {
+	fitted, err := fitS5W1("PR", fuzzGraph())
+	if err != nil {
+		return nil, err
+	}
+	single := fitted.Record("single ratio", "single ratio")
+	single.Model.TrainingRows = single.Iterations
+	models := []*Fitted{fitted}
+	for _, rec := range []history.Record{single, zeroResidualRecord()} {
+		f, err := FittedFromRecord(rec)
+		if err != nil {
+			return nil, err
+		}
+		models = append(models, f)
+	}
+	return models, nil
+})
+
+// zeroResidualRecord is a hand-made model record whose training seconds
+// are an exact linear function of one feature, 1/2 + ActVert/1024, over
+// sample runs at four ratios; every term is a binary fraction, so the
+// fitted line leaves no residual.
+func zeroResidualRecord() history.Record {
+	col, _ := features.Index(features.ActVert)
+	row := func(active int) history.IterationRow {
+		v := make([]float64, features.PoolSize)
+		v[col] = float64(active)
+		return history.IterationRow{Features: v, Seconds: 0.5 + float64(active)/1024}
+	}
+	rec := history.Record{
+		Algorithm:    "PageRank",
+		Dataset:      "zero residual",
+		Kind:         "model",
+		FeatureNames: features.Pool(),
+		Model: &history.ModelMeta{
+			Key:                   "zero residual",
+			SampleVertices:        600,
+			SampleEdges:           3600,
+			SampleVertexRatio:     0.1,
+			SampleEdgeRatio:       0.1,
+			SampleCriticalShare:   0.25,
+			ProfiledCriticalShare: 0.25,
+			SampleRunSeconds:      30,
+			SampleWorkers:         4,
+		},
+	}
+	for i := 0; i < 8; i++ {
+		active := 600 >> i
+		rec.Iterations = append(rec.Iterations, row(active))
+		rec.Model.RemoteBytesPerIter = append(rec.Model.RemoteBytesPerIter, float64(8*active))
+	}
+	for _, vertices := range []int{300, 600, 900, 1200} {
+		for i := 0; i < 8; i++ {
+			rec.Model.TrainingRows = append(rec.Model.TrainingRows, row(vertices>>i))
+		}
+	}
+	return rec
+}
 
 var fuzzGraph = sync.OnceValue(testGraphBA)
 
@@ -484,24 +545,46 @@ func fuzzWindow(n, mode uint8, seed uint64, base float64) []float64 {
 	return obs
 }
 
+// TestFuzzModelsAreDegenerate holds fuzzModels to what they stand for: the
+// zero-residual model fits one feature with no residual, and the
+// single-ratio model trained on its own sample run's rows alone.
+func TestFuzzModelsAreDegenerate(t *testing.T) {
+	models, err := fuzzModels()
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, zero := models[1], models[2]
+	if !slices.EqualFunc(single.TrainingRows, single.IterFeatures, func(a, b features.IterationFeatures) bool {
+		return a.Seconds == b.Seconds && slices.Equal(a.Vector, b.Vector)
+	}) {
+		t.Error("the single-ratio model trained on more than its sample run")
+	}
+	if got := zero.Model.SelectedFeatures(); !slices.Equal(got, []features.Name{features.ActVert}) || zero.Model.ResidualVariance() != 0 {
+		t.Errorf("the zero-residual model selected %v with residual variance %v", got, zero.Model.ResidualVariance())
+	}
+}
+
 // FuzzExtrapolateBlended drives the blend with fuzzed observation windows
-// against a fixed model. Whatever the window, the answer is an error or
-// finite with p50 ≤ p95; below the threshold it is bit-identical to
-// Extrapolate; at or above it the closed form agrees with the row-expanded
-// reference.
+// against one of fuzzModels. Whatever the window and model, the answer is
+// an error or finite with p50 ≤ p95; below the threshold it is
+// bit-identical to Extrapolate; at or above it the closed form agrees with
+// the row-expanded reference.
 func FuzzExtrapolateBlended(f *testing.F) {
-	f.Add(uint8(0), uint8(0), uint64(1), 40.0, uint8(0))
-	f.Add(uint8(4), uint8(1), uint64(2), 40.0, uint8(1))
-	f.Add(uint8(5), uint8(0), uint64(3), 1e9, uint8(2))
-	f.Add(uint8(8), uint8(1), uint64(4), 1e-300, uint8(0))
-	f.Add(uint8(17), uint8(2), uint64(5), 1.0, uint8(1))
-	f.Add(uint8(64), uint8(2), uint64(6), 1.0, uint8(2))
-	f.Add(uint8(64), uint8(0), uint64(7), 5e-324, uint8(0))
-	f.Fuzz(func(t *testing.T, n, mode uint8, seed uint64, base float64, w uint8) {
-		fitted, err := fuzzFitted()
+	for m := uint8(0); m < 3; m++ {
+		f.Add(uint8(0), uint8(0), uint64(1), 40.0, uint8(0), m)
+		f.Add(uint8(4), uint8(1), uint64(2), 40.0, uint8(1), m)
+		f.Add(uint8(5), uint8(0), uint64(3), 1e9, uint8(2), m)
+		f.Add(uint8(8), uint8(1), uint64(4), 1e-300, uint8(0), m)
+		f.Add(uint8(17), uint8(2), uint64(5), 1.0, uint8(1), m)
+		f.Add(uint8(64), uint8(2), uint64(6), 1.0, uint8(2), m)
+		f.Add(uint8(64), uint8(0), uint64(7), 5e-324, uint8(0), m)
+	}
+	f.Fuzz(func(t *testing.T, n, mode uint8, seed uint64, base float64, w, m uint8) {
+		models, err := fuzzModels()
 		if err != nil {
 			t.Fatal(err)
 		}
+		fitted := models[int(m)%len(models)]
 		g := fuzzGraph()
 		workers := []int{0, 4, 16}[int(w)%3]
 		obs := fuzzWindow(n, mode, seed, base)

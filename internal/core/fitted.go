@@ -20,6 +20,11 @@ import (
 // prediction service can cache it and answer repeated or what-if queries
 // by re-running only Extrapolate — the cheap half — against a full graph
 // and a (possibly hypothetical) worker count.
+//
+// A Fitted is its history record: FittedFromRecord(f.Record(...)) equals
+// f in every field but SamplesDrawn and SamplesReused, which describe the
+// fit rather than the model. It references no graph, so no sample outlives
+// the dataset graph's sample memo on its account.
 type Fitted struct {
 	// Algorithm is the fitted algorithm's Name().
 	Algorithm string
@@ -65,17 +70,11 @@ type Fitted struct {
 	// CostModel records the training options, for faithful refits.
 	CostModel costmodel.Options
 
-	// Sample and SampleRun carry the raw sampling and profiling artifacts
-	// when the Fitted was produced in-process by Fit. They are nil on a
-	// Fitted rebuilt from a persisted record; Extrapolate does not need
-	// them.
-	Sample    *sampling.Result
-	SampleRun *algorithms.RunInfo
 	// SamplesDrawn/SamplesReused count this fit's sample pipelines by
 	// where their sample came from: drawn by this fit, or taken from the
 	// family the graph remembered (an earlier fit's draw, or a concurrent
-	// fit's draw this one waited for). Both are zero on a Fitted rebuilt
-	// from a record.
+	// fit's draw this one waited for). They are not persisted: both are
+	// zero on a Fitted rebuilt from a record.
 	SamplesDrawn  int
 	SamplesReused int
 }
@@ -267,8 +266,6 @@ func (p *Predictor) train(alg algorithms.Algorithm, tasks []sampleTask, outcomes
 		SampleWorkers:         workers,
 		Mode:                  p.opts.Mode,
 		CostModel:             p.opts.CostModel,
-		Sample:                sample,
-		SampleRun:             sampleRun,
 	}
 	for _, tr := range training {
 		f.TrainingRows = append(f.TrainingRows, tr.Iters...)
@@ -319,8 +316,8 @@ func (f *Fitted) price(g *graph.Graph, workers int, xs []features.Vector) (*Pred
 		Iterations:          f.Iterations,
 		Model:               f.Model,
 		Scale:               scale,
-		Sample:              f.Sample,
-		SampleRun:           f.SampleRun,
+		SampleVertexRatio:   f.SampleVertexRatio,
+		SampleEdgeRatio:     f.SampleEdgeRatio,
 		SampleRunSeconds:    f.SampleRunSeconds,
 		CriticalShareSample: f.ProfiledCriticalShare,
 		CriticalShareFull:   shareG,

@@ -49,7 +49,9 @@ func (f *Fitted) Record(key, dataset string) history.Record {
 // FittedFromRecord rebuilds a cacheable Fitted from a persisted "model"
 // record by refitting the regression on the archived training matrix —
 // cheap relative to the sample runs the record stands in for. The rebuilt
-// Fitted has no Sample/SampleRun artifacts but extrapolates identically.
+// Fitted equals the one the record was taken from but for its
+// SamplesDrawn/SamplesReused counters. A record without training rows is
+// refused: every model record this build writes carries them.
 func FittedFromRecord(rec history.Record) (*Fitted, error) {
 	if rec.Model == nil {
 		return nil, fmt.Errorf("core: record %q is not a model record", rec.Dataset)
@@ -68,7 +70,7 @@ func FittedFromRecord(rec history.Record) (*Fitted, error) {
 	opts := costmodel.Options{DisableSelection: meta.DisableSelection}
 	training := rowsToIters(meta.TrainingRows)
 	if len(training) == 0 {
-		training = tr.Iters
+		return nil, fmt.Errorf("core: persisted model %q has no training rows", meta.Key)
 	}
 	model, err := costmodel.Train(
 		[]costmodel.TrainingRun{{Source: "persisted " + rec.Dataset, Iters: training}}, opts)

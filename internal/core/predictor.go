@@ -89,10 +89,10 @@ type Prediction struct {
 	Model *costmodel.Model
 	// Scale holds the extrapolation factors eV, eE.
 	Scale features.Scale
-	// Sample is the sampling result used for the sample run.
-	Sample *sampling.Result
-	// SampleRun is the profiled sample run.
-	SampleRun *algorithms.RunInfo
+	// SampleVertexRatio/SampleEdgeRatio are the sample's achieved
+	// |V_S|/|V_G| and |E_S|/|E_G|.
+	SampleVertexRatio float64
+	SampleEdgeRatio   float64
 	// SampleRunSeconds is the end-to-end simulated cost of the sample run,
 	// the overhead quantity of Table 3.
 	SampleRunSeconds float64
@@ -118,22 +118,6 @@ func (p *Predictor) Predict(alg algorithms.Algorithm, g *graph.Graph) (*Predicti
 		return nil, err
 	}
 	return fitted.ExtrapolateBlended(g, 0, nil, 0)
-}
-
-// SampleVertexRatio returns the achieved |V_S|/|V_G| of the sample run.
-func (p *Prediction) SampleVertexRatio() float64 {
-	if p.Sample == nil {
-		return 0
-	}
-	return p.Sample.VertexRatio
-}
-
-// SampleEdgeRatio returns the achieved |E_S|/|E_G| of the sample run.
-func (p *Prediction) SampleEdgeRatio() float64 {
-	if p.Sample == nil {
-		return 0
-	}
-	return p.Sample.EdgeRatio
 }
 
 // Evaluation compares a prediction against a profiled actual run.

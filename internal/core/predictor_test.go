@@ -35,13 +35,36 @@ func testGraphBA() *graph.Graph {
 	return gen.BarabasiAlbert(6000, 6, 0.4, 42)
 }
 
+// mainSample draws the main sample a Fit under opts takes of g, task 0's:
+// a Fitted keeps the numbers of its sample, not the sample.
+func mainSample(t *testing.T, opts Options, g *graph.Graph) *sampling.Result {
+	t.Helper()
+	s, err := sampling.Sample(g, sampling.BiasedRandomJump, opts.Sampling)
+	if err != nil {
+		t.Fatalf("sampling: %v", err)
+	}
+	return s
+}
+
+// mainSampleRun repeats the main sample run a Fit under opts profiles:
+// alg transformed to the main sample's ratio, run on it.
+func mainSampleRun(t *testing.T, opts Options, alg algorithms.Algorithm, g *graph.Graph) *algorithms.RunInfo {
+	t.Helper()
+	s := mainSample(t, opts, g)
+	ri, err := alg.Transformed(s.VertexRatio).Run(s.Graph, opts.BSP)
+	if err != nil {
+		t.Fatalf("sample run: %v", err)
+	}
+	return ri
+}
+
 func TestPredictPageRankEndToEnd(t *testing.T) {
 	g := testGraphBA()
 	pr := algorithms.NewPageRank()
 	pr.Tau = algorithms.TauForTolerance(0.001, g.NumVertices())
 
-	p := New(testOptions(0.15))
-	pred, err := p.Predict(pr, g)
+	opts := testOptions(0.15)
+	pred, err := New(opts).Predict(pr, g)
 	if err != nil {
 		t.Fatalf("Predict: %v", err)
 	}
@@ -65,7 +88,8 @@ func TestPredictPageRankEndToEnd(t *testing.T) {
 	// The sample run's superstep phase must be cheaper than the actual
 	// run's (fixed setup costs dominate both at this tiny test scale, so
 	// compare the phase PREDIcT targets).
-	if s, a := pred.SampleRun.Profile.SuperstepPhaseSeconds(), actual.Profile.SuperstepPhaseSeconds(); s >= a {
+	sampleRun := mainSampleRun(t, opts, pr, g)
+	if s, a := sampleRun.Profile.SuperstepPhaseSeconds(), actual.Profile.SuperstepPhaseSeconds(); s >= a {
 		t.Errorf("sample superstep phase (%.1fs) not cheaper than actual (%.1fs)", s, a)
 	}
 }
@@ -97,13 +121,13 @@ func TestPredictionIterationsComeFromSampleRun(t *testing.T) {
 	g := testGraphBA()
 	pr := algorithms.NewPageRank()
 	pr.Tau = algorithms.TauForTolerance(0.01, g.NumVertices())
-	p := New(testOptions(0.1))
-	pred, err := p.Predict(pr, g)
+	opts := testOptions(0.1)
+	pred, err := New(opts).Predict(pr, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pred.Iterations != pred.SampleRun.Iterations {
-		t.Errorf("Iterations %d != sample run's %d", pred.Iterations, pred.SampleRun.Iterations)
+	if sampleRun := mainSampleRun(t, opts, pr, g); pred.Iterations != sampleRun.Iterations {
+		t.Errorf("Iterations %d != sample run's %d", pred.Iterations, sampleRun.Iterations)
 	}
 	if len(pred.PerIterationSeconds) != pred.Iterations {
 		t.Errorf("%d per-iteration estimates for %d iterations",
@@ -129,11 +153,12 @@ func TestTransformMattersForPageRank(t *testing.T) {
 	pr := algorithms.NewPageRank()
 	pr.Tau = algorithms.TauForTolerance(0.001, g.NumVertices())
 
-	predWith, err := New(testOptions(0.1)).Predict(pr, g)
+	opts := testOptions(0.1)
+	predWith, err := New(opts).Predict(pr, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	predWithout, err := pr.Run(predWith.Sample.Graph, testEnv())
+	predWithout, err := pr.Run(mainSample(t, opts, g).Graph, testEnv())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,9 +73,6 @@ func NewLab(cfg Config) *Lab {
 	}
 }
 
-// Config returns the Lab's effective (defaulted) configuration.
-func (l *Lab) Config() Config { return l.cfg }
-
 func (l *Lab) progressf(format string, args ...any) {
 	if l.cfg.Progress != nil {
 		fmt.Fprintf(l.cfg.Progress, format+"\n", args...)

@@ -197,7 +197,7 @@ func TestLabCachesActualRuns(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	lab := NewLab(Config{})
-	cfg := lab.Config()
+	cfg := lab.cfg
 	if cfg.Scale != 1.0 || cfg.Workers == 0 || len(cfg.Ratios) == 0 {
 		t.Errorf("defaults not applied: %+v", cfg)
 	}

@@ -50,15 +50,6 @@ func Index(n Name) (int, error) {
 // Vector is a feature vector in Pool() column order.
 type Vector []float64
 
-// Get returns the value of a named feature.
-func (v Vector) Get(n Name) float64 {
-	i, err := Index(n)
-	if err != nil {
-		panic(err)
-	}
-	return v[i]
-}
-
 // IterationFeatures pairs one iteration's feature vector with that
 // iteration's simulated runtime (the regression target).
 type IterationFeatures struct {

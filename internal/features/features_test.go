@@ -51,15 +51,24 @@ func TestIndex(t *testing.T) {
 	}
 }
 
+// get returns v's value of the named feature.
+func get(v Vector, n Name) float64 {
+	i, err := Index(n)
+	if err != nil {
+		panic(err)
+	}
+	return v[i]
+}
+
 func TestFromProfileCriticalShare(t *testing.T) {
 	p := sampleProfile()
 	fs := FromProfile(p, ModeCriticalShare)
 	// Critical share = 600/1000 = 0.6.
-	if got := fs[0].Vector.Get(ActVert); got != 60 {
+	if got := get(fs[0].Vector, ActVert); got != 60 {
 		t.Errorf("ActVert = %v, want 60 (= 100 * 0.6)", got)
 	}
 	// AvgMsgSize must not be share-scaled.
-	if got := fs[0].Vector.Get(AvgMsgSize); got != 8 {
+	if got := get(fs[0].Vector, AvgMsgSize); got != 8 {
 		t.Errorf("AvgMsgSize = %v, want 8", got)
 	}
 }
@@ -72,17 +81,17 @@ func TestFromProfileMeanWorker(t *testing.T) {
 	// Graph-level totals (ActVert 100, RemMsg 400, RemMsgSize 3200) over
 	// two workers.
 	v := fs[0].Vector
-	if got := v.Get(ActVert); got != 50 {
+	if got := get(v, ActVert); got != 50 {
 		t.Errorf("ActVert = %v, want 50 (= 100/2)", got)
 	}
-	if got := v.Get(RemMsg); got != 200 {
+	if got := get(v, RemMsg); got != 200 {
 		t.Errorf("RemMsg = %v, want 200 (= 400/2)", got)
 	}
-	if got := v.Get(RemMsgSize); got != 1600 {
+	if got := get(v, RemMsgSize); got != 1600 {
 		t.Errorf("RemMsgSize = %v, want 1600 (= 3200/2)", got)
 	}
 	// AvgMsgSize = total bytes / total msgs = 4800/600 = 8, not scaled.
-	if got := v.Get(AvgMsgSize); got != 8 {
+	if got := get(v, AvgMsgSize); got != 8 {
 		t.Errorf("AvgMsgSize = %v, want 8", got)
 	}
 	if fs[0].Seconds != 2.5 {

@@ -8,7 +8,7 @@ package graph
 // ordering paid an O(n log n) sort.Slice per Sample, and the fidelity and
 // property measurements re-derived and re-sorted full degree sequences per
 // call. A Graph is immutable once built, which makes all of these pure
-// functions of the graph — ideal cache fodder behind a sync.Once.
+// functions of the graph, remembered on it through its memo (derived).
 type degreeArtifacts struct {
 	// outDegrees[v] is v's out-degree. Shared; callers must not modify.
 	outDegrees []int
@@ -33,56 +33,58 @@ func (g *Graph) EnsureDegreeArtifacts() {
 	g.ensureDegreeArtifacts()
 }
 
-// ensureDegreeArtifacts builds the degree artifacts exactly once. The
-// ordering is produced by a counting sort over degrees (O(n + maxDeg))
-// that reproduces the comparison sort's total order bit-exactly: the
-// comparator (degree desc, ID asc) is a strict total order, so any
-// correct sort yields the same permutation. Placing ascending IDs into
-// descending-degree buckets gives exactly that permutation without the
-// O(n log n) comparison sort the sampler used to pay per call.
+// ensureDegreeArtifacts returns the degree artifacts, built once per
+// graph by buildDegreeArtifacts.
 func (g *Graph) ensureDegreeArtifacts() *degreeArtifacts {
-	g.degOnce.Do(func() {
-		n := g.NumVertices()
-		a := &degreeArtifacts{
-			outDegrees:      make([]int, n),
-			byOutDegreeDesc: make([]VertexID, n),
+	return derived(g, degreeArtifactsKey, g.buildDegreeArtifacts)
+}
+
+// buildDegreeArtifacts builds the degree artifacts. The ordering is
+// produced by a counting sort over degrees (O(n + maxDeg)) that reproduces
+// the comparison sort's total order bit-exactly: the comparator (degree
+// desc, ID asc) is a strict total order, so any correct sort yields the
+// same permutation. Placing ascending IDs into descending-degree buckets
+// gives exactly that permutation without the O(n log n) comparison sort
+// the sampler used to pay per call.
+func (g *Graph) buildDegreeArtifacts() *degreeArtifacts {
+	n := g.NumVertices()
+	a := &degreeArtifacts{
+		outDegrees:      make([]int, n),
+		byOutDegreeDesc: make([]VertexID, n),
+	}
+	maxDeg := 0
+	for v := 0; v < n; v++ {
+		d := g.OutDegree(VertexID(v))
+		a.outDegrees[v] = d
+		if d > maxDeg {
+			maxDeg = d
 		}
-		maxDeg := 0
-		for v := 0; v < n; v++ {
-			d := g.OutDegree(VertexID(v))
-			a.outDegrees[v] = d
-			if d > maxDeg {
-				maxDeg = d
-			}
-		}
-		a.maxOut = maxDeg
-		if n == 0 {
-			g.deg = a
-			return
-		}
-		// Histogram of degrees, then two scans: one building the ascending
-		// sorted degree sequence directly from the histogram, one scattering
-		// ascending vertex IDs to descending-degree positions.
-		counts := make([]int, maxDeg+1)
-		for _, d := range a.outDegrees {
-			counts[d]++
-		}
-		a.sortedOut = sortedFromCounts(counts, n)
-		// cursor[d] = first position of degree d in the descending order.
-		cursor := make([]int, maxDeg+1)
-		pos := 0
-		for d := maxDeg; d >= 0; d-- {
-			cursor[d] = pos
-			pos += counts[d]
-		}
-		for v := 0; v < n; v++ {
-			d := a.outDegrees[v]
-			a.byOutDegreeDesc[cursor[d]] = VertexID(v)
-			cursor[d]++
-		}
-		g.deg = a
-	})
-	return g.deg
+	}
+	a.maxOut = maxDeg
+	if n == 0 {
+		return a
+	}
+	// Histogram of degrees, then two scans: one building the ascending
+	// sorted degree sequence directly from the histogram, one scattering
+	// ascending vertex IDs to descending-degree positions.
+	counts := make([]int, maxDeg+1)
+	for _, d := range a.outDegrees {
+		counts[d]++
+	}
+	a.sortedOut = sortedFromCounts(counts, n)
+	// cursor[d] = first position of degree d in the descending order.
+	cursor := make([]int, maxDeg+1)
+	pos := 0
+	for d := maxDeg; d >= 0; d-- {
+		cursor[d] = pos
+		pos += counts[d]
+	}
+	for v := 0; v < n; v++ {
+		d := a.outDegrees[v]
+		a.byOutDegreeDesc[cursor[d]] = VertexID(v)
+		cursor[d]++
+	}
+	return a
 }
 
 // CachedOutDegrees returns the memoized out-degree slice indexed by vertex.
@@ -109,8 +111,7 @@ func (g *Graph) VerticesByOutDegree() []VertexID {
 // SortedInDegrees returns the memoized ascending in-degree sequence. The
 // slice is shared: callers must not modify it.
 func (g *Graph) SortedInDegrees() []int {
-	g.inDegOnce.Do(func() {
-		n := g.NumVertices()
+	return derived(g, sortedInDegreesKey, func() []int {
 		counts := []int{0}
 		for _, d := range g.inDegrees() {
 			for d >= len(counts) {
@@ -118,9 +119,8 @@ func (g *Graph) SortedInDegrees() []int {
 			}
 			counts[d]++
 		}
-		g.sortedInDeg = sortedFromCounts(counts, n)
+		return sortedFromCounts(counts, g.NumVertices())
 	})
-	return g.sortedInDeg
 }
 
 // sortedFromCounts expands a degree histogram into the ascending degree

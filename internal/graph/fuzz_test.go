@@ -170,7 +170,7 @@ func FuzzMmapSnapshot(f *testing.F) {
 			t.Fatal(err)
 		}
 		want, readErr := decodeSnapshot(data)
-		mg, mmapErr := MmapSnapshot(path)
+		mg, mmapErr := mmapSnapshot(path)
 		if (readErr == nil) != (mmapErr == nil) {
 			t.Fatalf("readers disagree: copy-in err = %v, mmap err = %v", readErr, mmapErr)
 		}
@@ -180,8 +180,8 @@ func FuzzMmapSnapshot(f *testing.F) {
 			}
 			return
 		}
-		defer mg.Close()
-		if !graphsIdentical(want, mg.Graph()) {
+		defer mg.mapped.release()
+		if !graphsIdentical(want, mg) {
 			t.Fatal("mapped graph differs from copy-in decode")
 		}
 	})

@@ -26,30 +26,15 @@ type Graph struct {
 	edges   []VertexID // concatenated adjacency lists, sorted per vertex
 	weights []float32  // optional, parallel to edges; nil if unweighted
 
-	// Degree artifacts (memoized out-degree slices, sorted sequences and
-	// the BRJ seed ordering), built lazily by ensureDegreeArtifacts; see
-	// artifacts.go. The sync.Once publishes deg with a happens-before edge
-	// for every caller.
-	degOnce sync.Once
-	deg     *degreeArtifacts
-
-	// Sorted in-degree sequence, memoized separately: only fidelity and
-	// property measurements read it.
-	inDegOnce   sync.Once
-	sortedInDeg []int
-
-	// Symmetric closure, built once by Undirected.
-	undOnce sync.Once
-	und     *Graph
-
-	// memos holds what other packages remember on this graph (samples
-	// drawn from it, ranks computed on it), one Memo per owner; see
-	// memo.go.
+	// memos holds what is remembered on this graph, one Memo per owner:
+	// what it derives from itself (degree artifacts, sorted in-degrees,
+	// the symmetric closure; see derived) and what other packages compute
+	// on it (samples drawn from it, ranks, critical shares); see memo.go.
 	memoMu sync.Mutex
 	memos  map[any]*Memo
 
 	// mapped is non-nil for graphs whose CSR slices alias an mmap'd
-	// snapshot (MmapSnapshot). The reference keeps the mapping alive for
+	// snapshot (mmapSnapshot). The reference keeps the mapping alive for
 	// as long as the Graph is reachable, so the finalizer-driven munmap
 	// can never pull pages out from under a live graph. See mmap.go.
 	mapped *mmapRegion
@@ -197,8 +182,7 @@ func (g *Graph) Reverse() *Graph {
 // and semi-clustering both run on the closure of the same sample. It is
 // safe for concurrent use.
 func (g *Graph) Undirected() *Graph {
-	g.undOnce.Do(func() { g.und = g.buildUndirected() })
-	return g.und
+	return derived(g, undirectedKey, g.buildUndirected)
 }
 
 // buildUndirected builds the closure straight into CSR. A built graph's

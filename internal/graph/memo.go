@@ -14,8 +14,8 @@ var errMemoAbandoned = errors.New("graph: memo: the computing call did not retur
 
 // Memo remembers values derived from one Graph: a keyed, single-flight,
 // bounded memo that lives on the graph (see Graph.Memo) and is freed with
-// it, the same ownership as the degree artifacts. Nothing global ever
-// references a graph, or anything computed from one, through it.
+// it. Nothing global ever references a graph, or anything computed from
+// one, through it.
 //
 // A Memo holds one family at a time: the values of the most recent family
 // asked for, at most MemoFamilyLimit of them. Asking for another family
@@ -57,6 +57,29 @@ func (g *Graph) Memo(owner any) *Memo {
 		g.memos[owner] = m
 	}
 	return m
+}
+
+// derivedMemo names the memo a graph keeps what it derives from itself
+// in, one derivedKey each; the family never changes, so nothing in it is
+// ever dropped while the graph lives.
+type derivedMemo struct{}
+
+// derivedKey names one value a graph derives from itself.
+type derivedKey int
+
+const (
+	degreeArtifactsKey derivedKey = iota
+	sortedInDegreesKey
+	undirectedKey
+)
+
+// derived returns g's value under key, built by build on first use and
+// shared by every later and concurrent caller.
+func derived[T any](g *Graph, key derivedKey, build func() T) T {
+	v, _, _ := g.Memo(derivedMemo{}).Do(derivedMemo{}, key, func() (any, error) {
+		return build(), nil
+	})
+	return v.(T)
 }
 
 // Do returns the value remembered under (family, key), calling compute

@@ -1,6 +1,6 @@
 // mmap-backed zero-copy snapshot loading.
 //
-// MmapSnapshot maps a PCSR snapshot file read-only and builds a Graph
+// mmapSnapshot maps a PCSR snapshot file read-only and builds a Graph
 // whose CSR slices alias the mapped pages directly: no array copies, no
 // per-element decode, O(1) heap allocation regardless of graph size, and
 // the kernel page cache shares one physical copy of the file across every
@@ -11,13 +11,10 @@
 // mapped pages without allocating, which also conveniently pre-faults the
 // file sequentially.
 //
-// Lifetime model: the returned MappedGraph owns the mapping. Close
-// releases it explicitly; if the caller never calls Close, a finalizer
-// unmaps when the region becomes unreachable. The Graph holds a reference
-// to the region, so a live Graph always keeps its pages mapped — it is
-// impossible to unmap a graph the GC can still see. After an explicit
-// Close every accessor on the graph reads unmapped memory and will fault;
-// Close only when no goroutine can touch the graph again.
+// Lifetime model: the Graph holds a reference to its mapped region, and a
+// finalizer unmaps the region once it becomes unreachable, so a live Graph
+// always keeps its pages mapped — it is impossible to unmap a graph the GC
+// can still see. Nothing outside this package releases a mapping early.
 //
 // Mutation of an mmap'd graph's CSR arrays is forbidden and enforced: the
 // pages are mapped PROT_READ, so a stray write faults instead of silently
@@ -27,8 +24,8 @@
 //
 // Fallback matrix: aliasing requires a little-endian host (the wire
 // format is little-endian) and an OS with mmap. On other configurations
-// MmapSnapshot returns ErrMmapUnsupported and callers fall back to the
-// copy-in ReadSnapshotFile, which works everywhere.
+// mmapSnapshot returns ErrMmapUnsupported and OpenSnapshot falls back to
+// the copy-in ReadSnapshotFile, which works everywhere.
 package graph
 
 import (
@@ -63,8 +60,9 @@ type mmapRegion struct {
 	closed atomic.Bool
 }
 
-// release unmaps the region exactly once (explicit Close and the GC
-// finalizer race benignly through the atomic).
+// release unmaps the region exactly once (an explicit release and the GC
+// finalizer race benignly through the atomic). After an explicit release
+// every accessor on the graph reads unmapped memory and faults.
 func (r *mmapRegion) release() error {
 	if r == nil || !r.closed.CompareAndSwap(false, true) {
 		return nil
@@ -74,36 +72,13 @@ func (r *mmapRegion) release() error {
 	return munmapFile(data)
 }
 
-// MappedGraph is a Graph whose CSR arrays alias an mmap'd snapshot file,
-// plus ownership of the mapping.
-type MappedGraph struct {
-	g      *Graph
-	region *mmapRegion
-}
-
-// Graph returns the aliased graph. It stays valid until Close.
-func (m *MappedGraph) Graph() *Graph { return m.g }
-
-// SizeBytes reports the mapped file size (the bytes shared with the page
-// cache rather than owned by this process's heap).
-func (m *MappedGraph) SizeBytes() int64 { return int64(len(m.region.data)) }
-
-// Close unmaps the snapshot. It is idempotent and safe against the
-// finalizer. The caller must guarantee no further use of the Graph (or
-// any slice obtained from it): after Close those point at unmapped pages.
-func (m *MappedGraph) Close() error {
-	err := m.region.release()
-	// The region can no longer do anything at finalization time.
-	runtime.SetFinalizer(m.region, nil)
-	return err
-}
-
-// MmapSnapshot maps the snapshot at path read-only and returns a graph
+// mmapSnapshot maps the snapshot at path read-only and returns a graph
 // aliasing the mapped CSR arrays. The file is fully validated (checksum
 // and structural invariants) exactly like ReadSnapshotFile; only the
 // array materialization differs. Returns ErrMmapUnsupported where
-// aliasing is impossible — callers then fall back to ReadSnapshotFile.
-func MmapSnapshot(path string) (*MappedGraph, error) {
+// aliasing is impossible — OpenSnapshot then falls back to
+// ReadSnapshotFile.
+func mmapSnapshot(path string) (*Graph, error) {
 	if !mmapSupported || !hostLittleEndian {
 		return nil, ErrMmapUnsupported
 	}
@@ -135,7 +110,7 @@ func MmapSnapshot(path string) (*MappedGraph, error) {
 		return nil, err
 	}
 	runtime.SetFinalizer(region, func(r *mmapRegion) { r.release() })
-	return &MappedGraph{g: g, region: region}, nil
+	return g, nil
 }
 
 // aliasSnapshot validates data (same frame + structural checks as the
@@ -174,8 +149,8 @@ func aliasSnapshot(data []byte, region *mmapRegion) (*Graph, error) {
 
 // OpenSnapshot loads the snapshot at path zero-copy when the platform
 // supports it and falls back to the copy-in reader otherwise. The boolean
-// reports whether the graph aliases a mapping (callers that got mapped =
-// false own an ordinary heap graph with no Close obligations).
+// reports whether the graph aliases a mapping; either way the caller owns
+// an ordinary Graph with nothing to release.
 func OpenSnapshot(path string) (g *Graph, mapped bool, err error) {
 	if fault := faultinject.Fire(faultinject.PointGraphOpenSnapshot); fault != nil {
 		fault.Sleep()
@@ -183,9 +158,9 @@ func OpenSnapshot(path string) (g *Graph, mapped bool, err error) {
 			return nil, false, fault.Err
 		}
 	}
-	mg, err := MmapSnapshot(path)
+	g, err = mmapSnapshot(path)
 	if err == nil {
-		return mg.Graph(), true, nil
+		return g, true, nil
 	}
 	if !errors.Is(err, ErrMmapUnsupported) {
 		return nil, false, err

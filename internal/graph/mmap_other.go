@@ -4,7 +4,7 @@ package graph
 
 import "os"
 
-// Platforms without a usable mmap: MmapSnapshot reports
+// Platforms without a usable mmap: mmapSnapshot reports
 // ErrMmapUnsupported before ever calling these, and callers fall back to
 // the copy-in ReadSnapshotFile.
 const mmapSupported = false

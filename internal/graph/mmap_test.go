@@ -62,17 +62,16 @@ func TestMmapSnapshotMatchesRead(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ReadSnapshotFile: %v", err)
 			}
-			mg, err := MmapSnapshot(path)
+			got, err := mmapSnapshot(path)
 			if err != nil {
-				t.Fatalf("MmapSnapshot: %v", err)
+				t.Fatalf("mmapSnapshot: %v", err)
 			}
-			defer mg.Close()
-			got := mg.Graph()
+			defer got.mapped.release()
 			if !graphsIdentical(want, got) {
 				t.Fatal("mapped graph differs from copy-in read")
 			}
-			if fi, err := os.Stat(path); err != nil || mg.SizeBytes() != fi.Size() {
-				t.Fatalf("SizeBytes = %d, want file size (%v)", mg.SizeBytes(), err)
+			if fi, err := os.Stat(path); err != nil || int64(len(got.mapped.data)) != fi.Size() {
+				t.Fatalf("mapped %d bytes, want file size (%v)", len(got.mapped.data), err)
 			}
 			if !graphsIdentical(want.Reverse(), got.Reverse()) {
 				t.Fatal("transpose differs on mapped graph")
@@ -143,7 +142,7 @@ func TestMmapSnapshotRejectionParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			rg, readErr := ReadSnapshotFile(path)
-			mg, mmapErr := MmapSnapshot(path)
+			mg, mmapErr := mmapSnapshot(path)
 			if (readErr == nil) != (mmapErr == nil) {
 				t.Fatalf("readers disagree: copy-in err = %v, mmap err = %v", readErr, mmapErr)
 			}
@@ -153,42 +152,42 @@ func TestMmapSnapshotRejectionParity(t *testing.T) {
 				}
 				return
 			}
-			defer mg.Close()
-			if !graphsIdentical(rg, mg.Graph()) {
+			defer mg.mapped.release()
+			if !graphsIdentical(rg, mg) {
 				t.Fatal("accepted input decodes differently across readers")
 			}
 		})
 	}
 }
 
-// TestMappedGraphClose pins the explicit-release contract: Close is
-// idempotent, and a second MappedGraph over the same file is independent
-// of the first's lifetime.
+// TestMappedGraphClose pins the explicit-release contract of a mapped
+// graph's region: release is idempotent, and a second mapping of the same
+// file is independent of the first's lifetime.
 func TestMappedGraphClose(t *testing.T) {
 	if !mmapSupported || !hostLittleEndian {
 		t.Skip("mmap snapshots unsupported on this platform")
 	}
 	g := MustFromEdges(4, [][2]VertexID{{0, 1}, {1, 2}, {2, 3}})
 	path := writeSnapTemp(t, g)
-	a, err := MmapSnapshot(path)
+	a, err := mmapSnapshot(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MmapSnapshot(path)
+	b, err := mmapSnapshot(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Close(); err != nil {
-		t.Fatalf("first Close: %v", err)
+	if err := a.mapped.release(); err != nil {
+		t.Fatalf("first release: %v", err)
 	}
-	if err := a.Close(); err != nil {
-		t.Fatalf("second Close not idempotent: %v", err)
+	if err := a.mapped.release(); err != nil {
+		t.Fatalf("second release not idempotent: %v", err)
 	}
-	// b's mapping is its own; a's Close must not disturb it.
-	if !graphsIdentical(g, b.Graph()) {
-		t.Fatal("independent mapping affected by sibling Close")
+	// b's mapping is its own; a's release must not disturb it.
+	if !graphsIdentical(g, b) {
+		t.Fatal("independent mapping affected by sibling release")
 	}
-	if err := b.Close(); err != nil {
+	if err := b.mapped.release(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -257,22 +256,22 @@ func TestSnapshotLoadAllocs(t *testing.T) {
 	}
 
 	allocs = testing.AllocsPerRun(5, func() {
-		mg, err := MmapSnapshot(path)
+		mg, err := mmapSnapshot(path)
 		if errors.Is(err, ErrMmapUnsupported) {
 			t.Skip("mmap snapshots unsupported on this platform")
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mg.Graph().NumEdges() != g.NumEdges() {
+		if mg.NumEdges() != g.NumEdges() {
 			t.Fatal("mapped graph differs from source")
 		}
-		if err := mg.Close(); err != nil {
+		if err := mg.mapped.release(); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("MmapSnapshot + Close: %.0f allocations", allocs)
+	t.Logf("mmapSnapshot + release: %.0f allocations", allocs)
 	if allocs > mmapCeiling {
-		t.Errorf("MmapSnapshot + Close allocates %.0f times on a %d-edge graph, ceiling %d", allocs, g.NumEdges(), mmapCeiling)
+		t.Errorf("mmapSnapshot + release allocates %.0f times on a %d-edge graph, ceiling %d", allocs, g.NumEdges(), mmapCeiling)
 	}
 }

@@ -151,7 +151,7 @@ func writeFloat32s(w io.Writer, buf []byte, vals []float32) error {
 // parseSnapshotFrame produces it after the header, size and checksum
 // checks have all passed; the structural CSR invariants are then checked
 // by validateSnapshotCSR once the arrays exist (copied by decodeSnapshot,
-// aliased in place by MmapSnapshot — both readers run the identical frame
+// aliased in place by mmapSnapshot — both readers run the identical frame
 // and structural checks, so they accept and reject exactly the same
 // inputs).
 type snapshotFrame struct {

@@ -109,18 +109,6 @@ func StartController(svc *Service, cfg ControllerConfig) (*Controller, error) {
 	return c, nil
 }
 
-// Addr is the bound serving address (resolves ":0" to the real port).
-func (c *Controller) Addr() string { return c.ln.Addr().String() }
-
-// PprofAddr is the bound profiling address, "" when profiling is off or
-// its listener failed to bind.
-func (c *Controller) PprofAddr() string {
-	if c.pprofLn == nil {
-		return ""
-	}
-	return c.pprofLn.Addr().String()
-}
-
 // Err delivers the serve loop's terminal error — http.ErrServerClosed
 // after a drain, anything else is a real failure.
 func (c *Controller) Err() <-chan error { return c.errc }

@@ -268,8 +268,8 @@ func TestControllerSupervisedDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := "http://" + ctrl.Addr()
-	pprofURL := "http://" + ctrl.PprofAddr()
+	base := "http://" + ctrl.ln.Addr().String()
+	pprofURL := "http://" + ctrl.pprofLn.Addr().String()
 
 	if code, _ := getJSON(t, base+"/readyz"); code != http.StatusOK {
 		t.Fatalf("/readyz before drain = %d, want 200", code)
@@ -292,7 +292,7 @@ func TestControllerSupervisedDrain(t *testing.T) {
 
 	drained := make(chan error, 1)
 	go func() { drained <- ctrl.Drain() }()
-	waitFor(t, 5*time.Second, "draining to begin", func() bool { return svc.Draining() })
+	waitFor(t, 5*time.Second, "draining to begin", func() bool { return svc.draining.Load() })
 
 	// New work: refused with 503 + Connection: close.
 	req := testRequest()
@@ -372,7 +372,7 @@ func TestControllerDrainDeadlineHardStops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := "http://" + ctrl.Addr()
+	base := "http://" + ctrl.ln.Addr().String()
 
 	inflight := make(chan int, 1)
 	go func() {

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -268,6 +269,64 @@ func TestObservationsSurviveRestart(t *testing.T) {
 	}
 	if warm.BlendRegime != "interpolation" {
 		t.Errorf("restarted service regime %q, want interpolation", warm.BlendRegime)
+	}
+}
+
+// TestObservationRecordsKeepWorkers pins that an observation's history
+// record is the same whichever path writes it: the live /observe append,
+// the shutdown snapshot, and the snapshot of a service warm-started from
+// the log all carry its workers, not just its seconds.
+func TestObservationRecordsKeepWorkers(t *testing.T) {
+	dir := t.TempDir()
+	histPath := filepath.Join(dir, "history.jsonl")
+	svc := New(Config{HistoryPath: histPath})
+	ctx := context.Background()
+	resp, err := svc.Predict(ctx, testRequest())
+	if err != nil {
+		t.Fatalf("Predict: %v", err)
+	}
+	for i, workers := range []int{8, 0, 16} {
+		if _, err := svc.Observe(ctx, ObserveRequest{
+			ModelKey: resp.ModelKey, ActualSeconds: float64(10 + i), Workers: workers,
+		}); err != nil {
+			t.Fatalf("Observe %d: %v", i, err)
+		}
+	}
+	observations := func(path string) []history.ObservationMeta {
+		t.Helper()
+		records, _, err := history.LoadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []history.ObservationMeta
+		for _, rec := range records {
+			if rec.Observation != nil {
+				out = append(out, *rec.Observation)
+			}
+		}
+		return out
+	}
+	appended := observations(histPath)
+	if len(appended) != 3 || appended[0].Workers != 8 {
+		t.Fatalf("live append wrote %+v", appended)
+	}
+
+	snapshot := filepath.Join(dir, "snapshot.jsonl")
+	if _, err := svc.SaveHistory(snapshot); err != nil {
+		t.Fatal(err)
+	}
+	restarted := New(Config{})
+	if _, _, err := restarted.WarmFromHistory(histPath); err != nil {
+		t.Fatal(err)
+	}
+	resnapshot := filepath.Join(dir, "resnapshot.jsonl")
+	if _, err := restarted.SaveHistory(resnapshot); err != nil {
+		t.Fatal(err)
+	}
+	for name, path := range map[string]string{"snapshot": snapshot, "warm-started snapshot": resnapshot} {
+		if got := observations(path); !slices.Equal(got, appended) {
+			t.Errorf("%s wrote %+v, the live append %+v", name, got, appended)
+		}
 	}
 }
 

@@ -46,7 +46,6 @@ import (
 	"math"
 	"os"
 	"runtime"
-	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -117,7 +116,7 @@ type Config struct {
 	// fitted model.
 	HistoryPath string
 	// MmapDatasets serves .snap registry datasets from mmap'd pages
-	// (graph.MmapSnapshot) instead of heap copies: loads are O(1), the
+	// (graph.OpenSnapshot) instead of heap copies: loads are O(1), the
 	// kernel page cache shares one physical copy across processes, and a
 	// dataset larger than RAM pages in on demand. On platforms without
 	// mmap the load silently falls back to the copy-in reader. Mapped
@@ -229,7 +228,7 @@ type Service struct {
 	// runtimes ever recorded; blendExtrapolation/blendInterpolation tally
 	// which regime answered each prediction (for /stats).
 	obsMu              sync.RWMutex
-	obs                map[string][]float64
+	obs                map[string][]observation
 	observations       atomic.Int64
 	blendExtrapolation atomic.Int64
 	blendInterpolation atomic.Int64
@@ -272,7 +271,7 @@ func New(cfg Config) *Service {
 		lifeCancel: lifeCancel,
 		histPath:   cfg.HistoryPath,
 		ckptBase:   1,
-		obs:        make(map[string][]float64),
+		obs:        make(map[string][]observation),
 	}
 }
 
@@ -682,7 +681,7 @@ func (s *Service) computePrediction(ctx context.Context, req PredictRequest, pat
 	// A key never observed copies nothing and takes the plain
 	// extrapolation path, bit-identical to Extrapolate.
 	s.obsMu.RLock()
-	observed := slices.Clone(s.obs[key])
+	observed := observedSeconds(s.obs[key])
 	s.obsMu.RUnlock()
 	fitted := model.fitted
 	pred, err := fitted.ExtrapolateBlended(g, req.Workers, observed, core.DefaultObservationThreshold)
@@ -885,7 +884,7 @@ func (s *Service) Observe(ctx context.Context, req ObserveRequest) (*ObserveResp
 		return nil, &Error{Status: 404, Msg: fmt.Sprintf(
 			"service: unknown model key %q: observations attach to fitted models (predict first)", req.ModelKey)}
 	}
-	n := s.recordObservation(req.ModelKey, req.ActualSeconds)
+	n := s.recordObservation(req.ModelKey, observation{req.ActualSeconds, req.Workers})
 	persisted := s.appendRecord(history.NewObservation(req.ModelKey, req.ActualSeconds, req.Workers))
 	regime := core.RegimeExtrapolation
 	if n >= core.DefaultObservationThreshold {
@@ -914,13 +913,34 @@ func checkActualSeconds(secs float64) error {
 	return nil
 }
 
-// recordObservation appends seconds to the key's in-memory observation
-// window, evicting the oldest past history.MaxObservationsPerKey, and
-// returns the window's new size.
-func (s *Service) recordObservation(key string, seconds float64) int {
+// observation is one entry of a key's feedback window: everything its
+// history record carries but the key. The blend reads the seconds; the
+// workers ride along so that a snapshot writes what the append wrote.
+type observation struct {
+	seconds float64
+	workers int
+}
+
+// observedSeconds copies a window's runtimes, the part the blend reads; an
+// empty window copies nothing.
+func observedSeconds(w []observation) []float64 {
+	if len(w) == 0 {
+		return nil
+	}
+	secs := make([]float64, len(w))
+	for i, o := range w {
+		secs[i] = o.seconds
+	}
+	return secs
+}
+
+// recordObservation appends o to the key's in-memory observation window,
+// evicting the oldest past history.MaxObservationsPerKey, and returns the
+// window's new size.
+func (s *Service) recordObservation(key string, o observation) int {
 	s.obsMu.Lock()
 	defer s.obsMu.Unlock()
-	w := append(s.obs[key], seconds)
+	w := append(s.obs[key], o)
 	if len(w) > history.MaxObservationsPerKey {
 		w = w[len(w)-history.MaxObservationsPerKey:]
 	}
@@ -938,9 +958,6 @@ func (s *Service) ActiveWork() int64 { return s.activeWork.Load() }
 // readiness probe reports draining, and in-flight work keeps running.
 // Idempotent; there is no way back — a draining process exits.
 func (s *Service) BeginDrain() { s.draining.Store(true) }
-
-// Draining reports whether BeginDrain has been called.
-func (s *Service) Draining() bool { return s.draining.Load() }
 
 // HardStop cancels the lifecycle context: every in-flight detached fit
 // derives its deadline from it, so fits abort promptly, release their
@@ -1173,8 +1190,8 @@ func (s *Service) SaveHistory(path string) (int, error) {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		for _, secs := range s.obs[k] {
-			records = append(records, history.NewObservation(k, secs, 0))
+		for _, o := range s.obs[k] {
+			records = append(records, history.NewObservation(k, o.seconds, o.workers))
 		}
 	}
 	s.obsMu.RUnlock()
@@ -1213,8 +1230,8 @@ func (s *Service) WarmFromHistory(path string) (warmed, skipped int, err error) 
 			// Feedback survives restarts: the log's observation records
 			// (already capped per key by compaction) rebuild the in-memory
 			// windows in log order, under the bound a live /observe checks.
-			if checkActualSeconds(rec.Observation.ActualSeconds) == nil {
-				s.recordObservation(rec.Observation.ModelKey, rec.Observation.ActualSeconds)
+			if o := rec.Observation; checkActualSeconds(o.ActualSeconds) == nil {
+				s.recordObservation(o.ModelKey, observation{o.ActualSeconds, o.Workers})
 			} else {
 				skipped++
 			}

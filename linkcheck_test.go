@@ -24,6 +24,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -200,37 +201,163 @@ func TestDocCommandsExist(t *testing.T) {
 }
 
 // testSupportAPI lists what TestExportedSurfaceIsReached lets stay
-// exported although only its own package's tests name it: a whole package
-// directory, or one "<dir>.<Func>".
+// exported although only its own package's tests use it: a whole package
+// directory, or one "<dir>.<Func>" or "<dir>.<Type>.<Method>".
 var testSupportAPI = map[string]string{
 	"internal/crashtest": "the process-level crash harness: a package of helpers its own tests drive",
 }
 
+// implicitlyCalled are the method names the standard library calls on a
+// value it is handed — fmt's String and Error, errors' Unwrap — with no
+// call in this module's source: a method of one of these names reaches
+// its callers through an interface checkModuleSources cannot see.
+var implicitlyCalled = map[string]bool{"String": true, "Error": true, "Unwrap": true}
+
 // TestExportedSurfaceIsReached holds "exported" to "something reaches it".
 // Under internal/, every exported top-level function or method declared in
-// a non-test file must be named in a non-test file of this module or of
-// benchmark/ (which compiles against internal/), or in a _test.go of
-// another package, or be listed in testSupportAPI. Matching is by bare
-// name, so a dead function that shares its name with a live one is
-// missed; a live one is never reported. In the root package, the module's
-// only importable API, every exported func, type, const and var must be
-// selected as predict.X by a file outside the root directory (a command,
-// an example, benchmark/), or be named in the signature of a root function
-// so reached: a type callers hold without naming, like Prediction, counts.
+// a non-test file must be used — that *types.Func, not another of the same
+// name — by a non-test file of this module or of benchmark/ (which
+// compiles against internal/), or by a _test.go of another package, or be
+// listed in testSupportAPI. A method that implements a method of an
+// interface declared in the module is reached when that interface method
+// is, and one of implicitlyCalled's names always is. In the root package,
+// the module's only importable API, every exported func, type, const and
+// var must be selected as predict.X by a file outside the root directory
+// (a command, an example, benchmark/), or be named in the signature of a
+// root function so reached: a type callers hold without naming, like
+// Prediction, counts.
 func TestExportedSurfaceIsReached(t *testing.T) {
-	type decl struct{ dir, name string }
-	var decls []decl
-	declared := map[*ast.Ident]bool{}
+	m := checkModuleSources(t)
+	// usedIn[fn] is the set of packages using fn: "" for every non-test
+	// file (one shared key — any such use reaches), a directory's import
+	// path for its test files.
+	usedIn := map[*types.Func]map[string]bool{}
+	record := func(info *types.Info, where string) {
+		for _, obj := range info.Uses {
+			if fn, ok := obj.(*types.Func); ok {
+				fn = fn.Origin()
+				if usedIn[fn] == nil {
+					usedIn[fn] = map[string]bool{}
+				}
+				usedIn[fn][where] = true
+			}
+		}
+	}
+	record(m.info, "")
+	for path, info := range m.checkTests() {
+		record(info, path)
+	}
+	reachedFrom := func(fn *types.Func, own string) bool {
+		for where := range usedIn[fn] {
+			if where != own {
+				return true
+			}
+		}
+		return false
+	}
+	// The interface methods something calls, for the methods that
+	// implement them: a concrete method is reached through an interface
+	// method of its name that is reached, when its type has every method
+	// of that interface. Methods are matched by name, not signature, so an
+	// interface of a generic type matches whatever it is instantiated
+	// with.
+	var ifaceMethods []*types.Func
+	for fn := range usedIn {
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+			ifaceMethods = append(ifaceMethods, fn)
+		}
+	}
+	viaInterface := func(fn *types.Func, own string) bool {
+		if implicitlyCalled[fn.Name()] {
+			return true
+		}
+		recv := fn.Type().(*types.Signature).Recv().Type()
+		if _, ok := recv.(*types.Pointer); !ok {
+			recv = types.NewPointer(recv) // the method set of both receivers
+		}
+	outer:
+		for _, im := range ifaceMethods {
+			if im.Name() != fn.Name() || !reachedFrom(im, own) {
+				continue
+			}
+			iface := im.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+			for i := range iface.NumMethods() {
+				if obj, _, _ := types.LookupFieldOrMethod(recv, false, nil, iface.Method(i).Name()); obj == nil {
+					continue outer
+				}
+			}
+			return true
+		}
+		return false
+	}
+
+	paths := make([]string, 0, len(m.files))
+	for path := range m.files {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	checked := 0
+	listed := map[string]bool{}
+	for _, path := range paths {
+		dir, ok := strings.CutPrefix(path, "predict/")
+		if !ok || !strings.HasPrefix(dir, "internal/") {
+			continue
+		}
+		for _, file := range m.files[path] {
+			for _, d := range file.Decls {
+				decl, ok := d.(*ast.FuncDecl)
+				if !ok || !decl.Name.IsExported() {
+					continue
+				}
+				fn, ok := m.info.Defs[decl.Name].(*types.Func)
+				if !ok {
+					t.Fatalf("%s.%s: the type checker defined no function", dir, decl.Name.Name)
+				}
+				checked++
+				key := dir + "." + fn.Name()
+				recv := fn.Type().(*types.Signature).Recv()
+				if recv != nil {
+					rt := recv.Type()
+					if p, ok := rt.(*types.Pointer); ok {
+						rt = p.Elem()
+					}
+					if named, ok := rt.(*types.Named); ok {
+						key = dir + "." + named.Obj().Name() + "." + fn.Name()
+					}
+				}
+				reached := reachedFrom(fn, path) || (recv != nil && viaInterface(fn, path))
+				if _, ok := testSupportAPI[dir]; ok {
+					listed[dir] = true
+				} else if _, ok := testSupportAPI[key]; ok {
+					listed[key] = true
+					if reached {
+						t.Errorf("%s is reached from outside its package's tests: drop it from testSupportAPI", key)
+					}
+				} else if !reached {
+					t.Errorf("%s is exported but used only by its own package's tests (or by nothing): unexport it, move it to the _test.go that wants it, or delete it", key)
+				}
+			}
+		}
+	}
+	if checked < 100 {
+		t.Fatalf("found only %d exported functions and methods under internal/ — is the test running outside the repo root?", checked)
+	}
+	for key := range testSupportAPI {
+		if !listed[key] {
+			t.Errorf("testSupportAPI lists %s, which is no package or exported function or method under internal/", key)
+		}
+	}
+	rootSurfaceIsReached(t)
+}
+
+// rootSurfaceIsReached is TestExportedSurfaceIsReached's root-package half.
+func rootSurfaceIsReached(t *testing.T) {
 	// rootNames are the root package's exported names, rootSigs the
 	// identifiers in each root function's signature, and rootUsed the
 	// names other directories select from the root package.
 	var rootNames []string
 	rootSigs := map[string][]*ast.Ident{}
 	rootUsed := map[string]bool{}
-	// usedIn[name] is the set of directories naming it: non-test files
-	// under "" (one shared key — any such use reaches), test files under
-	// their own directory.
-	usedIn := map[string]map[string]bool{}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -250,14 +377,6 @@ func TestExportedSurfaceIsReached(t *testing.T) {
 			return err
 		}
 		dir, isTest := filepath.ToSlash(filepath.Dir(path)), strings.HasSuffix(path, "_test.go")
-		if !isTest && strings.HasPrefix(path, "internal"+string(filepath.Separator)) {
-			for _, d := range file.Decls {
-				if fn, ok := d.(*ast.FuncDecl); ok && fn.Name.IsExported() {
-					decls = append(decls, decl{dir, fn.Name.Name})
-					declared[fn.Name] = true
-				}
-			}
-		}
 		if !isTest && dir == "." {
 			for _, d := range file.Decls {
 				switch d := d.(type) {
@@ -299,51 +418,11 @@ func TestExportedSurfaceIsReached(t *testing.T) {
 				return true
 			})
 		}
-		where := dir
-		if !isTest {
-			where = ""
-		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				if usedIn[id.Name] == nil {
-					usedIn[id.Name] = map[string]bool{}
-				}
-				usedIn[id.Name][where] = true
-			}
-			return true
-		})
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(decls) < 100 {
-		t.Fatalf("found only %d exported functions under internal/ — is the test running outside the repo root?", len(decls))
-	}
-	listed := map[string]bool{}
-	for _, d := range decls {
-		key := d.dir + "." + d.name
-		reached := false
-		for where := range usedIn[d.name] {
-			reached = reached || where != d.dir
-		}
-		if _, ok := testSupportAPI[d.dir]; ok {
-			listed[d.dir] = true
-		} else if _, ok := testSupportAPI[key]; ok {
-			listed[key] = true
-			if reached {
-				t.Errorf("%s is reached from outside its package's tests: drop it from testSupportAPI", key)
-			}
-		} else if !reached {
-			t.Errorf("%s is exported but named only by its own package's tests (or by nothing): unexport it, move it to the _test.go that wants it, or delete it", key)
-		}
-	}
-	for key := range testSupportAPI {
-		if !listed[key] {
-			t.Errorf("testSupportAPI lists %s, which is no package or exported function under internal/", key)
-		}
-	}
-
 	if len(rootNames) < 10 {
 		t.Fatalf("found only %d exported names in the root package — has the extraction regressed?", len(rootNames))
 	}
@@ -512,16 +591,35 @@ type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-// checkModuleSources parses and type-checks the non-test files of every
-// package in this module and in benchmark/ (both map a directory d to the
-// import path "predict/d") under this host's build context. Imports from
-// outside the module resolve to empty packages: only the module's own types
-// matter here, so the errors about undefined standard-library names are
-// expected and dropped.
-func checkModuleSources(t *testing.T) (map[string][]*ast.File, map[string]*types.Package, *types.Info) {
+// moduleSources is every package of this module and of benchmark/ (both
+// map a directory d to the import path "predict/d"), parsed under this
+// host's build context, with its non-test files type-checked.
+type moduleSources struct {
+	fset     *token.FileSet
+	files    map[string][]*ast.File // non-test files by import path
+	tests    map[string][]*ast.File // _test.go files by their directory's import path
+	pkgs     map[string]*types.Package
+	info     *types.Info // of the non-test files
+	importer types.Importer
+}
+
+// checkModuleSources parses every package of the module and type-checks
+// its non-test files. Imports from outside the module resolve to empty
+// packages: only the module's own types matter here, so the errors about
+// undefined standard-library names are expected and dropped.
+func checkModuleSources(t *testing.T) *moduleSources {
 	t.Helper()
-	fset := token.NewFileSet()
-	files := map[string][]*ast.File{}
+	m := &moduleSources{
+		fset:  token.NewFileSet(),
+		files: map[string][]*ast.File{},
+		tests: map[string][]*ast.File{},
+		pkgs:  map[string]*types.Package{},
+		info: &types.Info{
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
+	}
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -533,13 +631,13 @@ func checkModuleSources(t *testing.T) (map[string][]*ast.File, map[string]*types
 			return nil
 		}
 		dir, name := filepath.Split(path)
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if !strings.HasSuffix(name, ".go") {
 			return nil
 		}
 		if match, err := build.Default.MatchFile(dir, name); err != nil || !match {
 			return err
 		}
-		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		file, err := parser.ParseFile(m.fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
@@ -547,38 +645,65 @@ func checkModuleSources(t *testing.T) (map[string][]*ast.File, map[string]*types
 		if dir != "" {
 			pkg += "/" + filepath.ToSlash(filepath.Clean(dir))
 		}
-		files[pkg] = append(files[pkg], file)
+		if strings.HasSuffix(name, "_test.go") {
+			m.tests[pkg] = append(m.tests[pkg], file)
+		} else {
+			m.files[pkg] = append(m.files[pkg], file)
+		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	info := &types.Info{
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-	}
-	pkgs := map[string]*types.Package{}
 	var importer importerFunc
 	importer = func(path string) (*types.Package, error) {
-		if pkg, ok := pkgs[path]; ok {
+		if pkg, ok := m.pkgs[path]; ok {
 			return pkg, nil
 		}
 		var pkg *types.Package
-		if files[path] == nil {
+		if m.files[path] == nil {
 			pkg = types.NewPackage(path, path[strings.LastIndex(path, "/")+1:])
 			pkg.MarkComplete()
 		} else {
 			conf := types.Config{Importer: importer, Error: func(error) {}}
-			pkg, _ = conf.Check(path, fset, files[path], info)
+			pkg, _ = conf.Check(path, m.fset, m.files[path], m.info)
 		}
-		pkgs[path] = pkg
+		m.pkgs[path] = pkg
 		return pkg, nil
 	}
-	for path := range files {
+	m.importer = importer
+	for path := range m.files {
 		_, _ = importer(path)
 	}
-	return files, pkgs, info
+	return m
+}
+
+// checkTests type-checks every directory's test files and returns their
+// uses by the directory's import path: a package's own tests checked
+// together with a fresh copy of its non-test files, its external (_test)
+// package on its own, both importing the module's checked packages.
+func (m *moduleSources) checkTests() map[string]*types.Info {
+	out := map[string]*types.Info{}
+	for path, tests := range m.tests {
+		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+		var internal, external []*ast.File
+		for _, f := range tests {
+			if strings.HasSuffix(f.Name.Name, "_test") {
+				external = append(external, f)
+			} else {
+				internal = append(internal, f)
+			}
+		}
+		conf := types.Config{Importer: m.importer, Error: func(error) {}}
+		if len(internal) > 0 {
+			_, _ = conf.Check(path, m.fset, append(slices.Clone(m.files[path]), internal...), info)
+		}
+		if len(external) > 0 {
+			_, _ = conf.Check(path+"_test", m.fset, external, info)
+		}
+		out[path] = info
+	}
+	return out
 }
 
 // TestOptionFieldsAreSet holds every exported field of every exported
@@ -594,7 +719,8 @@ func checkModuleSources(t *testing.T) (map[string][]*ast.File, map[string]*types
 // §10, "Constants, and why they are not flags"); unsetOptionFields lists
 // the exceptions.
 func TestOptionFieldsAreSet(t *testing.T) {
-	files, pkgs, info := checkModuleSources(t)
+	m := checkModuleSources(t)
+	files, pkgs, info := m.files, m.pkgs, m.info
 	fieldKey := map[*types.Var]string{}       // covered field → "<dir>.<Type>.<Field>"
 	owner := map[*types.Var]*types.TypeName{} // covered field → its struct
 	covered := map[*types.TypeName]bool{}

@@ -177,6 +177,6 @@ func FormatPrediction(p *Prediction) string {
 			"sample               %.1f%% vertices, %.1f%% edges (eV=%.1f, eE=%.1f)\n"+
 			"sample-run cost      %.1f s",
 		p.Algorithm, p.Iterations, p.SuperstepSeconds, p.Model.R2(), sel,
-		100*p.SampleVertexRatio(), 100*p.SampleEdgeRatio(), p.Scale.EV, p.Scale.EE,
+		100*p.SampleVertexRatio, 100*p.SampleEdgeRatio, p.Scale.EV, p.Scale.EE,
 		p.SampleRunSeconds)
 }

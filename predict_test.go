@@ -2,6 +2,7 @@ package predict_test
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -69,6 +70,38 @@ func TestFacadeEndToEnd(t *testing.T) {
 		if !strings.Contains(report, want) {
 			t.Errorf("FormatPrediction missing %q:\n%s", want, report)
 		}
+	}
+}
+
+// TestFormatPredictionReportsSampleRatios pins the report's sample line to
+// the fit's achieved ratios: a Prediction carries them, not its sample.
+func TestFormatPredictionReportsSampleRatios(t *testing.T) {
+	g := predict.Dataset("Wiki").Generate(0.05, 1)
+	pr := predict.NewPageRank()
+	pr.Tau = predict.PageRankTau(0.001, g.NumVertices())
+	fitted, err := predict.NewPredictor(predict.Options{
+		Sampling:       predict.SamplingOptions{Ratio: 0.15, Seed: 5},
+		BSP:            predict.DefaultCluster(),
+		TrainingRatios: []float64{0.1, 0.2},
+	}).Fit(pr, g)
+	if err != nil {
+		t.Fatalf("Fit: %v", err)
+	}
+	pred, err := fitted.Extrapolate(g, 0)
+	if err != nil {
+		t.Fatalf("Extrapolate: %v", err)
+	}
+	if fitted.SampleVertexRatio <= 0 || fitted.SampleEdgeRatio <= 0 {
+		t.Fatalf("fit reports sample ratios %v, %v", fitted.SampleVertexRatio, fitted.SampleEdgeRatio)
+	}
+	if pred.SampleVertexRatio != fitted.SampleVertexRatio || pred.SampleEdgeRatio != fitted.SampleEdgeRatio {
+		t.Errorf("prediction reports sample ratios %v, %v; its fit %v, %v",
+			pred.SampleVertexRatio, pred.SampleEdgeRatio, fitted.SampleVertexRatio, fitted.SampleEdgeRatio)
+	}
+	want := fmt.Sprintf("sample               %.1f%% vertices, %.1f%% edges",
+		100*fitted.SampleVertexRatio, 100*fitted.SampleEdgeRatio)
+	if report := predict.FormatPrediction(pred); !strings.Contains(report, want) {
+		t.Errorf("FormatPrediction has no line %q:\n%s", want, report)
 	}
 }
 
