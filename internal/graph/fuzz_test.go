@@ -32,6 +32,15 @@ func FuzzReadEdgeList(f *testing.F) {
 		"-1 2\n",
 		"# vertices x\n",
 		"3000000000 0\n",
+		// The canonical "src dst" line the chunk parser reads without
+		// field splitting, and the steps just outside it.
+		"0 1",
+		"0\t1\r\n1 \t2 \t\r\n",
+		"0 1\n1 2 0.5\n2 0\n",
+		"01 +2\n-0 1\n",
+		"0\v1\n0 1\f\n",
+		"0\u00a01\n0\xa01\n",
+		"0 1\r2\n0 1x\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -155,14 +155,13 @@ func parseEdgeListBytes(data []byte, opts LoadOptions) (*Graph, error) {
 // line numbers and header semantics.
 type edgeShard struct {
 	srcs, dsts []VertexID
-	weights    []float32 // nil until the shard sees its first weighted edge
-	weighted   bool
-	maxID      int64 // largest vertex ID in the shard; -1 if no edges
-	headerN    int64 // first "# vertices" value in the shard; -1 if none
-	headerLine int   // 1-based line (within the chunk) of that header
-	lines      int   // lines consumed (exact when err is nil)
-	err        error // first parse error, without the line prefix
-	errLine    int   // 1-based line (within the chunk) of err
+	weights    []float32 // nil, or up to the shard's last weighted edge; the merge reads 1 past it
+	maxID      int64     // largest vertex ID in the shard; -1 if no edges
+	headerN    int64     // first "# vertices" value in the shard; -1 if none
+	headerLine int       // 1-based line (within the chunk) of that header
+	lines      int       // lines consumed (exact when err is nil)
+	err        error     // first parse error, without the line prefix
+	errLine    int       // 1-based line (within the chunk) of err
 }
 
 // fail records the shard's first error; parsing stops there, matching the
@@ -175,12 +174,24 @@ func (s *edgeShard) fail(line int, err error) {
 // parse consumes one chunk. It mirrors the reference parser line for line:
 // unicode-aware field splitting, the same comment/header rules, the same
 // field validation — but works on byte slices with no per-line string or
-// field allocations on the happy path.
+// field allocations on the happy path. A line in the canonical "src dst"
+// form takes parseCanonicalLine's digit lexer instead; every other line
+// takes the general path below. The ID buffers are sized once from the
+// chunk's line count, which bounds its edge count.
 func (s *edgeShard) parse(chunk []byte) {
 	s.maxID = -1
 	s.headerN = -1
+	lines := bytes.Count(chunk, []byte{'\n'}) + 1
+	s.srcs = make([]VertexID, 0, lines)
+	s.dsts = make([]VertexID, 0, lines)
 	var fields [4][]byte
 	for len(chunk) > 0 {
+		s.lines++
+		if src, dst, next, ok := parseCanonicalLine(chunk); ok {
+			s.addEdge(src, dst)
+			chunk = chunk[next:]
+			continue
+		}
 		var line []byte
 		if nl := bytes.IndexByte(chunk, '\n'); nl >= 0 {
 			line = chunk[:nl]
@@ -189,7 +200,6 @@ func (s *edgeShard) parse(chunk []byte) {
 			line = chunk
 			chunk = nil
 		}
-		s.lines++
 		if len(line) >= maxLineBytes {
 			s.fail(s.lines, fmt.Errorf("line exceeds %d bytes", maxLineBytes))
 			return
@@ -232,14 +242,7 @@ func (s *edgeShard) parse(chunk []byte) {
 			s.fail(s.lines, fmt.Errorf("bad destination %q: %v", fields[1], err))
 			return
 		}
-		s.srcs = append(s.srcs, src)
-		s.dsts = append(s.dsts, dst)
-		if id := int64(src); id > s.maxID {
-			s.maxID = id
-		}
-		if id := int64(dst); id > s.maxID {
-			s.maxID = id
-		}
+		s.addEdge(src, dst)
 		if nf == 3 {
 			w, err := parseWeight(byteString(fields[2]))
 			if err != nil {
@@ -250,11 +253,75 @@ func (s *edgeShard) parse(chunk []byte) {
 				s.weights = append(s.weights, 1)
 			}
 			s.weights = append(s.weights, w)
-			s.weighted = true
-		} else if s.weighted {
-			s.weights = append(s.weights, 1)
 		}
 	}
+}
+
+// addEdge appends one parsed edge to the shard's ID buffers.
+func (s *edgeShard) addEdge(src, dst VertexID) {
+	s.srcs = append(s.srcs, src)
+	s.dsts = append(s.dsts, dst)
+	if id := int64(src); id > s.maxID {
+		s.maxID = id
+	}
+	if id := int64(dst); id > s.maxID {
+		s.maxID = id
+	}
+}
+
+// parseCanonicalLine reads the line at the start of chunk if it has the
+// form <digits>[ \t]+<digits>[ \t\r]* followed by '\n' or the end of the
+// chunk, both fields are at most 10 ASCII digits and at most maxVertexID,
+// and it is shorter than maxLineBytes; next indexes past its '\n'. ok is
+// false for any other line. Such a line splits into exactly those two
+// fields under the general path's unicode-aware rules, and
+// parseVertexBytes reads the same two IDs from them, so taking this path
+// can change no result: it only skips the rune decoding and field
+// bookkeeping the common line does not need.
+func parseCanonicalLine(chunk []byte) (src, dst VertexID, next int, ok bool) {
+	src, i, ok := leadingVertexID(chunk, 0)
+	if !ok {
+		return 0, 0, 0, false
+	}
+	j := i
+	for j < len(chunk) && (chunk[j] == ' ' || chunk[j] == '\t') {
+		j++
+	}
+	if j == i {
+		return 0, 0, 0, false
+	}
+	dst, i, ok = leadingVertexID(chunk, j)
+	if !ok {
+		return 0, 0, 0, false
+	}
+	for ; i < len(chunk) && chunk[i] != '\n'; i++ {
+		if c := chunk[i]; c != ' ' && c != '\t' && c != '\r' {
+			return 0, 0, 0, false
+		}
+	}
+	if i >= maxLineBytes {
+		return 0, 0, 0, false
+	}
+	return src, dst, min(i+1, len(chunk)), true
+}
+
+// leadingVertexID reads the run of ASCII digits at line[i:] and returns
+// its value and the index past it; ok is false for an empty run, a run of
+// more than 10 digits or a value above maxVertexID.
+func leadingVertexID(line []byte, i int) (VertexID, int, bool) {
+	start := i
+	var v uint64
+	for ; i < len(line) && i-start <= 10; i++ {
+		d := line[i] - '0'
+		if d > 9 {
+			break
+		}
+		v = v*10 + uint64(d)
+	}
+	if i == start || i-start > 10 || v > maxVertexID {
+		return 0, i, false
+	}
+	return VertexID(v), i, true
 }
 
 // asciiSpace marks the single-byte runes unicode.IsSpace reports true for.
@@ -390,7 +457,7 @@ func mergeShards(shards []edgeShard) (*Graph, error) {
 			maxID = s.maxID
 		}
 		totalEdges += len(s.srcs)
-		weighted = weighted || s.weighted
+		weighted = weighted || s.weights != nil
 		base += s.lines
 	}
 	if n < 0 {

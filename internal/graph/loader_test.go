@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -133,6 +135,86 @@ func TestLoadEdgeListMatchesSequentialHandwritten(t *testing.T) {
 	for _, in := range cases {
 		assertLoadMatchesSequential(t, in)
 	}
+}
+
+// TestLoadEdgeListCanonicalLineBoundaries walks the edges of the "src dst"
+// form the chunk parser reads without field splitting: each case is one
+// step inside or outside it, and either way the loader must agree with
+// the reference reader on accepting the input, on the error it reports
+// (line included) and on the graph it builds. The "# vertices 3" header
+// makes an ID that parses but exceeds the graph fail the range check
+// instead of allocating a graph that large.
+func TestLoadEdgeListCanonicalLineBoundaries(t *testing.T) {
+	const h = "# vertices 3\n"
+	pad := func(line string, length int) string {
+		return line + strings.Repeat(" ", length-len(line))
+	}
+	cases := []string{
+		h + "2147483646 0\n",      // 10 digits at maxVertexID: parses, fails the range check
+		h + "0 2147483646\n",      // the same as destination
+		h + "2147483647 0\n",      // maxVertexID+1: too big
+		h + "0 2147483647\n",      // the same as destination
+		h + "10000000000 0\n",     // 11 digits
+		h + "0 10000000000\n",     // 11 digits as destination
+		h + "00000000001 2\n",     // 11 digits with leading zeros: a legal ID
+		h + "0000000002 01\n",     // 10 digits with leading zeros
+		h + "9999999999 0\n",      // 10 digits past maxVertexID
+		h + "+1 2\n",              // explicit plus
+		h + "1 +2\n",              // explicit plus on the destination
+		h + "-0 1\n",              // negative zero
+		h + "-1 0\n",              // negative source
+		h + "0 -1\n",              // negative destination
+		h + "0 1\r\n1 2\r\n",      // CRLF
+		h + "0\t1\n1\t\t2\n",      // tabs between fields
+		h + "0 \t 1\t \r\n",       // mixed blanks around the second field
+		h + "0 1 \n1 2\t\n",       // trailing blanks
+		h + " 0 1\n",              // leading blank
+		h + "0\v1\n",              // vertical tab between fields
+		h + "0\f1\n",              // form feed between fields
+		h + "0 1\v\n",             // trailing vertical tab
+		h + "0\u00a01\n",          // U+00A0 between fields
+		h + "0 1\u00a0\n",         // trailing U+00A0
+		h + "0\u00851\n",          // U+0085 between fields
+		h + "0\xa01\n",            // a lone 0xA0 byte (invalid UTF-8) is a field byte
+		h + "0 1\xa0\n",           // the same after the second field
+		h + "0\xc2 1\n",           // a lone 0xC2 lead byte is a field byte
+		h + "0 1\n1 2",            // last line without a newline
+		h + "0 1\n1 2\r",          // last line ending in a bare CR
+		h + "0 1\r2\n",            // CR inside the line: three fields
+		h + "0 1\n1 2 0.5\n2 0\n", // a weighted line after unweighted ones in one shard
+		h + "0 1 2\n",             // three ID-like fields: the third is a weight
+		h + "0 1x\n",              // trailing garbage
+		h + "0x 1\n",              // garbage in the source
+		h + "0\n",                 // one field
+		h + "01\n",                // one field of digits
+		h + "0 \n",                // one field and a blank
+		h + "0 1 # c\n",           // a comment is not a weight
+		h + "\n\n0 1\n\n",         // blank lines around an edge
+		pad(h+"0 1", len(h)+maxLineBytes-1) + "\n",         // a line of maxLineBytes-1 bytes
+		pad(h+"0 1", len(h)+maxLineBytes) + "\n",           // a line of maxLineBytes bytes
+		pad(h+"0 1", len(h)+maxLineBytes-1),                // the same without a newline
+		pad(h+"0 1", len(h)+maxLineBytes),                  // the same without a newline
+		h + pad("0", maxLineBytes-2) + "1\n",               // one long separator, maxLineBytes-1 bytes
+		h + pad("0", maxLineBytes-1) + "1\n",               // one long separator, maxLineBytes bytes
+		h + "0 1\n" + pad("1 2", maxLineBytes) + "\n2 0\n", // an over-long line between edges
+	}
+	for _, in := range cases {
+		assertLoadMatchesSequential(t, in)
+		want := errorText(ReadEdgeList(strings.NewReader(in)))
+		for _, cfg := range loadConfigs {
+			if got := errorText(LoadEdgeList(strings.NewReader(in), cfg)); got != want {
+				t.Errorf("config %+v, input %q: loader error %q, reference %q", cfg, clip(in), got, want)
+			}
+		}
+	}
+}
+
+// errorText is err's message, or "" for nil.
+func errorText(_ *Graph, err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }
 
 // TestLoadEdgeListMatchesSequentialRandom holds the two implementations
@@ -283,6 +365,83 @@ func TestSplitChunksLineAligned(t *testing.T) {
 		}
 		if !bytes.Equal(rejoined, data) {
 			t.Fatal("chunks do not rejoin to the input")
+		}
+	}
+}
+
+// edgeListText is WriteEdgeList's text of a graph of n vertices and about
+// m edges: each vertex's out-edges go to destinations drawn from a fixed
+// LCG, so the text is the same on every run, and the writer prints each
+// adjacency sorted, as it does for every file the service loads.
+func edgeListText(tb testing.TB, n, m int) []byte {
+	tb.Helper()
+	b := NewBuilder(n)
+	state := uint64(7)
+	for e := 0; e < m; e++ {
+		state = state*6364136223846793005 + 1442695040888963407
+		b.AddEdge(VertexID(int64(e)*int64(n)/int64(m)), VertexID((state>>33)%uint64(n)))
+	}
+	g, err := b.Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteEdgeList(&buf, g); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// writeTextTemp writes text to a fresh temporary edge-list file.
+func writeTextTemp(tb testing.TB, text []byte) string {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), "g.txt")
+	if err := os.WriteFile(path, text, 0o644); err != nil {
+		tb.Fatal(err)
+	}
+	return path
+}
+
+// TestLoadEdgeListAllocs pins what loading a text edge list allocates on
+// a fixed two-slot pool, on a file large enough (12k vertices, about 60k
+// edges, ten shards) that a per-line allocation, or ID buffers grown by
+// append (about 14 growths per buffer per shard here), could not hide
+// under the ceiling. Each shard sizes its two ID buffers once from its
+// line count, so what is left is the file read, the chunk list, the
+// buffers, the pool's per-task goroutines and the CSR arrays (measured
+// 64).
+func TestLoadEdgeListAllocs(t *testing.T) {
+	const n, m, ceiling = 12000, 60000, 80
+	path := writeTextTemp(t, edgeListText(t, n, m))
+	opts := LoadOptions{Pool: parallel.NewPool(2)}
+	var g *Graph
+	allocs := testing.AllocsPerRun(5, func() {
+		var err error
+		if g, err = LoadFile(path, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("LoadFile: %.0f allocations", allocs)
+	if g.NumVertices() != n || g.NumEdges() == 0 {
+		t.Fatalf("loaded %v, want %d vertices", g, n)
+	}
+	if allocs > ceiling {
+		t.Errorf("LoadFile allocates %.0f times on a %d-edge text, ceiling %d", allocs, m, ceiling)
+	}
+}
+
+// BenchmarkLoadEdgeList loads a text edge list the size of the benchmark
+// corpus's tw_text.txt (40,000 vertices, 1,413,356 edges, about 14 MB)
+// from disk with LoadFile's automatic sharding.
+func BenchmarkLoadEdgeList(b *testing.B) {
+	text := edgeListText(b, 40000, 1413356)
+	path := writeTextTemp(b, text)
+	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := LoadFile(path, LoadOptions{}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

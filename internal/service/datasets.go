@@ -25,10 +25,8 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"time"
 
 	"predict/internal/graph"
-	"predict/internal/retry"
 )
 
 // snapshotExt is the extension the registry treats as a binary snapshot;
@@ -168,49 +166,30 @@ func (s *Service) Datasets() ([]DatasetInfo, error) {
 	return out, nil
 }
 
-// ioRetryPolicy is the dataset I/O transient-failure policy: three
-// attempts, 50 ms doubling to at most 1 s between them, each retry counted
-// into /stats io_retries.
-func (s *Service) ioRetryPolicy() retry.Policy {
-	return retry.Policy{
-		Attempts:  3,
-		BaseDelay: 50 * time.Millisecond,
-		MaxDelay:  time.Second,
-		OnRetry:   func(int, error, time.Duration) { s.ioRetries.Add(1) },
-	}
-}
-
 // loadDataset loads (or returns the cached) registry graph for one file
 // version via the shared graph cache: concurrent loads of the same
 // dataset share one read, and the loaded graph is artifact-warmed like a
 // generated one. key is the datasetKey of the resolved file. ctx bounds
-// only the caller's wait: the load belongs to every request waiting on it,
-// so its retries run under the lifecycle context, not the context of
-// whichever request happened to start it.
+// only the caller's wait: the load belongs to every request waiting on
+// it. A failed load is not cached, so the next request for the dataset
+// loads the file again.
 func (s *Service) loadDataset(ctx context.Context, name, path, key string) (*graph.Graph, bool, error) {
 	return s.graphs.get(ctx, key, func() (*graph.Graph, error) {
 		var g *graph.Graph
-		// Transient I/O failures (a briefly erroring disk, an interrupted
-		// syscall) retry under jittered backoff instead of failing a load
-		// the next attempt would have served; permanent errors (corrupt
-		// snapshot, not-found) fail immediately — see retry.IsTransient.
-		err := s.ioRetryPolicy().Do(s.lifeCtx, retry.IsTransient, func() error {
-			var loadErr error
-			if s.cfg.MmapDatasets && filepath.Ext(path) == snapshotExt {
-				// Zero-copy generation: the graph aliases the mmap'd file, the
-				// cache holds only slice headers, and eviction lets the
-				// finalizer unmap. Falls back to copy-in where mmap is
-				// unavailable (OpenSnapshot handles ErrMmapUnsupported).
-				g, _, loadErr = graph.OpenSnapshot(path)
-			} else {
-				// Parse on the service's shared fit pool: N concurrent first
-				// touches of N distinct datasets stay within one parallelism
-				// budget instead of stampeding N*GOMAXPROCS parser goroutines —
-				// the same discipline cold fits follow.
-				g, loadErr = graph.LoadFile(path, graph.LoadOptions{Pool: s.fitPool})
-			}
-			return loadErr
-		})
+		var err error
+		if s.cfg.MmapDatasets && filepath.Ext(path) == snapshotExt {
+			// Zero-copy generation: the graph aliases the mmap'd file, the
+			// cache holds only slice headers, and eviction lets the
+			// finalizer unmap. Falls back to copy-in where mmap is
+			// unavailable (OpenSnapshot handles ErrMmapUnsupported).
+			g, _, err = graph.OpenSnapshot(path)
+		} else {
+			// Parse on the service's shared fit pool: N concurrent first
+			// touches of N distinct datasets stay within one parallelism
+			// budget instead of stampeding N*GOMAXPROCS parser goroutines —
+			// the same discipline cold fits follow.
+			g, err = graph.LoadFile(path, graph.LoadOptions{Pool: s.fitPool})
+		}
 		if err != nil {
 			// The request was valid — the name resolved; a file that then
 			// fails to load (corrupt snapshot, I/O error, permissions) is a

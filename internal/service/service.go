@@ -184,11 +184,9 @@ type Service struct {
 	samplesDrawn  atomic.Int64
 	samplesReused atomic.Int64
 
-	// breakers holds per-model-key circuit breakers; ioRetries counts
-	// dataset I/O retry attempts, tornRecovered torn history tails
-	// skipped during warm-start (both for /stats).
+	// breakers holds per-model-key circuit breakers; tornRecovered
+	// counts torn history tails skipped during warm-start (for /stats).
 	breakers      breakerSet
-	ioRetries     atomic.Int64
 	tornRecovered atomic.Int64
 
 	// lifeCtx is the lifecycle context every detached cold fit derives
@@ -294,7 +292,9 @@ type PredictRequest struct {
 	Method string `json:"method,omitempty"`
 	// SampleSeed seeds sampling; zero selects 1.
 	SampleSeed uint64 `json:"sample_seed,omitempty"`
-	// TrainingRatios override the paper's {0.05, 0.10, 0.15, 0.20}.
+	// TrainingRatios override the paper's {0.05, 0.10, 0.15, 0.20}. At
+	// least one must differ from Ratio: a fit on one sampling ratio
+	// cannot tell how the cost grows with the graph.
 	TrainingRatios []float64 `json:"training_ratios,omitempty"`
 	// Workers is the what-if worker count of the target run; zero keeps
 	// the sample cluster's size (the paper's matched-environment
@@ -322,7 +322,7 @@ func (r PredictRequest) withDefaults() PredictRequest {
 		r.Epsilon = 0.001
 	}
 	if r.Ratio == 0 {
-		r.Ratio = 0.10
+		r.Ratio = defaultRatio
 	}
 	if r.Method == "" {
 		r.Method = string(sampling.BiasedRandomJump)
@@ -336,6 +336,9 @@ func (r PredictRequest) withDefaults() PredictRequest {
 	return r
 }
 
+// defaultRatio is the main sampling ratio a request without one gets.
+const defaultRatio = 0.10
+
 // maxScale bounds a request's generator scale. At 16× a stand-in has about
 // a million vertices; larger graphs come in through the dataset registry.
 const maxScale = 16
@@ -343,6 +346,26 @@ const maxScale = 16
 // maxTrainingRatios bounds how many sample pipelines one fit queues (the
 // paper trains on four ratios).
 const maxTrainingRatios = 16
+
+// spansTwoRatios reports whether the sampling ratio and the training
+// ratios hold at least two distinct values, with unset fields read as
+// their defaults. With one, forward selection keeps no feature and the
+// fitted model is its intercept: an answer that ignores the graph's size.
+func (r PredictRequest) spansTwoRatios() bool {
+	if len(r.TrainingRatios) == 0 {
+		return true // DefaultTrainingRatios hold four distinct ratios
+	}
+	ratio := r.Ratio
+	if ratio == 0 {
+		ratio = defaultRatio
+	}
+	for _, tr := range r.TrainingRatios {
+		if tr != ratio {
+			return true
+		}
+	}
+	return false
+}
 
 // Validate reports malformed request fields without touching any cache.
 func (r PredictRequest) Validate() error {
@@ -388,6 +411,9 @@ func (r PredictRequest) Validate() error {
 		if tr <= 0 || tr > 1 {
 			return fmt.Errorf("service: training ratio %v out of (0, 1]", tr)
 		}
+	}
+	if !r.spansTwoRatios() {
+		return fmt.Errorf("service: training_ratios %v add no ratio besides the sampling ratio; a fit needs two distinct ratios to extrapolate", r.TrainingRatios)
 	}
 	if r.TimeoutMillis < 0 {
 		return fmt.Errorf("service: negative timeout %d", r.TimeoutMillis)
@@ -1052,10 +1078,8 @@ type Stats struct {
 	BreakerTrips     int64 `json:"breaker_trips"`
 	BreakerOpen      int   `json:"breaker_open"`
 	BreakerFastFails int64 `json:"breaker_fast_fails"`
-	// IORetries counts dataset I/O retry attempts (transient-failure
-	// backoff); TornRecovered counts torn trailing history records
-	// recovered (skipped, not fatal) during warm-start.
-	IORetries     int64 `json:"io_retries"`
+	// TornRecovered counts torn trailing history records recovered
+	// (skipped, not fatal) during warm-start.
 	TornRecovered int64 `json:"torn_records_recovered"`
 	// UptimeSeconds is seconds since the service was constructed —
 	// monotonically non-decreasing across successive /stats reads of one
@@ -1119,7 +1143,6 @@ func (s *Service) Stats() Stats {
 		BreakerTrips:     s.breakers.trips.Load(),
 		BreakerOpen:      s.breakers.openCount(),
 		BreakerFastFails: s.breakers.fastFails.Load(),
-		IORetries:        s.ioRetries.Load(),
 		TornRecovered:    s.tornRecovered.Load(),
 
 		UptimeSeconds:      time.Since(s.start).Seconds(),

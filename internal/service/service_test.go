@@ -493,3 +493,44 @@ func BenchmarkWarmPrediction(b *testing.B) {
 		}
 	}
 }
+
+// TestPredictRefusesSingleRatioFits holds a fit to two distinct sampling
+// ratios. With the sampling ratio as its only ratio, forward selection
+// keeps no feature and the model answers its intercept whatever the
+// graph's size (PageRank on Wiki: -77 % at the actual, with
+// probability_of_deadline 1.000 there), so such a request is a 400 that
+// names training_ratios, before any fit. A training ratio beside a
+// different sampling ratio still fits.
+func TestPredictRefusesSingleRatioFits(t *testing.T) {
+	svc, server := newTestServer(t, Config{})
+	withRatios := func(ratio float64, training ...float64) PredictRequest {
+		r := testRequest()
+		r.Ratio, r.TrainingRatios = ratio, training
+		return r
+	}
+	for _, req := range []PredictRequest{
+		withRatios(0, 0.1),
+		withRatios(0, 0.1, 0.1),
+		withRatios(0.1, 0.1),
+		withRatios(0.15, 0.15, 0.15),
+	} {
+		if err := req.Validate(); err == nil {
+			t.Errorf("Validate accepts ratio %v with training_ratios %v", req.Ratio, req.TrainingRatios)
+		}
+		status, raw := postJSON(t, server.URL+"/predict", req)
+		if status != http.StatusBadRequest {
+			t.Errorf("ratio %v, training_ratios %v: HTTP %d, want 400", req.Ratio, req.TrainingRatios, status)
+			continue
+		}
+		if msg := string(raw["error"]); !strings.Contains(msg, "training_ratios") {
+			t.Errorf("ratio %v, training_ratios %v: error %s does not name training_ratios", req.Ratio, req.TrainingRatios, msg)
+		}
+	}
+	if got := svc.Stats().Fits; got != 0 {
+		t.Fatalf("refused requests ran %d fits", got)
+	}
+	status, raw := postJSON(t, server.URL+"/predict", withRatios(0.2, 0.1))
+	if status != http.StatusOK {
+		t.Fatalf("ratio 0.2, training_ratios [0.1]: HTTP %d, want 200 (%s)", status, raw["error"])
+	}
+}

@@ -200,13 +200,6 @@ func TestDocCommandsExist(t *testing.T) {
 	t.Logf("checked %d command mentions", checked)
 }
 
-// testSupportAPI lists what TestExportedSurfaceIsReached lets stay
-// exported although only its own package's tests use it: a whole package
-// directory, or one "<dir>.<Func>" or "<dir>.<Type>.<Method>".
-var testSupportAPI = map[string]string{
-	"internal/crashtest": "the process-level crash harness: a package of helpers its own tests drive",
-}
-
 // implicitlyCalled are the method names the standard library calls on a
 // value it is handed — fmt's String and Error, errors' Unwrap — with no
 // call in this module's source: a method of one of these names reaches
@@ -217,8 +210,7 @@ var implicitlyCalled = map[string]bool{"String": true, "Error": true, "Unwrap": 
 // Under internal/, every exported top-level function or method declared in
 // a non-test file must be used — that *types.Func, not another of the same
 // name — by a non-test file of this module or of benchmark/ (which
-// compiles against internal/), or by a _test.go of another package, or be
-// listed in testSupportAPI. A method that implements a method of an
+// compiles against internal/), or by a _test.go of another package. A method that implements a method of an
 // interface declared in the module is reached when that interface method
 // is, and one of implicitlyCalled's names always is. In the root package,
 // the module's only importable API, every exported func, type, const and
@@ -297,7 +289,6 @@ func TestExportedSurfaceIsReached(t *testing.T) {
 	}
 	sort.Strings(paths)
 	checked := 0
-	listed := map[string]bool{}
 	for _, path := range paths {
 		dir, ok := strings.CutPrefix(path, "predict/")
 		if !ok || !strings.HasPrefix(dir, "internal/") {
@@ -326,14 +317,7 @@ func TestExportedSurfaceIsReached(t *testing.T) {
 					}
 				}
 				reached := reachedFrom(fn, path) || (recv != nil && viaInterface(fn, path))
-				if _, ok := testSupportAPI[dir]; ok {
-					listed[dir] = true
-				} else if _, ok := testSupportAPI[key]; ok {
-					listed[key] = true
-					if reached {
-						t.Errorf("%s is reached from outside its package's tests: drop it from testSupportAPI", key)
-					}
-				} else if !reached {
+				if !reached {
 					t.Errorf("%s is exported but used only by its own package's tests (or by nothing): unexport it, move it to the _test.go that wants it, or delete it", key)
 				}
 			}
@@ -341,11 +325,6 @@ func TestExportedSurfaceIsReached(t *testing.T) {
 	}
 	if checked < 100 {
 		t.Fatalf("found only %d exported functions and methods under internal/ — is the test running outside the repo root?", checked)
-	}
-	for key := range testSupportAPI {
-		if !listed[key] {
-			t.Errorf("testSupportAPI lists %s, which is no package or exported function or method under internal/", key)
-		}
 	}
 	rootSurfaceIsReached(t)
 }
