@@ -16,8 +16,8 @@
 //	predictd -drain-timeout 10s                     # SIGTERM drain deadline before fits are canceled
 //
 // Fifteen flags: addresses, paths, capacities and timeouts of this host.
-// The batch limit, blend threshold, Retry-After hint, circuit breaker,
-// dataset I/O retry policy and checkpoint growth factor are constants
+// The batch limit, blend threshold, Retry-After hint, circuit breaker
+// and checkpoint growth factor are constants
 // (DESIGN.md §10, "Constants, and why they are not flags").
 //
 // API (JSON; docs/API.md is the full reference):
@@ -126,6 +126,11 @@ func main() {
 		}
 	}
 
+	// Catch SIGINT/SIGTERM before the listener opens: a signal that
+	// arrives once /readyz answers must drain, not kill the process.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
+
 	// The profiling listener is opt-in and separate from the service
 	// listener, so profiling endpoints are never exposed on the serving
 	// address. The blank net/http/pprof import registers its handlers on
@@ -147,8 +152,6 @@ func main() {
 	// Serve until SIGINT/SIGTERM, then drain: readiness flips to draining,
 	// new work is refused 503 + Connection: close, in-flight requests get
 	// the drain deadline, and fits still running past it are canceled.
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case err := <-ctrl.Err():
 		log.Fatalf("predictd: %v", err)

@@ -26,6 +26,7 @@ import (
 	"predict/internal/faultinject"
 	"predict/internal/graph"
 	"predict/internal/history"
+	"predict/internal/retry"
 )
 
 // chaosSeed reads the schedule seed from PREDICT_CHAOS_SEED (default 1).
@@ -283,9 +284,10 @@ func TestChaosWarmStartTruncationSweep(t *testing.T) {
 	}
 }
 
-// TestChaosFlakyDatasetLoadRetries injects a failure into the registry
-// load path: the failed load is a 500 after one attempt, the failure is
-// not cached, and the next request for the dataset loads the file.
+// TestChaosFlakyDatasetLoadRetries injects failures into the registry
+// load path: a permanent failure is a 500 and a transient one a 503 with
+// Retry-After, each after one attempt; neither is cached, so the next
+// request for the dataset loads the file.
 func TestChaosFlakyDatasetLoadRetries(t *testing.T) {
 	dir := t.TempDir()
 	g := testWikiGraph(t)
@@ -295,37 +297,44 @@ func TestChaosFlakyDatasetLoadRetries(t *testing.T) {
 	in := faultinject.NewInjector(chaosSeed(t), faultinject.Rule{
 		Point: faultinject.PointGraphLoadFile,
 		From:  1, Count: 1,
-		Err:   errors.New("injected flaky read"),
+		Err:   errors.New("injected corrupt file"),
+		Delay: time.Millisecond,
+	}, faultinject.Rule{
+		Point: faultinject.PointGraphLoadFile,
+		From:  2, Count: 1,
+		Err:   retry.Transient(errors.New("injected flaky read")),
 		Delay: time.Millisecond,
 	})
 	restore := faultinject.Enable(in)
 	defer restore()
 	svc := New(Config{DatasetDir: dir})
 
-	_, _, err := svc.LoadDataset(context.Background(), "social")
-	var se *Error
-	if !errors.As(err, &se) || se.Status != 500 {
-		t.Fatalf("failed load error = %v, want a 500 service error", err)
-	}
-	if got := in.Hits(faultinject.PointGraphLoadFile); got != 1 {
-		t.Fatalf("load attempts = %d, want 1 (%s)", got, in)
+	for i, want := range []struct{ status, retryAfter int }{{500, 0}, {503, shedRetryAfterSeconds}} {
+		_, _, err := svc.LoadDataset(context.Background(), "social")
+		var se *Error
+		if !errors.As(err, &se) || se.Status != want.status || se.RetryAfterSeconds != want.retryAfter {
+			t.Fatalf("failed load %d: error = %#v, want a %d service error with Retry-After %d", i+1, err, want.status, want.retryAfter)
+		}
+		if got := in.Hits(faultinject.PointGraphLoadFile); got != i+1 {
+			t.Fatalf("load attempts = %d, want %d (%s)", got, i+1, in)
+		}
 	}
 
 	info, cached, err := svc.LoadDataset(context.Background(), "social")
 	if err != nil {
-		t.Fatalf("load after a failed one: %v", err)
+		t.Fatalf("load after failed ones: %v", err)
 	}
 	if cached {
-		t.Fatal("the load after a failed one reported already-cached")
+		t.Fatal("the load after failed ones reported already-cached")
 	}
 	if info.Vertices != g.NumVertices() || info.Edges != g.NumEdges() {
 		t.Fatalf("loaded %d vertices / %d edges, want %d / %d", info.Vertices, info.Edges, g.NumVertices(), g.NumEdges())
 	}
-	if got := in.Hits(faultinject.PointGraphLoadFile); got != 2 {
-		t.Fatalf("load attempts = %d, want 2 (%s)", got, in)
+	if got := in.Hits(faultinject.PointGraphLoadFile); got != 3 {
+		t.Fatalf("load attempts = %d, want 3 (%s)", got, in)
 	}
 	if _, cached, err := svc.LoadDataset(context.Background(), "social"); err != nil || !cached {
-		t.Fatalf("third load: cached %v, err %v; want the graph the second load cached", cached, err)
+		t.Fatalf("fourth load: cached %v, err %v; want the graph the third load cached", cached, err)
 	}
 }
 

@@ -27,6 +27,7 @@ import (
 	"strings"
 
 	"predict/internal/graph"
+	"predict/internal/retry"
 )
 
 // snapshotExt is the extension the registry treats as a binary snapshot;
@@ -192,9 +193,16 @@ func (s *Service) loadDataset(ctx context.Context, name, path, key string) (*gra
 		}
 		if err != nil {
 			// The request was valid — the name resolved; a file that then
-			// fails to load (corrupt snapshot, I/O error, permissions) is a
-			// server-side fault, not a client error.
-			return nil, &Error{Status: 500, Msg: fmt.Sprintf("service: loading dataset %q: %v", name, err)}
+			// fails to load is a server-side fault, not a client error. A
+			// transient one (retry.IsTransient: a timeout, EIO, EBUSY…) is
+			// a 503 with Retry-After, since the failure is not cached and a
+			// later attempt may load the file; a permanent one (corrupt
+			// snapshot, permissions) is a 500.
+			msg := fmt.Sprintf("service: loading dataset %q: %v", name, err)
+			if retry.IsTransient(err) {
+				return nil, &Error{Status: 503, RetryAfterSeconds: shedRetryAfterSeconds, Msg: msg}
+			}
+			return nil, &Error{Status: 500, Msg: msg}
 		}
 		g.EnsureDegreeArtifacts()
 		return g, nil
