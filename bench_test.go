@@ -272,6 +272,16 @@ func benchSampleRun(b *testing.B, configure func(n int) algorithms.Algorithm) {
 	b.ReportMetric(float64(msgs), "msgs/op")
 }
 
+// BenchmarkSampleRunPR measures a PageRank sample run: the combiner path
+// of the engine, where every in-edge is one fold.
+func BenchmarkSampleRunPR(b *testing.B) {
+	benchSampleRun(b, func(n int) algorithms.Algorithm {
+		pr := algorithms.NewPageRank()
+		pr.Tau = algorithms.TauForTolerance(0.001, n)
+		return pr
+	})
+}
+
 // BenchmarkSampleRunSC measures a semi-clustering sample run.
 func BenchmarkSampleRunSC(b *testing.B) {
 	benchSampleRun(b, func(int) algorithms.Algorithm { return algorithms.NewSemiClustering() })

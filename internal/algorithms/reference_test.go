@@ -88,6 +88,29 @@ func (c scCluster) equal(o scCluster) bool {
 	return true
 }
 
+// edgeWeight returns w(id, m) or 0 if the edge does not exist, by binary
+// search of id's row: the historical kernel's lookup, which the weight
+// table (scScratch.weight) replaced.
+func edgeWeight(g *graph.Graph, id, m graph.VertexID) float64 {
+	adj := g.OutNeighbors(id)
+	lo, hi := 0, len(adj)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if adj[mid] < m {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(adj) && adj[lo] == m {
+		if ws := g.OutWeights(id); ws != nil {
+			return float64(ws[lo])
+		}
+		return 1
+	}
+	return 0
+}
+
 // extend returns cluster c with vertex id added, maintaining Ic and Bc
 // incrementally: edges from id to members become internal (and stop being
 // boundary); all other incident edges of id become boundary.

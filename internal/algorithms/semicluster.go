@@ -3,6 +3,7 @@ package algorithms
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"predict/internal/bsp"
@@ -193,23 +194,23 @@ func candidateBefore(a, b *scCandidate, id graph.VertexID) bool {
 	return compareMembers(a, b, id) < 0
 }
 
-// place offers the newest candidate, cands[len(cands)-1], to sel: indexes
-// into cands of the best limit candidates so far, best first. With
-// distinct set, a member set is held once, by its best candidate. Offering
-// every candidate gives what sorting them all (stably), dropping repeated
-// member sets and truncating to limit gives: a candidate is only ever
-// displaced by limit better ones.
-func place(sel []int32, cands []scCandidate, limit int, distinct bool, id graph.VertexID) []int32 {
-	k := len(cands) - 1
-	c := &cands[k]
+// place offers candidate c, the next to be appended to cands, to sel:
+// indexes into cands of the best limit candidates so far, best first. With
+// distinct set, a member set is held once, by its best candidate. It
+// reports whether c took a place, in which case the caller must append c
+// to cands; a refused candidate is never copied. Offering every candidate
+// gives what sorting them all (stably), dropping repeated member sets and
+// truncating to limit gives: a candidate is only ever displaced by limit
+// better ones.
+func place(sel []int32, cands []scCandidate, c *scCandidate, limit int, distinct bool, id graph.VertexID) ([]int32, bool) {
 	if len(sel) >= limit && (limit < 1 || !candidateBefore(c, &cands[sel[limit-1]], id)) {
-		return sel
+		return sel, false
 	}
 	if distinct {
 		for i, o := range sel {
 			if compareMembers(c, &cands[o], id) == 0 {
 				if c.score <= cands[o].score {
-					return sel
+					return sel, false
 				}
 				sel = append(sel[:i], sel[i+1:]...)
 				break
@@ -224,8 +225,8 @@ func place(sel []int32, cands []scCandidate, limit int, distinct bool, id graph.
 		sel = append(sel, 0)
 	}
 	copy(sel[j+1:], sel[j:])
-	sel[j] = int32(k)
-	return sel
+	sel[j] = int32(len(cands))
+	return sel, true
 }
 
 // scValue is the per-vertex semi-clustering state.
@@ -235,13 +236,88 @@ type scValue struct {
 }
 
 // scScratch is one worker's reusable Compute state. cands holds the
-// vertex's current clusters, then each received cluster followed by its
-// extension; send and best index into it.
+// vertex's current clusters, then each received cluster and extension
+// that took a place in send or best; send and best index into it.
 type scScratch struct {
 	cands []scCandidate
 	send  []int32
 	best  []int32
-	_     [64]byte // keeps neighbouring workers' slice headers off one cache line
+	// weight[u] is w(id, u) for the vertex id being computed, 0 for a
+	// non-neighbour: id's row is scattered in before its first extension
+	// and cleared when its Compute ends.
+	weight []float32
+	// seen memoises this Compute's messages; entries of an earlier
+	// Compute (another gen) are empty.
+	seen [1 << scSeenBits]scSeen
+	gen  uint64
+	// repeats counts messages that hit seen, for the kernel tests.
+	repeats int
+	_       [64]byte // keeps neighbouring workers' slice headers off one cache line
+}
+
+// scSeenBits sizes the direct-mapped message memo: 32 slots.
+const scSeenBits = 5
+
+// scSeen is a message a vertex received in this Compute and what it made
+// of it: whether the vertex is a member (and where it belongs if not),
+// and the extension by it if it has one.
+type scSeen struct {
+	gen     uint64
+	cluster scCluster
+	at      int
+	found   bool
+	extends bool
+	ext     scCandidate
+}
+
+// lookup returns c's memo slot and whether it already holds a message
+// with c's members, ic, bc and score, which made what c would make. On a
+// miss the slot is taken for c and the caller fills in the rest.
+func (s *scScratch) lookup(c scCluster) (*scSeen, bool) {
+	h := math.Float64bits(c.ic) ^ math.Float64bits(c.bc)*0x9e3779b97f4a7c15 ^ uint64(len(c.members))
+	if n := len(c.members); n > 0 {
+		h ^= uint64(c.members[0])<<32 | uint64(c.members[n-1])
+	}
+	e := &s.seen[(h*0xbf58476d1ce4e5b9)>>(64-scSeenBits)]
+	if e.gen == s.gen && sameCluster(e.cluster, c) {
+		s.repeats++
+		return e, true
+	}
+	e.gen, e.cluster = s.gen, c
+	return e, false
+}
+
+// sameCluster reports whether a and b have the same members and the same
+// bits of ic, bc and score.
+func sameCluster(a, b scCluster) bool {
+	return math.Float64bits(a.ic) == math.Float64bits(b.ic) &&
+		math.Float64bits(a.bc) == math.Float64bits(b.bc) &&
+		math.Float64bits(a.score) == math.Float64bits(b.score) &&
+		slices.Equal(a.members, b.members)
+}
+
+// weigh scatters id's row into s.weight, sized for g on first use.
+func (s *scScratch) weigh(g *graph.Graph, id graph.VertexID) {
+	if len(s.weight) < g.NumVertices() {
+		s.weight = make([]float32, g.NumVertices())
+	}
+	adj := g.OutNeighbors(id)
+	if ws := g.OutWeights(id); ws != nil {
+		for i, u := range adj {
+			s.weight[u] = ws[i]
+		}
+		return
+	}
+	for _, u := range adj {
+		s.weight[u] = 1
+	}
+}
+
+// unweigh clears id's row from s.weight.
+func (s *scScratch) unweigh(g *graph.Graph, id graph.VertexID) {
+	for _, u := range g.OutNeighbors(id) {
+		s.weight[u] = 0
+	}
 }
 
 type scProgram struct {
@@ -275,35 +351,15 @@ func (sp *scProgram) score(ic, bc float64, size int) float64 {
 	return (ic - sp.p.FB*bc) / denom
 }
 
-// edgeWeight returns w(id, m) or 0 if the edge does not exist.
-func edgeWeight(g *graph.Graph, id, m graph.VertexID) float64 {
-	adj := g.OutNeighbors(id)
-	lo, hi := 0, len(adj)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if adj[mid] < m {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(adj) && adj[lo] == m {
-		if ws := g.OutWeights(id); ws != nil {
-			return float64(ws[lo])
-		}
-		return 1
-	}
-	return 0
-}
-
 // extension returns cluster c with vertex id (which belongs at member
 // index at) added, maintaining Ic and Bc incrementally: edges from id to
 // members become internal (and stop being boundary); all other incident
-// edges of id become boundary.
-func (sp *scProgram) extension(g *graph.Graph, c scCluster, id graph.VertexID, at int, strength float64) scCandidate {
+// edges of id become boundary. weight is id's row (see scScratch): a
+// graph has no parallel edges, so it holds every w(id, m) there is.
+func (sp *scProgram) extension(weight []float32, c scCluster, id graph.VertexID, at int, strength float64) scCandidate {
 	var wToMembers float64
 	for _, m := range c.members {
-		wToMembers += edgeWeight(g, id, m)
+		wToMembers += float64(weight[m])
 	}
 	c.ic += wToMembers
 	c.bc += strength - 2*wToMembers
@@ -335,22 +391,55 @@ func (sp *scProgram) Compute(ctx *bsp.Context[scCluster], id bsp.VertexID, v *sc
 	// keeping the best SMax to send onwards and, with the current clusters,
 	// the best CMax distinct ones containing id.
 	s := &sp.scratch[ctx.Worker()]
+	s.gen++
 	cands, send, best := s.cands[:0], s.send[:0], s.best[:0]
 	for _, c := range v.best {
-		cands = append(cands, scCandidate{c, -1})
-		best = place(best, cands, sp.p.CMax, true, id)
+		cand := scCandidate{c, -1}
+		best, _ = place(best, cands, &cand, sp.p.CMax, true, id)
+		cands = append(cands, cand)
 	}
+	weighed := false
 	for _, sc := range msgs {
-		at, found := sc.search(id)
-		cands = append(cands, scCandidate{sc, -1})
-		send = place(send, cands, sp.p.SMax, false, id)
-		if found {
-			best = place(best, cands, sp.p.CMax, true, id)
-		} else if len(sc.members) < sp.p.VMax {
-			cands = append(cands, sp.extension(g, sc, id, at, v.strength))
-			send = place(send, cands, sp.p.SMax, false, id)
-			best = place(best, cands, sp.p.CMax, true, id)
+		// A repeat of an earlier message (same members, ic, bc, score)
+		// makes the same extension and cannot change best: its member set
+		// is held there with an equal or better score, or was refused
+		// against a limit that only got stricter. It is offered to send
+		// alone, where equal clusters all count.
+		e, repeat := s.lookup(sc)
+		if !repeat {
+			e.at, e.found = sc.search(id)
+			e.extends = !e.found && len(sc.members) < sp.p.VMax
+			if e.extends {
+				if !weighed {
+					s.weigh(g, id)
+					weighed = true
+				}
+				e.ext = sp.extension(s.weight, sc, id, e.at, v.strength)
+			}
 		}
+		var sent, kept bool
+		cand := scCandidate{sc, -1}
+		send, sent = place(send, cands, &cand, sp.p.SMax, false, id)
+		if e.found && !repeat {
+			best, kept = place(best, cands, &cand, sp.p.CMax, true, id)
+		}
+		if sent || kept {
+			cands = append(cands, cand)
+		}
+		if e.extends {
+			ext := e.ext
+			send, sent = place(send, cands, &ext, sp.p.SMax, false, id)
+			kept = false
+			if !repeat {
+				best, kept = place(best, cands, &ext, sp.p.CMax, true, id)
+			}
+			if sent || kept {
+				cands = append(cands, ext)
+			}
+		}
+	}
+	if weighed {
+		s.unweigh(g, id)
 	}
 
 	for _, k := range send {

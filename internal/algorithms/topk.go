@@ -2,6 +2,7 @@ package algorithms
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"predict/internal/bsp"
@@ -73,10 +74,17 @@ func (t TopKRanking) RunLists(g *graph.Graph, cfg bsp.Config) (*RunInfo, [][]Ran
 	return t.RunOnRanks(g, ranks, cfg)
 }
 
-// RunOnRanks executes only the top-k phase on precomputed ranks.
+// RunOnRanks executes only the top-k phase on precomputed ranks: one per
+// vertex of g, none of them NaN, which the list order cannot place.
 func (t TopKRanking) RunOnRanks(g *graph.Graph, ranks []float64, cfg bsp.Config) (*RunInfo, [][]RankEntry, error) {
 	if t.K < 1 {
 		return nil, nil, fmt.Errorf("algorithms: top-k list size K = %d, want >= 1", t.K)
+	}
+	if len(ranks) != g.NumVertices() {
+		return nil, nil, fmt.Errorf("algorithms: top-k got %d ranks for %d vertices", len(ranks), g.NumVertices())
+	}
+	if v := slices.IndexFunc(ranks, math.IsNaN); v >= 0 {
+		return nil, nil, fmt.Errorf("algorithms: top-k rank of vertex %d is NaN", v)
 	}
 	res, err := t.engine(g, &topkProgram{k: t.K, ranks: ranks}, cfg).Run()
 	if err != nil {
@@ -150,6 +158,11 @@ func (tp *topkProgram) Compute(ctx *bsp.Context[topkMsg], id bsp.VertexID, v *to
 	list := append(tp.fold[ctx.Worker()], v.list...)
 	for _, m := range msgs {
 		for _, e := range m {
+			// m is in rankBefore order and ranks are never NaN, so once an
+			// entry misses a full list's last place the rest of m does too.
+			if len(list) == tp.k && !rankBefore(e, list[tp.k-1]) {
+				break
+			}
 			list = insertRank(list, e, tp.k)
 		}
 	}

@@ -1,6 +1,8 @@
 package algorithms
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"predict/internal/gen"
@@ -134,6 +136,33 @@ func TestTopKRunOnRanksUsesProvidedRanks(t *testing.T) {
 	for v, list := range lists {
 		if list[0].ID != 7 {
 			t.Fatalf("vertex %d top entry = %d, want 7", v, list[0].ID)
+		}
+	}
+}
+
+// TestTopKRunOnRanksRejectsBadRanks: ranks of the wrong length used to
+// panic in Init (on a worker goroutine, killing the process, with more
+// than one worker), and a NaN rank, which rankBefore cannot order, ran to
+// the superstep cap. Both are errors naming the fault, before the engine
+// starts.
+func TestTopKRunOnRanksRejectsBadRanks(t *testing.T) {
+	g := gen.Cycle(10)
+	tk := NewTopKRanking()
+	for _, c := range []struct {
+		name  string
+		ranks []float64
+		want  string
+	}{
+		{"short", make([]float64, 4), "4 ranks for 10 vertices"},
+		{"long", make([]float64, 11), "11 ranks for 10 vertices"},
+		{"nan", []float64{0, 0.1, 0.2, math.NaN(), 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}, "vertex 3 is NaN"},
+	} {
+		ri, lists, err := tk.RunOnRanks(g, c.ranks, quietCfg(2))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one naming %q", c.name, err, c.want)
+		}
+		if ri != nil || lists != nil {
+			t.Errorf("%s: the engine ran", c.name)
 		}
 	}
 }

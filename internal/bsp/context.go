@@ -1,6 +1,8 @@
 package bsp
 
 import (
+	"slices"
+
 	"predict/internal/cluster"
 	"predict/internal/graph"
 )
@@ -32,21 +34,23 @@ type Context[M any] struct {
 	// interface call on the dominant fixed-size programs.
 	fixedBytes int
 
-	// Slice-backed aggregators: names are interned once into aggIdx and
-	// accumulate into aggVals; aggEpoch marks which names were touched
-	// this superstep (stale values are reset on first touch, so there is
-	// no per-superstep clearing pass and the master merges exactly the
-	// names touched this superstep, like the historical fresh-map path).
-	aggIdx   map[string]int
+	// Slice-backed aggregators: a name is found by scanning aggNames (a
+	// program uses one to three, so a scan beats hashing) and accumulates
+	// into aggVals; aggEpoch marks which names were touched this superstep
+	// (stale values are reset on first touch, so there is no per-superstep
+	// clearing pass and the master merges exactly the names touched this
+	// superstep, like the historical fresh-map path). prevAgg is the
+	// master's merge of the superstep before, read by Aggregate.
 	aggNames []string
 	aggVals  []float64
 	aggEpoch []int
-	prevAgg  map[string]float64
+	prevAgg  *aggregates
 
 	// st is the run's broadcast store, shared by every worker; log is
-	// this worker's half of it for the superstep being computed — what its
-	// vertices have broadcast so far, in send order. The master hands log
-	// to the store at the barrier.
+	// this worker's half of it for the superstep being computed — its
+	// vertices' second and later broadcasts so far, in send order (a first
+	// broadcast rides in the sender's stamp). The master hands log to the
+	// store at the barrier.
 	st  *store[M]
 	log []M
 
@@ -74,11 +78,12 @@ func (c *Context[M]) messageBytes(m M) int64 {
 
 // SendToNeighbors sends m from the vertex being computed to each of its
 // out-neighbours, for delivery at the next superstep. The message is
-// stored once, in this worker's log; the counters are charged per
-// receiver — one message and its payload bytes for every out-neighbour,
-// local or remote by the receiver's worker — from the vertex's local
-// out-degree, so they read what a copy per edge would have counted. The
-// message is sized once per broadcast.
+// stored once: in the vertex's stamp if it is the vertex's first broadcast
+// this superstep, in this worker's log otherwise. The counters are charged
+// per receiver — one message and its payload bytes for every
+// out-neighbour, local or remote by the receiver's worker — from the
+// vertex's local out-degree, so they read what a copy per edge would have
+// counted. The message is sized once per broadcast.
 func (c *Context[M]) SendToNeighbors(m M) {
 	v := c.current
 	deg := int64(c.g.OutDegree(v))
@@ -93,7 +98,8 @@ func (c *Context[M]) SendToNeighbors(m M) {
 	c.load.RemoteMessageBytes += (deg - local) * bytes
 	s := &c.st.next[v]
 	if s.epoch != c.epoch {
-		*s = stamp{off: len(c.log), epoch: c.epoch, worker: int32(c.worker)}
+		*s = stamp[M]{first: m, off: len(c.log), epoch: c.epoch, count: 1, worker: int32(c.worker)}
+		return
 	}
 	s.count++
 	c.log = append(c.log, m)
@@ -105,30 +111,49 @@ func (c *Context[M]) SendToNeighbors(m M) {
 // With a combiner the list is folded left to right into one message — the
 // same applications in the same order on every run, so a combiner that is
 // only approximately associative (a floating-point sum) still yields
-// identical bits.
+// identical bits. A sender that broadcast once is read from its stamp
+// alone; only the rest of a several-broadcast sender's messages are read
+// from its worker's log.
 func (c *Context[M]) gather(v VertexID) []M {
 	c.inbox = c.inbox[:0]
 	if c.superstep == 0 {
 		return c.inbox
 	}
 	st, sentIn := c.st, c.epoch-1
-	for _, src := range st.inSrc[st.inOff[v]:st.inOff[v+1]] {
+	srcs := st.inSrc[st.inOff[v]:st.inOff[v+1]]
+	if c.combiner == nil {
+		for _, src := range srcs {
+			s := &st.cur[src]
+			if s.epoch != sentIn {
+				continue
+			}
+			c.inbox = append(c.inbox, s.first)
+			if s.count > 1 {
+				c.inbox = append(c.inbox, st.logs[s.worker][s.off:s.off+int(s.count)-1]...)
+			}
+		}
+		return c.inbox
+	}
+	var acc M
+	folded := false
+	for _, src := range srcs {
 		s := &st.cur[src]
 		if s.epoch != sentIn {
 			continue
 		}
-		sent := st.logs[s.worker][s.off : s.off+int(s.count)]
-		if c.combiner == nil {
-			c.inbox = append(c.inbox, sent...)
-			continue
+		if folded {
+			acc = c.combiner(acc, s.first)
+		} else {
+			acc, folded = s.first, true
 		}
-		for _, m := range sent {
-			if len(c.inbox) == 0 {
-				c.inbox = append(c.inbox, m)
-			} else {
-				c.inbox[0] = c.combiner(c.inbox[0], m)
+		if s.count > 1 {
+			for _, m := range st.logs[s.worker][s.off : s.off+int(s.count)-1] {
+				acc = c.combiner(acc, m)
 			}
 		}
+	}
+	if folded {
+		c.inbox = append(c.inbox, acc)
 	}
 	return c.inbox
 }
@@ -143,10 +168,9 @@ func (c *Context[M]) VoteToHalt() {
 // value is visible to the master's halt predicate after this superstep and
 // to all vertices (via Aggregate) during the next superstep.
 func (c *Context[M]) AddToAggregate(name string, v float64) {
-	i, ok := c.aggIdx[name]
-	if !ok {
+	i := slices.Index(c.aggNames, name)
+	if i < 0 {
 		i = len(c.aggNames)
-		c.aggIdx[name] = i
 		c.aggNames = append(c.aggNames, name)
 		c.aggVals = append(c.aggVals, 0)
 		c.aggEpoch = append(c.aggEpoch, 0)
@@ -161,5 +185,37 @@ func (c *Context[M]) AddToAggregate(name string, v float64) {
 // Aggregate returns the named aggregator's merged value from the previous
 // superstep (0 for the first superstep or unknown names).
 func (c *Context[M]) Aggregate(name string) float64 {
-	return c.prevAgg[name]
+	return c.prevAgg.get(name)
+}
+
+// aggregates is the master's merge of one superstep's aggregators: each
+// name touched, in the order the merge first met it, and its value.
+type aggregates struct {
+	names []string
+	vals  []float64
+}
+
+// reset empties a for the next merge, keeping its storage.
+func (a *aggregates) reset() {
+	a.names, a.vals = a.names[:0], a.vals[:0]
+}
+
+// add accumulates v into name's value, which starts at 0 as a map entry
+// would.
+func (a *aggregates) add(name string, v float64) {
+	i := slices.Index(a.names, name)
+	if i < 0 {
+		i = len(a.names)
+		a.names = append(a.names, name)
+		a.vals = append(a.vals, 0)
+	}
+	a.vals[i] += v
+}
+
+// get returns name's value, 0 for a name not merged.
+func (a *aggregates) get(name string) float64 {
+	if i := slices.Index(a.names, name); i >= 0 {
+		return a.vals[i]
+	}
+	return 0
 }

@@ -20,8 +20,8 @@ import (
 // engineered for near-zero steady-state heap allocation: W worker
 // goroutines are spawned once and driven through a barrier per superstep
 // (inline on the caller for W=1), broadcast logs and gather buffers are
-// reused across supersteps, and aggregators are slice-backed behind an
-// interned name table. None of this is observable in the simulation:
+// reused across supersteps, and aggregators are slices found by a scan of
+// their names. None of this is observable in the simulation:
 // messages and bytes are charged per receiver at send time, so Profile
 // counters, oracle pricing and fitted cost models are bit-identical to
 // the historical copy-per-edge message path (pinned by the
@@ -167,6 +167,9 @@ func (e *Engine[V, M]) Run() (*Result[V], error) {
 
 	values := make([]V, n)
 	halted := make([]bool, n)
+	// The master's merge of a superstep's aggregates, refilled at each
+	// barrier: what every context's Aggregate reads in the next superstep.
+	merged := &aggregates{}
 
 	// Persistent per-worker contexts around the one broadcast store: every
 	// buffer a superstep needs lives in them and is reused, so the
@@ -181,7 +184,7 @@ func (e *Engine[V, M]) Run() (*Result[V], error) {
 			fixedBytes: fixedBytes,
 			combiner:   e.combiner,
 			halted:     halted,
-			aggIdx:     map[string]int{},
+			prevAgg:    merged,
 			st:         st,
 			log:        logs[w],
 		}
@@ -216,8 +219,6 @@ func (e *Engine[V, M]) Run() (*Result[V], error) {
 		}
 	}
 
-	prevAgg := map[string]float64{}
-
 	// ----- Superstep phase.
 	converged := false
 	for step := 0; step < e.cfg.MaxSupersteps; step++ {
@@ -230,7 +231,6 @@ func (e *Engine[V, M]) Run() (*Result[V], error) {
 			c.superstep = step
 			c.epoch = epoch
 			c.load = cluster.WorkerLoad{TotalVertices: workerVertCounts[w]}
-			c.prevAgg = prevAgg
 		}
 
 		workers.phase(computePhase)
@@ -239,14 +239,18 @@ func (e *Engine[V, M]) Run() (*Result[V], error) {
 		// Master: merge aggregates deterministically — per key, worker
 		// contributions accumulate in worker order; the epoch gate keeps
 		// the key set exactly the names touched this superstep.
-		agg := map[string]float64{}
+		merged.reset()
 		for w := 0; w < W; w++ {
 			c := contexts[w]
 			for i, name := range c.aggNames {
 				if c.aggEpoch[i] == epoch {
-					agg[name] += c.aggVals[i]
+					merged.add(name, c.aggVals[i])
 				}
 			}
+		}
+		agg := make(map[string]float64, len(merged.names))
+		for i, name := range merged.names {
+			agg[name] = merged.vals[i]
 		}
 		loads := make([]cluster.WorkerLoad, W)
 		workerSecs := make([]float64, W)
@@ -286,8 +290,6 @@ func (e *Engine[V, M]) Run() (*Result[V], error) {
 						ErrOutOfMemory, step, est>>20, oracle.MemoryBudgetBytes>>20)
 			}
 		}
-
-		prevAgg = agg
 
 		// Termination checks.
 		if e.halt != nil && e.halt(SuperstepInfo{

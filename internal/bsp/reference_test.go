@@ -430,7 +430,8 @@ func TestCombinerFoldMatchesPushReference(t *testing.T) {
 	}
 }
 
-// TestStampFieldsDoNotWrap holds the width of what a stamp records. A vertex
+// TestStampFieldsDoNotWrap holds the width of what a stamp records, and
+// that its first message is the program's message type, inline. A vertex
 // may broadcast more than 65,535 times in a superstep, which runs here; a
 // worker index above 65,535 and a log offset above 2^32 are bounded only by
 // the graph and would cost gigabytes to run, so their field types are held
@@ -470,8 +471,10 @@ func TestStampFieldsDoNotWrap(t *testing.T) {
 		t.Errorf("superstep 0 counted %d messages, want %d", sent, broadcasts)
 	}
 
-	want := map[string]reflect.Kind{"off": reflect.Int, "epoch": reflect.Int, "count": reflect.Int32, "worker": reflect.Int32}
-	typ := reflect.TypeOf(stamp{})
+	// first is the inline message, of the program's message type (int
+	// here); the other four are the full-width fields.
+	want := map[string]reflect.Kind{"first": reflect.Int, "off": reflect.Int, "epoch": reflect.Int, "count": reflect.Int32, "worker": reflect.Int32}
+	typ := reflect.TypeOf(stamp[int]{})
 	if typ.NumField() != len(want) {
 		t.Errorf("stamp has %d fields, this test knows %d", typ.NumField(), len(want))
 	}

@@ -3,11 +3,14 @@ package bsp
 import "predict/internal/graph"
 
 // stamp locates what one vertex broadcast in one superstep: count
-// messages, adjacent and in send order, at off in its worker's log. The
-// fields are full-width on purpose — a worker index, a vertex's broadcasts
-// in one superstep and a log offset are bounded by the graph and the
-// program, not by the engine.
-type stamp struct {
+// messages in send order, the first inline and the other count-1 adjacent
+// at off in its worker's log. Most programs broadcast once per vertex and
+// superstep, so a receiver reads one place per in-edge. The other fields
+// are full-width on purpose — a worker index, a vertex's broadcasts in one
+// superstep and a log offset are bounded by the graph and the program, not
+// by the engine.
+type stamp[M any] struct {
+	first  M
 	off    int
 	epoch  int // superstep+1 of the broadcast; the zero stamp matches none
 	count  int32
@@ -17,7 +20,8 @@ type stamp struct {
 // store is the engine's message storage: one copy per broadcast, at the
 // sender. A vertex reads its inbox through inOff/inSrc, the reverse
 // adjacency in delivery order, from the stamps and logs of the superstep
-// before; its own broadcasts go to next and to its worker's Context.log.
+// before; its own broadcasts go to next (the first) and to its worker's
+// Context.log (the rest).
 // The two halves are disjoint, so workers read the one while writing the
 // other without synchronisation; the master swaps them at the barrier.
 type store[M any] struct {
@@ -32,15 +36,16 @@ type store[M any] struct {
 	// out-degree to RemoteMessages.
 	localOut []int32
 
-	cur, next []stamp // per vertex: the last superstep's, this superstep's
-	logs      [][]M   // per worker: the last superstep's broadcasts
+	cur, next []stamp[M] // per vertex: the last superstep's, this superstep's
+	logs      [][]M      // per worker: the last superstep's second and later broadcasts
 }
 
 // newStore builds the delivery-ordered reverse adjacency and the local
 // out-degrees for g placed by part, in two passes over the edges — count,
 // then place — and sizes the stamps and the logs it hands back (one per
-// worker, for that worker's Context): a log starts with room for one
-// broadcast per vertex and grows, amortised, for programs that send more.
+// worker, for that worker's Context): a log holds only a vertex's second
+// and later broadcasts, so it starts empty and grows, amortised, for
+// programs that send more than once.
 func newStore[M any](g *graph.Graph, part []int32, workerVerts [][]VertexID) (*store[M], [][]M) {
 	n := g.NumVertices()
 	inOff := make([]int, n+1)
@@ -82,14 +87,9 @@ func newStore[M any](g *graph.Graph, part []int32, workerVerts [][]VertexID) (*s
 		inOff:    inOff,
 		inSrc:    inSrc,
 		localOut: localOut,
-		cur:      make([]stamp, n),
-		next:     make([]stamp, n),
+		cur:      make([]stamp[M], n),
+		next:     make([]stamp[M], n),
 		logs:     make([][]M, len(workerVerts)),
 	}
-	writing := make([][]M, len(workerVerts))
-	for w, verts := range workerVerts {
-		st.logs[w] = make([]M, 0, len(verts))
-		writing[w] = make([]M, 0, len(verts))
-	}
-	return st, writing
+	return st, make([][]M, len(workerVerts))
 }

@@ -50,15 +50,14 @@ type dstWeight struct {
 
 // sortPairsStable sorts dsts ascending, permuting ws in lockstep and
 // keeping equal keys in their incoming order. It is the one weighted
-// adjacency sort: Builder.Build and InducedSubgraph both use it (unweighted
-// buckets go to slices.Sort). Stability is what makes Build's "first
-// weight seen wins" dedup contract actually hold: buckets arrive in
-// edge-insertion order (the counting-sort scatter preserves it), so after
-// a stable sort the first entry of an equal-key run is the first edge
-// added; an induced bucket has no equal keys, so there it is moot. The
-// pair scratch is reused across buckets — one amortized allocation per
-// Build, none per bucket; the possibly-grown scratch is returned for the
-// next call.
+// adjacency sort: Builder.Build uses it (unweighted buckets go to
+// slices.Sort; InducedSubgraph needs no sort). Stability is what makes
+// Build's "first weight seen wins" dedup contract actually hold: buckets
+// arrive in edge-insertion order (the counting-sort scatter preserves it),
+// so after a stable sort the first entry of an equal-key run is the first
+// edge added. The pair scratch is reused across buckets — one amortized
+// allocation per Build, none per bucket; the possibly-grown scratch is
+// returned for the next call.
 func sortPairsStable(dsts []VertexID, ws []float32, scratch []dstWeight) []dstWeight {
 	if len(dsts) < 2 {
 		return scratch

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 )
 
@@ -15,14 +14,21 @@ type Mapping struct {
 
 // subgraphScratch is the reusable induction workspace: an epoch-stamped
 // membership table (see EpochTable) with a parallel relabel array, sized
-// to the base graph. Bumping the epoch invalidates the whole table in
-// O(1), so repeated inductions on the same base graph (one per training
-// ratio per fit) skip the O(n) refill the old implementation paid per
-// call. Pooled because fit pipelines run concurrently.
+// to the base graph, and the buffers the two transpositions pass edges
+// through. Bumping the epoch invalidates the whole table in O(1), so
+// repeated inductions on the same base graph (one per training ratio per
+// fit) skip the O(n) refill the old implementation paid per call. Pooled
+// because fit pipelines run concurrently.
 type subgraphScratch struct {
 	in       EpochTable
-	sampleID []VertexID  // valid only where in.Marked(v)
-	pairs    []dstWeight // sortPairsStable's scratch for weighted buckets
+	sampleID []VertexID // valid only where in.Marked(v)
+	// rows holds the kept edges' relabeled destinations in base order,
+	// row by row; cols the same edges' sources, grouped by destination.
+	// rowW and colW carry the weights along.
+	rows, cols []VertexID
+	rowW, colW []float32
+	colOff     []int // cols' row offsets, by destination
+	cursor     []int
 }
 
 var subgraphScratchPool = sync.Pool{New: func() any { return new(subgraphScratch) }}
@@ -35,17 +41,29 @@ func (s *subgraphScratch) begin(n int) {
 	s.sampleID = s.sampleID[:n]
 }
 
+// resize returns b with length n, reallocated only if it is too short.
+func resize[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
+}
+
 // InducedSubgraph returns the subgraph of g induced by the given vertex
 // set: the vertices are relabeled densely in the order given, and every
 // edge of g with both endpoints in the set is kept (with its weight).
 // Duplicate vertices in the set are rejected, and self-loops are dropped
 // (matching the Builder default the sampler has always used).
 //
-// The CSR is built directly in two passes over the relevant adjacency
-// lists — count, then fill + per-bucket sort — sized exactly, with no
-// intermediate triple edge list. Dedup is unnecessary: a built Graph's
-// adjacency lists carry no parallel edges and the relabeling is injective,
-// so the induced lists cannot contain duplicates either.
+// The CSR is built without sorting. One walk of the sampled rows keeps
+// each edge into the sample, relabeled, in base order; relabeling does not
+// preserve the base graph's per-row order, so the kept edges are then
+// transposed (a counting scatter by destination, visiting sources in
+// ascending order) and transposed back (by source, visiting destinations
+// in ascending order), which leaves every row ascending. Sorting is
+// unnecessary because scattering in ascending order keeps each bucket
+// ascending, and dedup because a built Graph's adjacency lists carry no
+// parallel edges and the relabeling is injective.
 func InducedSubgraph(g *Graph, vertices []VertexID) (*Graph, *Mapping, error) {
 	n := g.NumVertices()
 	sc := subgraphScratchPool.Get().(*subgraphScratch)
@@ -65,47 +83,75 @@ func InducedSubgraph(g *Graph, vertices []VertexID) (*Graph, *Mapping, error) {
 		toOriginal[i] = v
 	}
 
-	// Pass 1: exact per-vertex edge counts -> CSR offsets.
+	// Walk the sampled rows once: the kept edges, their rows' offsets and
+	// each destination's in-degree (counted one place up, at colOff[d+1]).
 	ns := len(vertices)
+	weighted := g.HasWeights()
 	offsets := make([]int64, ns+1)
+	colOff := resize(sc.colOff, ns+1)
+	clear(colOff)
+	rows, rowW := sc.rows[:0], sc.rowW[:0]
 	for i, orig := range toOriginal {
-		cnt := int64(0)
-		for _, dst := range g.OutNeighbors(orig) {
-			if dst != orig && sc.in.Marked(dst) {
-				cnt++
-			}
-		}
-		offsets[i+1] = offsets[i] + cnt
-	}
-
-	// Pass 2: fill relabeled destinations (and weights), then sort each
-	// bucket in place — relabeling does not preserve the base graph's
-	// per-bucket order, so the CSR invariant needs a per-bucket sort.
-	m := offsets[ns]
-	edges := make([]VertexID, m)
-	var weights []float32
-	if g.HasWeights() && m > 0 {
-		weights = make([]float32, m)
-	}
-	for i, orig := range toOriginal {
-		pos := offsets[i]
 		srcW := g.OutWeights(orig)
 		for j, dst := range g.OutNeighbors(orig) {
 			if dst == orig || !sc.in.Marked(dst) {
 				continue
 			}
-			edges[pos] = sc.sampleID[dst]
-			if weights != nil {
-				weights[pos] = srcW[j]
+			d := sc.sampleID[dst]
+			rows = append(rows, d)
+			if weighted {
+				rowW = append(rowW, srcW[j])
 			}
-			pos++
+			colOff[d+1]++
 		}
-		if weights != nil {
-			sc.pairs = sortPairsStable(edges[offsets[i]:pos], weights[offsets[i]:pos], sc.pairs)
-		} else {
-			slices.Sort(edges[offsets[i]:pos])
+		offsets[i+1] = int64(len(rows))
+	}
+	m := len(rows)
+	for d := 0; d < ns; d++ {
+		colOff[d+1] += colOff[d]
+	}
+
+	// Transpose: sources grouped by destination, ascending within each.
+	cols := resize(sc.cols, m)
+	var colW []float32
+	if weighted {
+		colW = resize(sc.colW, m)
+	}
+	cursor := resize(sc.cursor, ns)
+	copy(cursor, colOff[:ns])
+	for i := 0; i < ns; i++ {
+		for k := offsets[i]; k < offsets[i+1]; k++ {
+			d := rows[k]
+			p := cursor[d]
+			cols[p] = VertexID(i)
+			if weighted {
+				colW[p] = rowW[k]
+			}
+			cursor[d] = p + 1
 		}
 	}
+
+	// Transpose back: destinations grouped by source, ascending within each.
+	edges := make([]VertexID, m)
+	var weights []float32
+	if weighted && m > 0 {
+		weights = make([]float32, m)
+	}
+	for i := 0; i < ns; i++ {
+		cursor[i] = int(offsets[i])
+	}
+	for d := 0; d < ns; d++ {
+		for p := colOff[d]; p < colOff[d+1]; p++ {
+			src := cols[p]
+			q := cursor[src]
+			edges[q] = VertexID(d)
+			if weighted {
+				weights[q] = colW[p]
+			}
+			cursor[src] = q + 1
+		}
+	}
+	sc.rows, sc.rowW, sc.cols, sc.colW, sc.colOff, sc.cursor = rows, rowW, cols, colW, colOff, cursor
 
 	sub := &Graph{offsets: offsets, edges: edges, weights: weights}
 	return sub, &Mapping{ToOriginal: toOriginal}, nil

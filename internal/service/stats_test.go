@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -64,6 +67,94 @@ func TestStatsEndpoint(t *testing.T) {
 	if code := mustStatus(t, http.MethodPost, server.URL+"/stats"); code != http.StatusMethodNotAllowed {
 		t.Errorf("POST /stats = %d, want 405", code)
 	}
+}
+
+// statsKeys is the /stats payload's key set, in the order it is served:
+// the top-level object, then the "stats" object inside it.
+var statsKeys = struct{ top, stats []string }{
+	top: []string{"stats", "uptime_seconds"},
+	stats: []string{
+		"models", "graphs", "hits", "misses", "evictions", "hit_ratio",
+		"fits", "in_flight_fits", "fit_timeouts", "pool_size", "pool_in_flight", "pool_depth",
+		"requests", "coalesced", "fit_queue_cap", "fit_queue_depth", "shed",
+		"breaker_trips", "breaker_open", "breaker_fast_fails", "torn_records_recovered",
+		"uptime_seconds", "draining", "drain_rejected",
+		"checkpoints_written", "checkpoint_failures", "compactions",
+		"observations", "observed_keys", "blend_extrapolation", "blend_interpolation",
+		"goroutines", "open_fds", "samples_drawn", "samples_reused",
+	},
+}
+
+// TestStatsKeysPinnedAndDocumented reads /stats as a stream of JSON tokens,
+// so a key that is deleted, renamed, added or moved fails here (decoding
+// into Stats would ignore all four), and holds every key to a mention —
+// backquoted or double-quoted — in docs/API.md's "## GET /stats" section.
+func TestStatsKeysPinnedAndDocumented(t *testing.T) {
+	_, server := newTestServer(t, Config{})
+	resp, err := http.Get(server.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var nested []string
+	top := objectKeys(t, json.NewDecoder(resp.Body), func(key string, dec *json.Decoder) bool {
+		if key != "stats" {
+			return false
+		}
+		nested = objectKeys(t, dec, nil)
+		return true
+	})
+	if !slices.Equal(top, statsKeys.top) {
+		t.Errorf("/stats keys = %q, want %q", top, statsKeys.top)
+	}
+	if !slices.Equal(nested, statsKeys.stats) {
+		t.Errorf("/stats \"stats\" keys = %q, want %q", nested, statsKeys.stats)
+	}
+
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "API.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "\n## GET /stats\n")
+	if !ok {
+		t.Fatal(`docs/API.md has no "## GET /stats" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	for _, key := range append(statsKeys.top, statsKeys.stats...) {
+		if !strings.Contains(section, "`"+key+"`") && !strings.Contains(section, `"`+key+`"`) {
+			t.Errorf("docs/API.md's GET /stats section does not name %q", key)
+		}
+	}
+}
+
+// objectKeys reads one JSON object from dec and returns its keys in order.
+// value, if not nil, may consume a key's value itself and report that it
+// did; every other value is skipped.
+func objectKeys(t *testing.T, dec *json.Decoder, value func(key string, dec *json.Decoder) bool) []string {
+	t.Helper()
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("want an object, got %v (%v)", tok, err)
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := tok.(string)
+		keys = append(keys, key)
+		if value != nil && value(key, dec) {
+			continue
+		}
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := dec.Token(); err != nil {
+		t.Fatal(err)
+	}
+	return keys
 }
 
 // TestStatsCountSharedSamples pins samples_drawn / samples_reused: the
