@@ -3,10 +3,11 @@ package predict_test
 // Benchmark harness: one benchmark per table and figure of the paper's
 // evaluation (§5), plus the DESIGN.md ablations and micro-benchmarks of
 // the substrates. Each figure/table benchmark regenerates the full
-// experiment at a reduced dataset scale (set PREDICT_BENCH_SCALE to
-// override) and reports the headline error metric at sr = 0.1 as a custom
-// benchmark metric, so `go test -bench` output doubles as a compact
-// reproduction report.
+// experiment — a figure sweeps the paper's six sampling ratios, 0.01 to
+// 0.25 — at a reduced dataset scale (set PREDICT_BENCH_SCALE to override)
+// and reports the headline error metric at sr = 0.1 as a custom benchmark
+// metric, so `go test -bench` output doubles as a compact reproduction
+// report.
 
 import (
 	"fmt"
@@ -78,23 +79,18 @@ func TestBenchScale(t *testing.T) {
 }
 
 func benchLab(tb testing.TB) *experiments.Lab {
-	return experiments.NewLab(experiments.Config{
-		Scale:          benchScale(tb),
-		Seed:           7,
-		Ratios:         []float64{0.05, 0.10, 0.20},
-		TrainingRatios: []float64{0.05, 0.10, 0.15, 0.20},
-	})
+	return experiments.NewLab(experiments.Config{Scale: benchScale(tb), Seed: 7})
 }
 
 // meanAbsAt returns the mean absolute series value at the given ratio.
-func meanAbsAt(figs []*experiments.FigureResult, ratio float64) float64 {
+func meanAbsAt(figs []*experiments.Result, ratio float64) float64 {
 	var sum float64
 	n := 0
 	for _, f := range figs {
-		for _, s := range f.Series {
-			for _, p := range s.Points {
-				if p.Ratio == ratio && !math.IsNaN(p.Value) && !math.IsInf(p.Value, 0) {
-					sum += math.Abs(p.Value)
+		for i, r := range f.Ratios {
+			for _, s := range f.Series {
+				if v := s.Values[i]; r == ratio && !math.IsNaN(v) && !math.IsInf(v, 0) {
+					sum += math.Abs(v)
 					n++
 				}
 			}
@@ -106,7 +102,7 @@ func meanAbsAt(figs []*experiments.FigureResult, ratio float64) float64 {
 	return sum / float64(n)
 }
 
-func benchFigure(b *testing.B, run func(lab *experiments.Lab) ([]*experiments.FigureResult, error)) {
+func benchFigure(b *testing.B, run func(lab *experiments.Lab) ([]*experiments.Result, error)) {
 	b.Helper()
 	var lastErr float64
 	for i := 0; i < b.N; i++ {
@@ -120,7 +116,7 @@ func benchFigure(b *testing.B, run func(lab *experiments.Lab) ([]*experiments.Fi
 	b.ReportMetric(lastErr, "mean|err|@sr0.1")
 }
 
-func benchTable(b *testing.B, run func(lab *experiments.Lab) (*experiments.TableResult, error)) {
+func benchTable(b *testing.B, run func(lab *experiments.Lab) (*experiments.Result, error)) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		lab := benchLab(b)
@@ -133,37 +129,37 @@ func benchTable(b *testing.B, run func(lab *experiments.Lab) (*experiments.Table
 // ----- Figures -----------------------------------------------------------
 
 func BenchmarkFigure4PageRankIterations(b *testing.B) {
-	benchFigure(b, func(l *experiments.Lab) ([]*experiments.FigureResult, error) { return l.Figure4() })
+	benchFigure(b, func(l *experiments.Lab) ([]*experiments.Result, error) { return l.Figure4() })
 }
 
 func BenchmarkFigure5SemiClusteringIterations(b *testing.B) {
-	benchFigure(b, func(l *experiments.Lab) ([]*experiments.FigureResult, error) { return l.Figure5() })
+	benchFigure(b, func(l *experiments.Lab) ([]*experiments.Result, error) { return l.Figure5() })
 }
 
 func BenchmarkFigure6TopKFeatures(b *testing.B) {
-	benchFigure(b, func(l *experiments.Lab) ([]*experiments.FigureResult, error) { return l.Figure6() })
+	benchFigure(b, func(l *experiments.Lab) ([]*experiments.Result, error) { return l.Figure6() })
 }
 
 func BenchmarkFigure7SemiClusteringRuntime(b *testing.B) {
-	benchFigure(b, func(l *experiments.Lab) ([]*experiments.FigureResult, error) { return l.Figure7() })
+	benchFigure(b, func(l *experiments.Lab) ([]*experiments.Result, error) { return l.Figure7() })
 }
 
 func BenchmarkFigure8TopKRuntime(b *testing.B) {
-	benchFigure(b, func(l *experiments.Lab) ([]*experiments.FigureResult, error) { return l.Figure8() })
+	benchFigure(b, func(l *experiments.Lab) ([]*experiments.Result, error) { return l.Figure8() })
 }
 
 func BenchmarkFigure9SamplingSensitivity(b *testing.B) {
-	benchFigure(b, func(l *experiments.Lab) ([]*experiments.FigureResult, error) { return l.Figure9() })
+	benchFigure(b, func(l *experiments.Lab) ([]*experiments.Result, error) { return l.Figure9() })
 }
 
 func BenchmarkExtendedConnectedComponents(b *testing.B) {
-	benchFigure(b, func(l *experiments.Lab) ([]*experiments.FigureResult, error) {
+	benchFigure(b, func(l *experiments.Lab) ([]*experiments.Result, error) {
 		return l.FigureConnectedComponents()
 	})
 }
 
 func BenchmarkExtendedNeighborhoodEstimation(b *testing.B) {
-	benchFigure(b, func(l *experiments.Lab) ([]*experiments.FigureResult, error) {
+	benchFigure(b, func(l *experiments.Lab) ([]*experiments.Result, error) {
 		return l.FigureNeighborhoodEstimation()
 	})
 }
@@ -171,46 +167,46 @@ func BenchmarkExtendedNeighborhoodEstimation(b *testing.B) {
 // ----- Tables ------------------------------------------------------------
 
 func BenchmarkTable2Datasets(b *testing.B) {
-	benchTable(b, func(l *experiments.Lab) (*experiments.TableResult, error) { return l.Table2() })
+	benchTable(b, func(l *experiments.Lab) (*experiments.Result, error) { return l.Table2() })
 }
 
 func BenchmarkTable3Overhead(b *testing.B) {
-	benchTable(b, func(l *experiments.Lab) (*experiments.TableResult, error) { return l.Table3() })
+	benchTable(b, func(l *experiments.Lab) (*experiments.Result, error) { return l.Table3() })
 }
 
 func BenchmarkUpperBounds(b *testing.B) {
-	benchTable(b, func(l *experiments.Lab) (*experiments.TableResult, error) { return l.UpperBounds() })
+	benchTable(b, func(l *experiments.Lab) (*experiments.Result, error) { return l.UpperBounds() })
 }
 
 func BenchmarkMemoryLimits(b *testing.B) {
 	// The OOM reproduction needs the full-size Twitter stand-in; cap the
 	// work by running at the default bench scale where the budget is
 	// scaled too (the outcome column is exercised either way).
-	benchTable(b, func(l *experiments.Lab) (*experiments.TableResult, error) { return l.MemoryLimits() })
+	benchTable(b, func(l *experiments.Lab) (*experiments.Result, error) { return l.MemoryLimits() })
 }
 
 // ----- Ablations ---------------------------------------------------------
 
 func BenchmarkAblationNoTransform(b *testing.B) {
-	benchTable(b, func(l *experiments.Lab) (*experiments.TableResult, error) { return l.AblationNoTransform() })
+	benchTable(b, func(l *experiments.Lab) (*experiments.Result, error) { return l.AblationNoTransform() })
 }
 
 func BenchmarkAblationUniformSampling(b *testing.B) {
-	benchTable(b, func(l *experiments.Lab) (*experiments.TableResult, error) { return l.AblationUniformSampling() })
+	benchTable(b, func(l *experiments.Lab) (*experiments.Result, error) { return l.AblationUniformSampling() })
 }
 
 func BenchmarkAblationVertexOnlyExtrapolation(b *testing.B) {
-	benchTable(b, func(l *experiments.Lab) (*experiments.TableResult, error) {
+	benchTable(b, func(l *experiments.Lab) (*experiments.Result, error) {
 		return l.AblationVertexOnlyExtrapolation()
 	})
 }
 
 func BenchmarkAblationNoCriticalPath(b *testing.B) {
-	benchTable(b, func(l *experiments.Lab) (*experiments.TableResult, error) { return l.AblationNoCriticalPath() })
+	benchTable(b, func(l *experiments.Lab) (*experiments.Result, error) { return l.AblationNoCriticalPath() })
 }
 
 func BenchmarkAblationNoFeatureSelection(b *testing.B) {
-	benchTable(b, func(l *experiments.Lab) (*experiments.TableResult, error) {
+	benchTable(b, func(l *experiments.Lab) (*experiments.Result, error) {
 		return l.AblationNoFeatureSelection()
 	})
 }

@@ -6,15 +6,17 @@
 //	genexp -exp fig4          # one experiment
 //	genexp -exp all           # everything (EXPERIMENTS.md source data)
 //	genexp -exp table3 -scale 0.5 -v
+//	genexp -format csv        # the CSV record
 //
-// Experiments: fig4 fig5 fig6 fig7 fig8 fig9 table2 table3 bounds memory
-// closedloop ablations all.
+// Experiments: table2 fig4 fig5 fig6 fig7 fig8 fig9 cc nh bounds table3
+// memory closedloop ablations all.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -24,7 +26,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment id: fig4 fig5 fig6 fig7 fig8 fig9 cc nh table2 table3 bounds memory closedloop ablations all")
+		exp     = flag.String("exp", "all", "experiment id: table2 fig4 fig5 fig6 fig7 fig8 fig9 cc nh bounds table3 memory closedloop ablations all")
 		scale   = flag.Float64("scale", 1.0, "dataset scale factor (1.0 = default stand-in sizes)")
 		workers = flag.Int("workers", 0, "BSP workers (0 = default)")
 		seed    = flag.Uint64("seed", 0, "master seed (0 = default)")
@@ -32,7 +34,10 @@ func main() {
 		format  = flag.String("format", "text", "output format: text or csv")
 	)
 	flag.Parse()
-	asCSV = *format == "csv"
+	if err := checkFlags(*scale, *workers, *format); err != nil {
+		fmt.Fprintln(os.Stderr, "genexp:", err)
+		os.Exit(2)
+	}
 
 	var progress io.Writer
 	if *verbose {
@@ -46,7 +51,7 @@ func main() {
 	})
 
 	start := time.Now()
-	if err := run(lab, strings.ToLower(*exp), os.Stdout); err != nil {
+	if err := lab.Write(os.Stdout, strings.ToLower(*exp), *format == "csv"); err != nil {
 		fmt.Fprintln(os.Stderr, "genexp:", err)
 		os.Exit(1)
 	}
@@ -55,86 +60,15 @@ func main() {
 	}
 }
 
-// asCSV selects CSV output instead of aligned text tables.
-var asCSV bool
-
-func run(lab *experiments.Lab, exp string, w io.Writer) error {
-	figs := func(fs []*experiments.FigureResult, err error) error {
-		if err != nil {
-			return err
-		}
-		for _, f := range fs {
-			if asCSV {
-				fmt.Fprintf(w, "# %s — %s\n", f.ID, f.Title)
-				if err := f.WriteCSV(w); err != nil {
-					return err
-				}
-				continue
-			}
-			f.Render(w)
-		}
-		return nil
+// checkFlags rejects the flag values no experiment can mean.
+func checkFlags(scale float64, workers int, format string) error {
+	switch {
+	case !(scale > 0) || math.IsInf(scale, 0):
+		return fmt.Errorf("-scale %v: want a positive finite number", scale)
+	case workers < 0:
+		return fmt.Errorf("-workers %d: want 0 (the default) or more", workers)
+	case format != "text" && format != "csv":
+		return fmt.Errorf("-format %q: want text or csv", format)
 	}
-	table := func(t *experiments.TableResult, err error) error {
-		if err != nil {
-			return err
-		}
-		if asCSV {
-			fmt.Fprintf(w, "# %s — %s\n", t.ID, t.Title)
-			return t.WriteCSV(w)
-		}
-		t.Render(w)
-		return nil
-	}
-
-	switch exp {
-	case "fig4":
-		return figs(lab.Figure4())
-	case "fig5":
-		return figs(lab.Figure5())
-	case "fig6":
-		return figs(lab.Figure6())
-	case "fig7":
-		return figs(lab.Figure7())
-	case "fig8":
-		return figs(lab.Figure8())
-	case "fig9":
-		return figs(lab.Figure9())
-	case "cc":
-		return figs(lab.FigureConnectedComponents())
-	case "nh":
-		return figs(lab.FigureNeighborhoodEstimation())
-	case "table2":
-		return table(lab.Table2())
-	case "table3":
-		return table(lab.Table3())
-	case "bounds":
-		return table(lab.UpperBounds())
-	case "memory":
-		return table(lab.MemoryLimits())
-	case "closedloop":
-		return table(lab.ClosedLoop())
-	case "ablations":
-		for _, f := range []func() (*experiments.TableResult, error){
-			lab.AblationNoTransform,
-			lab.AblationUniformSampling,
-			lab.AblationVertexOnlyExtrapolation,
-			lab.AblationNoCriticalPath,
-			lab.AblationNoFeatureSelection,
-		} {
-			if err := table(f()); err != nil {
-				return err
-			}
-		}
-		return nil
-	case "all":
-		for _, id := range []string{"table2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-			"cc", "nh", "bounds", "table3", "memory", "closedloop", "ablations"} {
-			if err := run(lab, id, w); err != nil {
-				return fmt.Errorf("%s: %w", id, err)
-			}
-		}
-		return nil
-	}
-	return fmt.Errorf("unknown experiment %q", exp)
+	return nil
 }

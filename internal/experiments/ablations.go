@@ -12,8 +12,8 @@ import (
 // AblationNoTransform isolates the transform function (§1.1's motivating
 // example): PageRank iteration-prediction error at sr = 0.1 with and
 // without scaling the convergence threshold on the sample run.
-func (l *Lab) AblationNoTransform() (*TableResult, error) {
-	t := &TableResult{
+func (l *Lab) AblationNoTransform() (*Result, error) {
+	t := &Result{
 		ID:     "Ablation: transform function",
 		Title:  "PageRank iteration error at sr=0.1, with vs without the transform function",
 		Header: []string{"dataset", "actual iters", "with transform", "without transform"},
@@ -24,22 +24,16 @@ func (l *Lab) AblationNoTransform() (*TableResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		pr := algorithms.NewPageRank()
-		pr.Tau = algorithms.TauForTolerance(0.001, g.NumVertices())
-		actual, err := l.Actual(pr, "eps=0.001", prefix)
+		pr := pageRank(0.001, g.NumVertices())
+		actual, err := l.Actual(pr, prefix)
 		if err != nil {
 			return nil, err
 		}
-		with, _, err := l.sampleRun(pr, g, ratio, sampling.BiasedRandomJump, 17)
+		with, s, err := l.sampleRun(pr, g, ratio, sampling.BiasedRandomJump, 17)
 		if err != nil {
 			return nil, err
 		}
 		// Without: run the untransformed algorithm on the same sample.
-		s, err := sampling.Sample(g, sampling.BiasedRandomJump,
-			sampling.Options{Ratio: ratio, Seed: l.cfg.Seed + 17})
-		if err != nil {
-			return nil, err
-		}
 		without, err := pr.Run(s.Graph, l.BSP())
 		if err != nil {
 			return nil, err
@@ -60,8 +54,8 @@ func (l *Lab) AblationNoTransform() (*TableResult, error) {
 
 // AblationUniformSampling compares BRJ against structure-blind uniform
 // vertex sampling for iteration prediction (PageRank, eps = 0.001).
-func (l *Lab) AblationUniformSampling() (*TableResult, error) {
-	t := &TableResult{
+func (l *Lab) AblationUniformSampling() (*Result, error) {
+	t := &Result{
 		ID:     "Ablation: sampling structure",
 		Title:  "PageRank iteration error at sr=0.1: BRJ vs uniform vertex sampling",
 		Header: []string{"dataset", "BRJ err", "uniform err", "BRJ sample WCC", "uniform sample WCC"},
@@ -72,9 +66,8 @@ func (l *Lab) AblationUniformSampling() (*TableResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		pr := algorithms.NewPageRank()
-		pr.Tau = algorithms.TauForTolerance(0.001, g.NumVertices())
-		actual, err := l.Actual(pr, "eps=0.001", prefix)
+		pr := pageRank(0.001, g.NumVertices())
+		actual, err := l.Actual(pr, prefix)
 		if err != nil {
 			return nil, err
 		}
@@ -101,8 +94,8 @@ func (l *Lab) AblationUniformSampling() (*TableResult, error) {
 // AblationVertexOnlyExtrapolation isolates the two-factor extrapolator:
 // remote-message-byte prediction for top-k with the proper eE factor vs
 // extrapolating everything by eV.
-func (l *Lab) AblationVertexOnlyExtrapolation() (*TableResult, error) {
-	t := &TableResult{
+func (l *Lab) AblationVertexOnlyExtrapolation() (*Result, error) {
+	t := &Result{
 		ID:     "Ablation: extrapolation factors",
 		Title:  "Top-k remote message bytes at sr=0.1: eE vs vertices-only extrapolation",
 		Header: []string{"dataset", "err with eE", "err with eV only"},
@@ -113,24 +106,16 @@ func (l *Lab) AblationVertexOnlyExtrapolation() (*TableResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		tk := algorithms.NewTopKRanking()
-		tk.PageRank.Tau = algorithms.TauForTolerance(0.001, g.NumVertices())
-		actual, err := l.Actual(tk, "tau=0.001", prefix)
+		tk := topK(g.NumVertices())
+		actual, err := l.Actual(tk, prefix)
 		if err != nil {
 			return nil, err
-		}
-		var actualBytes float64
-		for i := range actual.Profile.Supersteps {
-			actualBytes += float64(actual.Profile.Supersteps[i].Total().RemoteMessageBytes)
 		}
 		ri, s, err := l.sampleRun(tk, g, ratio, sampling.BiasedRandomJump, 29)
 		if err != nil {
 			return nil, err
 		}
-		var sampleBytes float64
-		for i := range ri.Profile.Supersteps {
-			sampleBytes += float64(ri.Profile.Supersteps[i].Total().RemoteMessageBytes)
-		}
+		actualBytes, sampleBytes := remoteBytes(actual), remoteBytes(ri)
 		scale, err := features.NewScale(g.NumVertices(), s.Graph.NumVertices(),
 			g.NumEdges(), s.Graph.NumEdges())
 		if err != nil {
@@ -150,17 +135,17 @@ func (l *Lab) AblationVertexOnlyExtrapolation() (*TableResult, error) {
 // runtimeAblation runs the predictor twice with different options and
 // reports both runtime errors.
 func (l *Lab) runtimeAblation(id, title string, prefix string,
-	optA, optB string, mutate func(*core.Options, bool)) (*TableResult, error) {
+	optA, optB string, mutate func(*core.Options, bool)) (*Result, error) {
 	g, err := l.Graph(prefix)
 	if err != nil {
 		return nil, err
 	}
 	sc := algorithms.NewSemiClustering()
-	actual, err := l.Actual(sc, "tau=0.001", prefix)
+	actual, err := l.Actual(sc, prefix)
 	if err != nil {
 		return nil, err
 	}
-	t := &TableResult{
+	t := &Result{
 		ID:     id,
 		Title:  title,
 		Header: []string{"variant", "predicted s", "actual s", "err", "R2"},
@@ -169,7 +154,7 @@ func (l *Lab) runtimeAblation(id, title string, prefix string,
 		opts := core.Options{
 			Sampling:       sampling.Options{Ratio: 0.1, Seed: l.cfg.Seed + 31},
 			BSP:            l.BSP(),
-			TrainingRatios: l.cfg.TrainingRatios,
+			TrainingRatios: trainingRatios,
 		}
 		mutate(&opts, variant)
 		pred, err := core.New(opts).Predict(sc, g)
@@ -194,7 +179,7 @@ func (l *Lab) runtimeAblation(id, title string, prefix string,
 
 // AblationNoCriticalPath compares critical-path feature scaling against
 // mean-worker scaling for semi-clustering runtime prediction on UK.
-func (l *Lab) AblationNoCriticalPath() (*TableResult, error) {
+func (l *Lab) AblationNoCriticalPath() (*Result, error) {
 	return l.runtimeAblation("Ablation: critical path",
 		"Semi-clustering runtime on UK: critical-path share vs mean-worker features",
 		"UK", "critical-path share", "mean worker",
@@ -209,7 +194,7 @@ func (l *Lab) AblationNoCriticalPath() (*TableResult, error) {
 
 // AblationNoFeatureSelection compares forward selection against fitting
 // the full feature pool.
-func (l *Lab) AblationNoFeatureSelection() (*TableResult, error) {
+func (l *Lab) AblationNoFeatureSelection() (*Result, error) {
 	return l.runtimeAblation("Ablation: feature selection",
 		"Semi-clustering runtime on UK: forward selection vs all features",
 		"UK", "forward selection", "all features",

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"predict/internal/algorithms"
 	"predict/internal/core"
 	"predict/internal/sampling"
 )
@@ -18,15 +17,14 @@ import (
 // threshold (K = core.DefaultObservationThreshold) the prediction is the
 // untouched sample fit; at and past it the observation-weighted refit
 // answers, with error shrinking as the stream accrues.
-func (l *Lab) ClosedLoop() (*TableResult, error) {
+func (l *Lab) ClosedLoop() (*Result, error) {
 	const prefix = "Wiki"
 	g, err := l.Graph(prefix)
 	if err != nil {
 		return nil, err
 	}
-	pr := algorithms.NewPageRank()
-	pr.Tau = algorithms.TauForTolerance(0.001, g.NumVertices())
-	actual, err := l.Actual(pr, "tau-eps=0.001", prefix)
+	pr := pageRank(0.001, g.NumVertices())
+	actual, err := l.Actual(pr, prefix)
 	if err != nil {
 		return nil, err
 	}
@@ -35,7 +33,7 @@ func (l *Lab) ClosedLoop() (*TableResult, error) {
 	p := core.New(core.Options{
 		Sampling:       sampling.Options{Ratio: 0.10, Seed: l.cfg.Seed},
 		BSP:            l.BSP(),
-		TrainingRatios: l.cfg.TrainingRatios,
+		TrainingRatios: trainingRatios,
 	})
 	fitted, err := p.Fit(pr, g)
 	if err != nil {
@@ -53,7 +51,7 @@ func (l *Lab) ClosedLoop() (*TableResult, error) {
 		stream[i] = target * (0.98 + 0.04*u)
 	}
 
-	tbl := &TableResult{
+	tbl := &Result{
 		ID:     "Closed loop",
 		Title:  "Feedback-blended prediction error and interval coverage (PR on Wiki)",
 		Header: []string{"observations", "regime", "predicted s", "error", "p50 s", "p95 s", "covers actual"},

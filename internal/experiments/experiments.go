@@ -1,15 +1,16 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§5) on the simulated substrate: Figures 4-9, Tables 2-3, the
 // analytical upper-bound comparison, and the ablations DESIGN.md calls
-// out. Each experiment returns a structured result that renders as an
-// aligned text table; cmd/genexp prints them and bench_test.go wraps them
-// as benchmarks.
+// out. Each experiment returns results that render as aligned text tables
+// or as the CSV record; cmd/genexp prints them and bench_test.go wraps
+// them as benchmarks.
 package experiments
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
 	"predict/internal/algorithms"
@@ -28,14 +29,16 @@ type Config struct {
 	Workers int
 	// Seed drives all randomness.
 	Seed uint64
-	// Ratios is the sampling-ratio sweep of the figures' x-axis.
-	Ratios []float64
-	// TrainingRatios are the sample-run ratios used to train cost models
-	// (§5.2 uses 0.05, 0.1, 0.15, 0.2).
-	TrainingRatios []float64
 	// Progress, when non-nil, receives one line per completed step.
 	Progress io.Writer
 }
+
+// sweepRatios is the sampling-ratio sweep of the figures' x-axis.
+var sweepRatios = []float64{0.01, 0.05, 0.10, 0.15, 0.20, 0.25}
+
+// trainingRatios are the sample-run ratios used to train cost models
+// (§5.2 uses 0.05, 0.1, 0.15, 0.2).
+var trainingRatios = []float64{0.05, 0.10, 0.15, 0.20}
 
 func (c Config) withDefaults() Config {
 	if c.Scale == 0 {
@@ -46,12 +49,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 20130826 // VLDB 2013 started August 26
-	}
-	if len(c.Ratios) == 0 {
-		c.Ratios = []float64{0.01, 0.05, 0.10, 0.15, 0.20, 0.25}
-	}
-	if len(c.TrainingRatios) == 0 {
-		c.TrainingRatios = []float64{0.05, 0.10, 0.15, 0.20}
 	}
 	return c
 }
@@ -102,9 +99,11 @@ func (l *Lab) Graph(prefix string) (*graph.Graph, error) {
 }
 
 // Actual returns the profiled full-graph run of alg on the dataset,
-// caching by algorithm name + threshold key + prefix.
-func (l *Lab) Actual(alg algorithms.Algorithm, key, prefix string) (*algorithms.RunInfo, error) {
-	cacheKey := alg.Name() + "/" + key + "/" + prefix
+// caching by the algorithm's type and parameter values and the prefix:
+// every algorithm is a value struct of scalars, so equal parameters mean
+// the same run.
+func (l *Lab) Actual(alg algorithms.Algorithm, prefix string) (*algorithms.RunInfo, error) {
+	cacheKey := fmt.Sprintf("%T%+v/%s", alg, alg, prefix)
 	if ri, ok := l.actuals[cacheKey]; ok {
 		return ri, nil
 	}
@@ -139,128 +138,181 @@ func (l *Lab) sampleRun(alg algorithms.Algorithm, g *graph.Graph, ratio float64,
 	return ri, s, nil
 }
 
-// ----- Result containers -------------------------------------------------
-
-// Point is one measurement at a sampling ratio.
-type Point struct {
-	Ratio float64
-	Value float64
+// remoteBytes is a run's remote message bytes over all supersteps.
+func remoteBytes(ri *algorithms.RunInfo) float64 {
+	var sum float64
+	for i := range ri.Profile.Supersteps {
+		sum += float64(ri.Profile.Supersteps[i].Total().RemoteMessageBytes)
+	}
+	return sum
 }
 
-// Series is one labeled line of a figure.
+// ----- Results -----------------------------------------------------------
+
+// Series is one labeled line of a figure: one value per ratio of the
+// figure's x-axis.
 type Series struct {
 	Label  string
-	Points []Point
+	Values []float64
 }
 
-// FigureResult is a reproduced paper figure: one or more series over the
-// sampling-ratio sweep.
-type FigureResult struct {
+// Result is a reproduced paper figure or table. A figure has Ratios and
+// Series and renders one row per ratio, one column per series; a table
+// has Header and Rows.
+type Result struct {
 	ID    string
 	Title string
-	// YLabel describes Value (e.g. "relative error, iterations").
+	// YLabel describes a figure's values (e.g. "relative error,
+	// iterations").
 	YLabel string
+	Ratios []float64
 	Series []Series
+	Header []string
+	Rows   [][]string
 	// Notes carries free-form observations (e.g. paper-reported bands).
 	Notes []string
 }
 
-// TableResult is a reproduced paper table.
-type TableResult struct {
-	ID     string
-	Title  string
-	Header []string
-	Rows   [][]string
-	Notes  []string
-}
-
-// Render writes the figure as an aligned text table: one row per ratio,
-// one column per series.
-func (f *FigureResult) Render(w io.Writer) {
-	fmt.Fprintf(w, "%s — %s\n", f.ID, f.Title)
-	fmt.Fprintf(w, "y: %s\n", f.YLabel)
-	header := append([]string{"ratio"}, labelsOf(f.Series)...)
-	rows := [][]string{}
-	for _, ratio := range ratiosOf(f.Series) {
-		row := []string{fmt.Sprintf("%.2f", ratio)}
-		for _, s := range f.Series {
-			cell := ""
-			for _, p := range s.Points {
-				if p.Ratio == ratio {
-					cell = fmt.Sprintf("%+.3f", p.Value)
-					break
-				}
-			}
-			row = append(row, cell)
+// grid returns the result's header row followed by its rows, a figure's
+// ratios and values formatted with the given verbs.
+func (r *Result) grid(ratioVerb, valueVerb string) [][]string {
+	if r.Series == nil {
+		return append([][]string{r.Header}, r.Rows...)
+	}
+	grid := [][]string{{"ratio"}}
+	for _, s := range r.Series {
+		grid[0] = append(grid[0], s.Label)
+	}
+	for i, ratio := range r.Ratios {
+		row := []string{fmt.Sprintf(ratioVerb, ratio)}
+		for _, s := range r.Series {
+			row = append(row, fmt.Sprintf(valueVerb, s.Values[i]))
 		}
-		rows = append(rows, row)
+		grid = append(grid, row)
 	}
-	renderTable(w, header, rows)
-	for _, n := range f.Notes {
-		fmt.Fprintf(w, "note: %s\n", n)
-	}
-	fmt.Fprintln(w)
+	return grid
 }
 
-// Render writes the table with aligned columns.
-func (t *TableResult) Render(w io.Writer) {
-	fmt.Fprintf(w, "%s — %s\n", t.ID, t.Title)
-	renderTable(w, t.Header, t.Rows)
-	for _, n := range t.Notes {
-		fmt.Fprintf(w, "note: %s\n", n)
+// Render writes the result as an aligned text table.
+func (r *Result) Render(w io.Writer) {
+	fmt.Fprintf(w, "%s — %s\n", r.ID, r.Title)
+	if r.YLabel != "" {
+		fmt.Fprintf(w, "y: %s\n", r.YLabel)
 	}
-	fmt.Fprintln(w)
-}
-
-func labelsOf(series []Series) []string {
-	out := make([]string, len(series))
-	for i, s := range series {
-		out[i] = s.Label
-	}
-	return out
-}
-
-func ratiosOf(series []Series) []float64 {
-	seen := map[float64]bool{}
-	var out []float64
-	for _, s := range series {
-		for _, p := range s.Points {
-			if !seen[p.Ratio] {
-				seen[p.Ratio] = true
-				out = append(out, p.Ratio)
-			}
-		}
-	}
-	sort.Float64s(out)
-	return out
-}
-
-func renderTable(w io.Writer, header []string, rows [][]string) {
-	widths := make([]int, len(header))
-	for i, h := range header {
-		widths[i] = len(h)
-	}
-	for _, row := range rows {
+	grid := r.grid("%.2f", "%+.3f")
+	widths := make([]int, len(grid[0]))
+	for _, row := range grid {
 		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
+			widths[i] = max(widths[i], len(cell))
 		}
 	}
-	line := func(cells []string) {
-		parts := make([]string, len(cells))
-		for i, c := range cells {
+	sep := make([]string, len(widths))
+	for i := range sep {
+		sep[i] = strings.Repeat("-", widths[i])
+	}
+	for _, row := range slices.Insert(grid, 1, sep) {
+		parts := make([]string, len(row))
+		for i, c := range row {
 			parts[i] = fmt.Sprintf("%-*s", widths[i], c)
 		}
 		fmt.Fprintln(w, "  "+strings.Join(parts, "  "))
 	}
-	line(header)
-	sep := make([]string, len(header))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
+	for _, n := range r.Notes {
+		fmt.Fprintf(w, "note: %s\n", n)
 	}
-	line(sep)
-	for _, row := range rows {
-		line(row)
+	fmt.Fprintln(w)
+}
+
+// WriteCSV writes the result as one block of the CSV record: a "# ID —
+// Title" line, the header and rows (figure values at full precision), and
+// one "# note: …" line per note.
+func (r *Result) WriteCSV(w io.Writer) error {
+	if _, err := fmt.Fprintf(w, "# %s — %s\n", r.ID, r.Title); err != nil {
+		return err
 	}
+	if err := csv.NewWriter(w).WriteAll(r.grid("%g", "%g")); err != nil {
+		return err
+	}
+	for _, n := range r.Notes {
+		if _, err := fmt.Fprintf(w, "# note: %s\n", n); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ----- The experiment table ----------------------------------------------
+
+// experimentList is every experiment genexp's -exp selects, in the order
+// -exp all runs them.
+var experimentList = []struct {
+	id  string
+	run func(*Lab) ([]*Result, error)
+}{
+	{"table2", tables((*Lab).Table2)},
+	{"fig4", (*Lab).Figure4},
+	{"fig5", (*Lab).Figure5},
+	{"fig6", (*Lab).Figure6},
+	{"fig7", (*Lab).Figure7},
+	{"fig8", (*Lab).Figure8},
+	{"fig9", (*Lab).Figure9},
+	{"cc", (*Lab).FigureConnectedComponents},
+	{"nh", (*Lab).FigureNeighborhoodEstimation},
+	{"bounds", tables((*Lab).UpperBounds)},
+	{"table3", tables((*Lab).Table3)},
+	{"memory", tables((*Lab).MemoryLimits)},
+	{"closedloop", tables((*Lab).ClosedLoop)},
+	{"ablations", tables((*Lab).AblationNoTransform, (*Lab).AblationUniformSampling,
+		(*Lab).AblationVertexOnlyExtrapolation, (*Lab).AblationNoCriticalPath,
+		(*Lab).AblationNoFeatureSelection)},
+}
+
+// tables runs one-table experiments in turn as one experiment.
+func tables(fs ...func(*Lab) (*Result, error)) func(*Lab) ([]*Result, error) {
+	return func(l *Lab) ([]*Result, error) {
+		out := make([]*Result, len(fs))
+		for i, f := range fs {
+			var err error
+			if out[i], err = f(l); err != nil {
+				return nil, err
+			}
+		}
+		return out, nil
+	}
+}
+
+// Write runs the experiment id (all for every one, in order) and writes
+// its results to w: as aligned text tables, or with asCSV as the CSV
+// record, which opens with one "# genexp scale=… seed=… workers=…" line.
+// An unknown id is an error before anything runs.
+func (l *Lab) Write(w io.Writer, id string, asCSV bool) error {
+	known := id == "all"
+	for _, e := range experimentList {
+		known = known || e.id == id
+	}
+	if !known {
+		return fmt.Errorf("unknown experiment %q", id)
+	}
+	if asCSV {
+		if _, err := fmt.Fprintf(w, "# genexp scale=%g seed=%d workers=%d\n", l.cfg.Scale, l.cfg.Seed, l.cfg.Workers); err != nil {
+			return err
+		}
+	}
+	for _, e := range experimentList {
+		if id != "all" && id != e.id {
+			continue
+		}
+		results, err := e.run(l)
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.id, err)
+		}
+		for _, r := range results {
+			if !asCSV {
+				r.Render(w)
+			} else if err := r.WriteCSV(w); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

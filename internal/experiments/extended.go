@@ -11,12 +11,11 @@ import (
 // iteration prediction for HashMin connected components. CC converges at
 // a fixed point, so there is no threshold to transform; iteration counts
 // track the sample's effective diameter.
-func (l *Lab) FigureConnectedComponents() ([]*FigureResult, error) {
+func (l *Lab) FigureConnectedComponents() ([]*Result, error) {
 	fig, err := l.iterationErrorSweep(
 		"Extended: CC",
 		"Predicting iterations for connected components (fixed point)",
 		func(int) algorithms.Algorithm { return algorithms.NewConnectedComponents() },
-		"fixpoint",
 		[]string{"LJ", "Wiki", "UK", "TW"},
 		sampling.BiasedRandomJump,
 	)
@@ -25,19 +24,18 @@ func (l *Lab) FigureConnectedComponents() ([]*FigureResult, error) {
 	}
 	fig.Notes = append(fig.Notes,
 		"extended-version experiment: CC has no convergence threshold; sample must preserve effective diameter")
-	return []*FigureResult{fig}, nil
+	return []*Result{fig}, nil
 }
 
 // FigureNeighborhoodEstimation reproduces the extended-version result for
 // FM-sketch neighborhood estimation (τ = 0.001 on the changed-vertex
 // ratio; identity transform). Twitter is excluded: it exceeds the memory
 // budget, as in the paper.
-func (l *Lab) FigureNeighborhoodEstimation() ([]*FigureResult, error) {
+func (l *Lab) FigureNeighborhoodEstimation() ([]*Result, error) {
 	fig, err := l.iterationErrorSweep(
 		"Extended: NH",
 		"Predicting iterations for neighborhood estimation, tau=0.001",
 		func(int) algorithms.Algorithm { return algorithms.NewNeighborhoodEstimation() },
-		"tau=0.001",
 		[]string{"LJ", "Wiki", "UK"},
 		sampling.BiasedRandomJump,
 	)
@@ -46,5 +44,5 @@ func (l *Lab) FigureNeighborhoodEstimation() ([]*FigureResult, error) {
 	}
 	fig.Notes = append(fig.Notes,
 		"extended-version experiment; no TW (out of memory, as in the paper)")
-	return []*FigureResult{fig}, nil
+	return []*Result{fig}, nil
 }

@@ -13,8 +13,8 @@ import (
 // Table2 reproduces the dataset-characteristics table: the paper's real
 // graph sizes side by side with the measured properties of the stand-ins
 // at the lab's scale.
-func (l *Lab) Table2() (*TableResult, error) {
-	t := &TableResult{
+func (l *Lab) Table2() (*Result, error) {
+	t := &Result{
 		ID:    "Table 2",
 		Title: "Graph datasets: paper originals vs simulated stand-ins",
 		Header: []string{"Name", "Prefix", "paper |V|", "paper |E|", "sim |V|", "sim |E|",
@@ -44,85 +44,53 @@ func (l *Lab) Table2() (*TableResult, error) {
 	return t, nil
 }
 
-// table3Workload returns the (algorithm, dataset) pairs of the paper's
-// Table 3: PR on UK and TW; SC, TOP-K and NH on UK; CC on TW.
-func (l *Lab) table3Workload() ([]struct {
-	label  string
-	alg    func(n int) algorithms.Algorithm
-	key    string
-	prefix string
-}, error) {
-	mkPR := func(n int) algorithms.Algorithm {
-		pr := algorithms.NewPageRank()
-		pr.Tau = algorithms.TauForTolerance(0.001, n)
-		return pr
-	}
-	mkSC := func(int) algorithms.Algorithm { return algorithms.NewSemiClustering() }
-	mkCC := func(int) algorithms.Algorithm { return algorithms.NewConnectedComponents() }
-	mkTK := func(n int) algorithms.Algorithm {
-		tk := algorithms.NewTopKRanking()
-		tk.PageRank.Tau = algorithms.TauForTolerance(0.001, n)
-		return tk
-	}
-	mkNH := func(int) algorithms.Algorithm { return algorithms.NewNeighborhoodEstimation() }
-	return []struct {
-		label  string
-		alg    func(n int) algorithms.Algorithm
-		key    string
-		prefix string
-	}{
-		{"PR (UK)", mkPR, "eps=0.001", "UK"},
-		{"PR (TW)", mkPR, "eps=0.001", "TW"},
-		{"SC (UK)", mkSC, "tau=0.001", "UK"},
-		{"CC (TW)", mkCC, "fixpoint", "TW"},
-		{"TOP-K (UK)", mkTK, "tau=0.001", "UK"},
-		{"NH (UK)", mkNH, "tau=0.001", "UK"},
-	}, nil
-}
-
 // Table3 reproduces the overhead analysis: simulated end-to-end runtime of
 // sample runs (sr = 0.01, 0.1, 0.2) and actual runs (sr = 1.0) for the
-// paper's algorithm/dataset pairs.
-func (l *Lab) Table3() (*TableResult, error) {
-	workload, err := l.table3Workload()
-	if err != nil {
-		return nil, err
+// paper's algorithm/dataset pairs: PR on UK and TW; SC, TOP-K and NH on
+// UK; CC on TW.
+func (l *Lab) Table3() (*Result, error) {
+	mkPR := func(n int) algorithms.Algorithm { return pageRank(0.001, n) }
+	workload := []struct {
+		label  string
+		alg    func(n int) algorithms.Algorithm
+		prefix string
+	}{
+		{"PR (UK)", mkPR, "UK"},
+		{"PR (TW)", mkPR, "TW"},
+		{"SC (UK)", func(int) algorithms.Algorithm { return algorithms.NewSemiClustering() }, "UK"},
+		{"CC (TW)", func(int) algorithms.Algorithm { return algorithms.NewConnectedComponents() }, "TW"},
+		{"TOP-K (UK)", func(n int) algorithms.Algorithm { return topK(n) }, "UK"},
+		{"NH (UK)", func(int) algorithms.Algorithm { return algorithms.NewNeighborhoodEstimation() }, "UK"},
 	}
-	ratios := []float64{0.01, 0.1, 0.2}
-	t := &TableResult{
+	ratios := []float64{0.01, 0.1, 0.2, 1.0}
+	t := &Result{
 		ID:     "Table 3",
 		Title:  "Runtime of sample runs and actual runs (simulated seconds)",
-		Header: []string{"SR", "PR (UK)", "PR (TW)", "SC (UK)", "CC (TW)", "TOP-K (UK)", "NH (UK)"},
+		Header: []string{"SR"},
+		Rows:   make([][]string, len(ratios)),
 	}
-	cols := make([][]string, len(workload))
+	for r, sr := range ratios {
+		t.Rows[r] = []string{fmt.Sprintf("%.2f", sr)}
+	}
 	for c, w := range workload {
+		t.Header = append(t.Header, w.label)
 		g, err := l.Graph(w.prefix)
 		if err != nil {
 			return nil, err
 		}
 		alg := w.alg(g.NumVertices())
-		var col []string
-		for i, sr := range ratios {
+		for i, sr := range ratios[:3] {
 			ri, _, err := l.sampleRun(alg, g, sr, "BRJ", uint64(c*100+i))
 			if err != nil {
 				return nil, fmt.Errorf("Table 3 %s sr=%.2f: %w", w.label, sr, err)
 			}
-			col = append(col, fmt.Sprintf("%.0f", ri.Profile.TotalSeconds()))
+			t.Rows[i] = append(t.Rows[i], fmt.Sprintf("%.0f", ri.Profile.TotalSeconds()))
 		}
-		actual, err := l.Actual(alg, w.key, w.prefix)
+		actual, err := l.Actual(alg, w.prefix)
 		if err != nil {
 			return nil, err
 		}
-		col = append(col, fmt.Sprintf("%.0f", actual.Profile.TotalSeconds()))
-		cols[c] = col
-	}
-	allRatios := append(append([]float64(nil), ratios...), 1.0)
-	for r, sr := range allRatios {
-		row := []string{fmt.Sprintf("%.2f", sr)}
-		for c := range cols {
-			row = append(row, cols[c][r])
-		}
-		t.Rows = append(t.Rows, row)
+		t.Rows[3] = append(t.Rows[3], fmt.Sprintf("%.0f", actual.Profile.TotalSeconds()))
 	}
 	t.Notes = append(t.Notes,
 		"paper (seconds): sr=0.01 row 57-70s, sr=0.1 row 105-230s, actual row 861-4192s",
@@ -133,8 +101,8 @@ func (l *Lab) Table3() (*TableResult, error) {
 // UpperBounds reproduces the §5.1 comparison of the analytical PageRank
 // iteration bound (Langville & Meyer) against actual iteration counts:
 // the bound ignores dataset characteristics and lands ~2-3.5x high.
-func (l *Lab) UpperBounds() (*TableResult, error) {
-	t := &TableResult{
+func (l *Lab) UpperBounds() (*Result, error) {
+	t := &Result{
 		ID:     "Upper bounds (§5.1)",
 		Title:  "Analytical PageRank iteration bound vs actual iterations",
 		Header: []string{"eps", "bound", "LJ", "Wiki", "UK", "TW"},
@@ -147,9 +115,7 @@ func (l *Lab) UpperBounds() (*TableResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			pr := algorithms.NewPageRank()
-			pr.Tau = algorithms.TauForTolerance(eps, g.NumVertices())
-			actual, err := l.Actual(pr, fmt.Sprintf("eps=%g", eps), prefix)
+			actual, err := l.Actual(pageRank(eps, g.NumVertices()), prefix)
 			if err != nil {
 				return nil, err
 			}
@@ -166,29 +132,24 @@ func (l *Lab) UpperBounds() (*TableResult, error) {
 // Twitter stand-in, semi-clustering, top-k ranking and neighborhood
 // estimation exceed the simulated cluster memory budget, while PageRank
 // and connected components fit.
-func (l *Lab) MemoryLimits() (*TableResult, error) {
+func (l *Lab) MemoryLimits() (*Result, error) {
 	g, err := l.Graph("TW")
 	if err != nil {
 		return nil, err
 	}
-	t := &TableResult{
+	t := &Result{
 		ID:     "Memory limits (§5)",
 		Title:  "Algorithms on the Twitter stand-in vs the simulated memory budget",
 		Header: []string{"algorithm", "outcome"},
 	}
-	pr := algorithms.NewPageRank()
-	pr.Tau = algorithms.TauForTolerance(0.001, g.NumVertices())
-	tk := algorithms.NewTopKRanking()
-	tk.PageRank.Tau = algorithms.TauForTolerance(0.001, g.NumVertices())
-	algs := []algorithms.Algorithm{
-		pr,
+	for _, alg := range []algorithms.Algorithm{
+		pageRank(0.001, g.NumVertices()),
 		algorithms.NewSemiClustering(),
 		algorithms.NewConnectedComponents(),
-		tk,
+		topK(g.NumVertices()),
 		algorithms.NewNeighborhoodEstimation(),
-	}
-	for _, alg := range algs {
-		_, err := l.Actual(alg, "memlimits", "TW")
+	} {
+		_, err := l.Actual(alg, "TW")
 		outcome := "completed"
 		switch {
 		case errors.Is(err, bsp.ErrOutOfMemory):

@@ -558,13 +558,6 @@ var parameterStructs = map[string]bool{
 	"internal/algorithms.SemiClustering":         true,
 }
 
-// unsetOptionFields lists the option fields TestOptionFieldsAreSet lets
-// stay although no non-test file sets them, one reason each.
-var unsetOptionFields = map[string]string{
-	"internal/experiments.Config.Ratios":         "tinyLab and benchLab shrink the figure sweep so the tier-1 tests stay fast",
-	"internal/experiments.Config.TrainingRatios": "tinyLab and benchLab shrink the training sweep so the tier-1 tests stay fast",
-}
-
 // importerFunc adapts a function to types.Importer.
 type importerFunc func(path string) (*types.Package, error)
 
@@ -695,8 +688,7 @@ func (m *moduleSources) checkTests() map[string]*types.Info {
 // for that type's own fields: withDefaults filling its own zero value is
 // not a caller, but an algorithm's method setting bsp.Config.MaxSupersteps
 // is. A field only tests set is a constant with extra steps (DESIGN.md
-// §10, "Constants, and why they are not flags"); unsetOptionFields lists
-// the exceptions.
+// §10, "Constants, and why they are not flags").
 func TestOptionFieldsAreSet(t *testing.T) {
 	m := checkModuleSources(t)
 	files, pkgs, info := m.files, m.pkgs, m.info
@@ -800,20 +792,9 @@ func TestOptionFieldsAreSet(t *testing.T) {
 		keys = append(keys, key)
 	}
 	sort.Strings(keys)
-	known := map[string]bool{}
 	for _, key := range keys {
-		known[key] = true
-		_, listed := unsetOptionFields[key]
-		switch {
-		case set[key] && listed:
-			t.Errorf("%s is set outside the tests: drop it from unsetOptionFields", key)
-		case !set[key] && !listed:
+		if !set[key] {
 			t.Errorf("%s is set by no non-test file: make it a constant beside the code that reads it, or delete it", key)
-		}
-	}
-	for key := range unsetOptionFields {
-		if !known[key] {
-			t.Errorf("unsetOptionFields lists %s, which is no exported field of an option struct under internal/", key)
 		}
 	}
 	t.Logf("checked %d option fields of %d structs", len(keys), len(covered))
